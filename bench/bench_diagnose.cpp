@@ -104,7 +104,7 @@ int run_datapath(const ngp::bench::Args& args) {
 
   const OperatorDelta* scalar = find_op(report, kPerturbScalarKernels);
   const OperatorDelta* unfuse = find_op(report, kPerturbUnfusePresentation);
-  const OperatorDelta* no_pool = find_op(report, kPerturbDisableRxPool);
+  const OperatorDelta* copy_ingress = find_op(report, kPerturbCopyOnIngress);
   const OperatorDelta* shrink = find_op(report, kPerturbShrinkEngineWorkers);
   const OperatorDelta* copy = find_op(report, kPerturbSyntheticCopy);
 
@@ -149,11 +149,11 @@ int run_datapath(const ngp::bench::Args& args) {
   rep.hold("scalar_tier_ledger_invariant", cost_ledger_invariant(scalar));
   // Concurrency perturbation moves wall time only.
   rep.hold("worker_shrink_ledger_invariant", cost_ledger_invariant(shrink));
-  // Killing the rx pool brings placement copies back and zero-copy
-  // fragments go to zero.
+  // Frames arriving outside the rx pool bring placement copies back and
+  // zero-copy fragments go to zero.
   rep.hold("rx_pool_saves_host_copies",
-           ledger_delta(no_pool, "host_copied_bytes") > 0.0 &&
-               ledger_delta(no_pool, "fragments_zero_copy") < 0.0);
+           ledger_delta(copy_ingress, "host_copied_bytes") > 0.0 &&
+               ledger_delta(copy_ingress, "fragments_zero_copy") < 0.0);
   // Unfusing the plan makes the application pay a separate store pass.
   rep.hold("unfuse_adds_app_store_pass",
            ledger_delta(unfuse, "app_store_bytes") > 0.0 &&

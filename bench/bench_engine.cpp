@@ -205,8 +205,8 @@ struct PlaneResult {
 
 /// Session-plane ingest: eight associations opened on one Sessiond, every
 /// receiver offloading manipulation to ONE shared engine
-/// (OpenOptions::engine) — the §4 shape where a single manipulation pool
-/// serves all sessions on the host. The links are fat and clean so
+/// (OpenOptions::attach.engine) — the §4 shape where a single manipulation
+/// pool serves all sessions on the host. The links are fat and clean so
 /// manipulation still dominates; the decoded output must hash identically
 /// to direct engine submission, whatever the schedule.
 PlaneResult run_session_plane(const std::vector<ByteBuffer>& plain,
@@ -243,8 +243,8 @@ PlaneResult run_session_plane(const std::vector<ByteBuffer>& plain,
     alf::SessionConfig cfg = base.value();
     cfg.session_id = static_cast<std::uint16_t>(s + 1);
     sessiond::OpenOptions opts;
-    opts.engine = &eng;
-    opts.engine_harvest_delay = kMillisecond;
+    opts.attach.engine = &eng;
+    opts.attach.engine_harvest_delay = kMillisecond;
     auto opened = daemon.open(cfg, {&lane.data, &lane.fb_tx, &lane.fb_rx}, opts);
     if (!opened.ok()) std::abort();
     lane.sess = std::move(opened.value());

@@ -237,9 +237,11 @@ void run_e3(ngp::bench::BenchReport& rep) {
 // ---- Zero-copy datapath copy ledger (DESIGN.md §12) ---------------------------
 //
 // The same seeded ALF file transfer through the simulated stack twice:
-// once on the classic flat path (stage, place-by-copy, manipulate-by-copy)
-// and once on the pooled path (Link writes into the rx pool, the receiver
-// reassembles by reference, the sender prepares in place). The ledger is
+// once the flat way (the sender stages a flat payload, the link uses the
+// default pool, the application takes flat delivery through the flatten
+// bridge) and once on the pooled path (Link writes into the rx pool, the
+// sender prepares in place, the application takes the chain). Both
+// receivers reassemble by reference. The ledger is
 // the §4 memory-traffic taxonomy: copied bytes = 8 x word stores charged
 // to the sender-manipulation + receiver-reassembly + receiver-manipulation
 // accounts. The link's own transfer charge is identical on both paths and

@@ -15,6 +15,15 @@
 
 namespace ngp::alf {
 
+namespace {
+
+/// Copy placement packs an ADU's copied bytes into segments that each back
+/// this many bytes of fixed ADU offsets (the default pool's fragment
+/// class), so copies pin about adu_len however the fragments are cut.
+constexpr std::uint32_t kCopyBlock = 2048;
+
+}  // namespace
+
 AlfReceiver::AlfReceiver(EventLoop& loop, NetPath& data_in, NetPath& feedback_out,
                          SessionConfig config)
     : AlfReceiver(loop, &data_in, feedback_out, config) {}
@@ -231,11 +240,6 @@ void AlfReceiver::on_data(const DataFragment& f) {
     r.fec_k = f.fec_k;
     r.adu_len = f.adu_len;
     r.checksum = f.adu_checksum;
-    // Zero-copy opt-in is decided per ADU at first sight: only the
-    // Internet checksum folds across a gather list (ones-complement sums
-    // combine), so other checksum kinds keep the flat buffer.
-    r.pooled = rx_pool_ != nullptr && f.checksum_kind == ChecksumKind::kInternet;
-    if (!r.pooled) r.buf.resize(f.adu_len);
     r.charged_bytes = f.adu_len;
   } else if (f.adu_len != r.adu_len) {
     return;  // inconsistent metadata: ignore the stray fragment
@@ -271,21 +275,23 @@ void AlfReceiver::on_data(const DataFragment& f) {
     return;
   }
 
-  // Stage 1 placement: copy the fragment to its offset (the one
-  // unavoidable move — "moving to/from the net", §3). Range bookkeeping
-  // detects what is genuinely new. A pooled ADU places by REFERENCE when
-  // the payload already sits in a pool segment — that placement charges
-  // nothing, which is the whole point.
+  // Stage 1 placement: the fragment becomes a slice at its offset — by
+  // REFERENCE when the payload already sits in a pool segment (that
+  // placement charges nothing, which is the whole point), else by the one
+  // unavoidable copy ("moving to/from the net", §3). Range bookkeeping
+  // detects what is genuinely new.
   const std::uint32_t start = f.frag_off;
   const std::uint32_t end = start + static_cast<std::uint32_t>(f.payload.size());
-  if (r.pooled) {
-    place_pooled(r, f.payload, start, end);
-  } else {
-    simd::kernels().copy(f.payload, r.buf.span().subspan(start, f.payload.size()));
-    reassembly_cost_.charge_fused(f.payload.size());
-  }
+  const std::uint32_t placed_end = place(f.adu_id, r, f.payload, start, end);
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kFragRx,
                      flight_id(f.adu_id), f.payload.size());
+  if (placed_end < end) {
+    // The rest would pin pool memory past the limit: keep what was linked,
+    // drop the remainder (the NACK scan re-fetches it).
+    ++stats_.fragments_dropped_mem;
+    if (placed_end > start) merge_range(r, start, placed_end);
+    return;
+  }
   if (!merge_range(r, start, end)) {
     ++stats_.fragments_duplicate;
   }
@@ -361,35 +367,28 @@ bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
       }
       if (more_than_one || !missing) continue;
 
-      // Reconstruct directly into the fragment's slot in the reassembly
-      // buffer: no staging allocation, no second copy. The surviving
-      // fragments' slots are disjoint from the missing one, so in-place is
-      // safe. Charge the XOR traffic to the stage-1 ledger: one loading
-      // pass per surviving source, one storing pass over the recovered slot.
+      // Recover the missing fragment into a fresh pool slice and link it
+      // like any other arrival — the ADU never flattens. The surviving
+      // fragments are read in place (scratch only when one straddles a
+      // slice boundary). Charge the XOR traffic to the stage-1 ledger: one
+      // loading pass per surviving source, one storing pass over the
+      // recovered slice.
       const auto s = static_cast<std::uint32_t>(group.fragment_offset(*missing));
       const std::size_t frag_len = group.fragment_length(*missing);
-      if (r.pooled) {
-        // Chain FEC: recover the missing fragment into a fresh pool slice
-        // and link it like any other arrival — the ADU never flattens. The
-        // surviving fragments are read in place (scratch only when one
-        // straddles a slice boundary).
-        buf::Slice out{rx_pool_->alloc(frag_len), 0, frag_len};
-        simd::kernels().copy(block.span().first(frag_len), out.mutable_bytes());
-        ByteBuffer scratch(r.frag_capacity);
-        for (std::size_t i = 0; i < group.fragment_count(); ++i) {
-          if (i == *missing) continue;
-          const std::size_t take = std::min(group.fragment_length(i), frag_len);
-          ConstBytes src;
-          if (read_pooled(r, static_cast<std::uint32_t>(group.fragment_offset(i)),
-                          take, scratch.span(), src)) {
-            xor_into(out.mutable_bytes(), src);
-          }
+      buf::Slice out{pool().alloc(frag_len), 0, frag_len};
+      if (!pin(adu_id, r, out.ref.capacity())) return false;
+      simd::kernels().copy(block.span().first(frag_len), out.mutable_bytes());
+      ByteBuffer scratch(r.frag_capacity);
+      for (std::size_t i = 0; i < group.fragment_count(); ++i) {
+        if (i == *missing) continue;
+        const std::size_t take = std::min(group.fragment_length(i), frag_len);
+        ConstBytes src;
+        if (read_range(r, static_cast<std::uint32_t>(group.fragment_offset(i)),
+                       take, scratch.span(), src)) {
+          xor_into(out.mutable_bytes(), src);
         }
-        r.frags.emplace(s, std::move(out));
-      } else {
-        reconstruct_fragment_into(r.buf.span(), block.span(), group, *missing,
-                                  r.buf.span().subspan(s, frag_len));
       }
+      r.frags.emplace(s, std::move(out));
       reassembly_cost_.charge_operation(frag_len);
       reassembly_cost_.charge_pass(frag_len, /*stores=*/false);  // parity prefix
       for (std::size_t i = 0; i < group.fragment_count(); ++i) {
@@ -412,17 +411,27 @@ bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
   return false;
 }
 
-void AlfReceiver::place_pooled(Reassembly& r, ConstBytes payload,
-                               std::uint32_t start, std::uint32_t end) {
+std::uint32_t AlfReceiver::place(std::uint32_t adu_id, Reassembly& r,
+                                 ConstBytes payload, std::uint32_t start,
+                                 std::uint32_t end) {
   // The link published the frame's backing segment for the duration of
   // this handler call; if the payload sits inside it, every new byte is
   // placed by taking a sub-slice reference — zero copies, zero charges.
-  // Payloads from elsewhere (a re-framed path, a corrupted-copy replay)
-  // fall back to ONE copy into a pool segment, same charge as the flat
-  // path's placement.
+  // Payloads from elsewhere (a re-framed path, a corrupted-copy replay, a
+  // direct dispatch) fall back to ONE charged copy into the ADU's copy
+  // blocks. Either way the pool memory a new slice pins — the whole
+  // ingress segment, or a fresh block — is charged before it is linked,
+  // so reassembly_bytes_limit bounds what the pool really holds.
   const buf::Slice* ing = buf::IngressFrame::current();
   const bool by_ref = ing != nullptr && ing->ref.contains(payload);
   bool placed = false;
+  const auto stop = [&](std::uint32_t at) {
+    if (placed) {
+      if (by_ref) ++stats_.fragments_zero_copy;
+      else ++stats_.fragments_pool_copied;
+    }
+    return at;
+  };
 
   // Walk the not-yet-covered gaps of [start, end): only genuinely new
   // bytes take a slice — a duplicate must neither hold an extra segment
@@ -435,33 +444,61 @@ void AlfReceiver::place_pooled(Reassembly& r, ConstBytes payload,
   while (pos < end) {
     const std::uint32_t gap_end =
         it != r.ranges.end() ? std::min(end, it->first) : end;
-    if (pos < gap_end) {
-      ConstBytes piece = payload.subspan(pos - start, gap_end - pos);
-      if (by_ref) {
-        const auto at = static_cast<std::size_t>(
-            piece.data() - (ing->ref.data() + ing->off));
-        r.frags.emplace(pos, ing->sub(at, piece.size()));
-      } else {
-        buf::Slice s{rx_pool_->alloc(piece.size()), 0, piece.size()};
-        simd::kernels().copy(piece, s.mutable_bytes());
-        reassembly_cost_.charge_fused(piece.size());
-        r.frags.emplace(pos, std::move(s));
-      }
+    if (pos < gap_end && by_ref) {
+      // One frame, one segment: pinned once, however many gaps it fills.
+      if (!placed && !pin(adu_id, r, ing->ref.capacity())) return stop(pos);
+      const auto at = static_cast<std::size_t>(
+          payload.data() + (pos - start) - (ing->ref.data() + ing->off));
+      r.frags.emplace(pos, ing->sub(at, gap_end - pos));
       placed = true;
+    } else if (pos < gap_end) {
+      if (r.blocks.empty()) {
+        r.blocks.resize((std::size_t{r.adu_len} + kCopyBlock - 1) / kCopyBlock);
+      }
+      std::uint32_t at = pos;
+      while (at < gap_end) {
+        const std::uint32_t base = at / kCopyBlock * kCopyBlock;
+        const auto upto = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(gap_end, std::uint64_t{base} + kCopyBlock));
+        buf::BufRef& block = r.blocks[at / kCopyBlock];
+        if (!block) {
+          buf::BufRef fresh = pool().alloc(std::min(kCopyBlock, r.adu_len - base));
+          if (!pin(adu_id, r, fresh.capacity())) break;
+          block = std::move(fresh);
+        }
+        buf::Slice s{block, at - base, upto - at};
+        simd::kernels().copy(payload.subspan(at - start, upto - at), s.mutable_bytes());
+        r.frags.emplace(at, std::move(s));
+        at = upto;
+      }
+      if (at > pos) {
+        reassembly_cost_.charge_fused(at - pos);
+        placed = true;
+      }
+      if (at < gap_end) return stop(at);
     }
     if (it == r.ranges.end()) break;
     pos = std::max(pos, std::min(end, it->second));
     ++it;
   }
-  if (placed) {
-    if (by_ref) ++stats_.fragments_zero_copy;
-    else ++stats_.fragments_pool_copied;
-  }
+  return stop(end);
 }
 
-bool AlfReceiver::read_pooled(const Reassembly& r, std::uint32_t start,
-                              std::size_t len, MutableBytes scratch,
-                              ConstBytes& out) const {
+bool AlfReceiver::pin(std::uint32_t adu_id, Reassembly& r, std::size_t capacity) {
+  // The header's claim was reserved when the ADU opened; pinned segments
+  // only cost more once they outgrow it (sparse or tiny fragments, frames
+  // in roomy segments).
+  const std::size_t before = std::max<std::size_t>(r.adu_len, r.pinned_bytes);
+  const std::size_t after = std::max<std::size_t>(r.adu_len, r.pinned_bytes + capacity);
+  if (after > before && !reserve_bytes(adu_id, after - before)) return false;
+  r.pinned_bytes += capacity;
+  r.charged_bytes += after - before;
+  return true;
+}
+
+bool AlfReceiver::read_range(const Reassembly& r, std::uint32_t start,
+                             std::size_t len, MutableBytes scratch,
+                             ConstBytes& out) const {
   if (len == 0) {
     out = ConstBytes{};
     return true;
@@ -498,6 +535,7 @@ buf::BufChain AlfReceiver::build_chain(Reassembly& r) {
   buf::BufChain chain;
   for (auto& [off, slice] : r.frags) chain.append(std::move(slice));
   r.frags.clear();
+  r.blocks.clear();
   return chain;
 }
 
@@ -534,28 +572,14 @@ ManipulationPlan AlfReceiver::make_plan(std::uint32_t adu_id,
   return p;
 }
 
-bool AlfReceiver::verify_and_decrypt(std::uint32_t adu_id, Reassembly& r) {
-  // ILP stage 2: decrypt and integrity-check in ONE pass over the ADU
-  // (kIntegrated), or one full pass per manipulation (kLayered). The shared
-  // executor charges manip_cost_ — this is where the live pipeline's
-  // fused-vs-layered pass counts come from.
-  obs::TraceSpan span(trace_, "alf.rx.manip", r.buf.size());
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipBegin,
-                     flight_id(adu_id), r.buf.size());
-  const ManipulationPlan plan = make_plan(adu_id, r);
-  if (plan.present != PresentStage::kNone) ++stats_.adus_presentation_fused;
-  const bool intact = run_manipulation(plan, r.buf.span(), &manip_cost_);
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipEnd,
-                     flight_id(adu_id), r.buf.size());
-  return intact;
-}
-
-bool AlfReceiver::verify_and_decrypt_chain(std::uint32_t adu_id,
-                                           const Reassembly& r,
-                                           buf::BufChain& chain) {
-  // Same stage-2 recipe over the gather list: fused checksum folds across
-  // the slices (load-only when nothing decrypts — no flat staging buffer
-  // exists to store into, and that missing store pass is the saving).
+bool AlfReceiver::manipulate(std::uint32_t adu_id, const Reassembly& r,
+                             buf::BufChain& chain) {
+  // ILP stage 2 over the gather list: decrypt and integrity-check in ONE
+  // pass (kIntegrated), or one full pass per manipulation (kLayered). The
+  // shared executor charges manip_cost_ — this is where the live
+  // pipeline's fused-vs-layered pass counts come from. A bare verify only
+  // reads: no flat staging buffer exists to store into, and that missing
+  // store pass is the saving.
   obs::TraceSpan span(trace_, "alf.rx.manip", chain.size());
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipBegin,
                      flight_id(adu_id), chain.size());
@@ -574,35 +598,21 @@ void AlfReceiver::complete_adu(std::uint32_t adu_id, Reassembly& r) {
     offload_adu(adu_id, r);
     return;
   }
-  if (r.pooled) {
-    buf::BufChain chain = build_chain(r);
-    if (!verify_and_decrypt_chain(adu_id, r, chain)) {
-      // Same recovery as the flat path: discard (releasing the segments)
-      // and leave the id open for the NACK scan.
-      ++stats_.adus_checksum_failed;
-      note_recycle(adu_id, chain.size());
-      release_pending(pending_.find(adu_id));
-      return;
-    }
-    auto pit = pending_.find(adu_id);
-    reassembly_bytes_ -= std::min(reassembly_bytes_, pit->second.charged_bytes);
-    auto node = pending_.extract(pit);
-    deliver_chain(adu_id, node.mapped().name, node.mapped().syntax,
-                  std::move(chain));
-    return;
-  }
-  if (!verify_and_decrypt(adu_id, r)) {
-    // Whole-ADU integrity failure: discard the damaged bytes and let the
-    // recovery machinery re-fetch it — the ADU is the unit of error
-    // recovery (§5). The id stays open, so the NACK scan re-requests it.
+  buf::BufChain chain = build_chain(r);
+  if (!manipulate(adu_id, r, chain)) {
+    // Whole-ADU integrity failure: discard the damaged bytes (releasing
+    // the segments) and let the recovery machinery re-fetch it — the ADU
+    // is the unit of error recovery (§5). The id stays open, so the NACK
+    // scan re-requests it.
     ++stats_.adus_checksum_failed;
+    note_recycle(adu_id, chain.size());
     release_pending(pending_.find(adu_id));
     return;
   }
   auto it = pending_.find(adu_id);
   reassembly_bytes_ -= std::min(reassembly_bytes_, it->second.charged_bytes);
   auto node = pending_.extract(it);
-  deliver(adu_id, std::move(node.mapped()));
+  deliver(adu_id, node.mapped().name, node.mapped().syntax, std::move(chain));
 }
 
 void AlfReceiver::offload_adu(std::uint32_t adu_id, Reassembly& r) {
@@ -615,8 +625,8 @@ void AlfReceiver::offload_adu(std::uint32_t adu_id, Reassembly& r) {
     (void)shed_one(adu_id);
   }
   // Control keeps only what delivery needs (§5: the name addresses the
-  // ADU); the bytes travel with the job. The reassembly charge is released
-  // now — the job owns the buffer, not the reassembly pool.
+  // ADU); the chain travels with the job. The reassembly charge is
+  // released now — the job owns the bytes, not the reassembly pool.
   manip_inflight_.emplace(adu_id, InflightManip{r.name, r.syntax});
   ++stats_.adus_engine_offloaded;
   if (trace_ != nullptr) trace_->instant("alf.rx.engine.submit", r.adu_len);
@@ -632,21 +642,13 @@ void AlfReceiver::offload_adu(std::uint32_t adu_id, Reassembly& r) {
   job.flight_id = flight_id(adu_id);
   job.plan = make_plan(adu_id, r);
   if (job.plan.present != PresentStage::kNone) ++stats_.adus_presentation_fused;
-  if (r.pooled) {
-    // The chain travels to the worker; its last release — wherever that
-    // happens — recycles the segments (the pool is thread-safe for this).
-    job.chain = build_chain(r);
-    job.on_done_chain = [this, adu_id](bool intact, buf::BufChain&& chain,
-                                       const obs::CostAccount& cost) {
-      on_manip_done_chain(adu_id, intact, std::move(chain), cost);
-    };
-  } else {
-    job.payload = std::move(r.buf);
-    job.on_done = [this, adu_id](bool intact, ByteBuffer&& payload,
-                                 const obs::CostAccount& cost) {
-      on_manip_done(adu_id, intact, std::move(payload), cost);
-    };
-  }
+  // The chain's last release — wherever that happens — recycles the
+  // segments (the pool is thread-safe for this).
+  job.chain = build_chain(r);
+  job.on_done_chain = [this, adu_id](bool intact, buf::BufChain&& chain,
+                                     const obs::CostAccount& cost) {
+    on_manip_done(adu_id, intact, std::move(chain), cost);
+  };
   release_pending(pending_.find(adu_id));
   eng_->submit(std::move(job));
   arm_engine_pump();
@@ -672,32 +674,10 @@ void AlfReceiver::engine_pump() {
 }
 
 void AlfReceiver::on_manip_done(std::uint32_t adu_id, bool intact,
-                                ByteBuffer&& payload,
+                                buf::BufChain&& chain,
                                 const obs::CostAccount& cost) {
   // The worker charged its private ledger; merge is commutative, so the
   // session ledger is identical whatever order completions arrive in.
-  manip_cost_.merge(cost);
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kHarvest,
-                     flight_id(adu_id), payload.size());
-  auto it = manip_inflight_.find(adu_id);
-  if (it == manip_inflight_.end()) return;  // session failed meanwhile
-  InflightManip meta = std::move(it->second);
-  manip_inflight_.erase(it);
-  if (failed_) return;
-  if (!intact) {
-    // Same outcome as the inline path: damaged bytes are discarded and the
-    // id stays open, so the NACK scan re-fetches the whole ADU (§5).
-    ++stats_.adus_checksum_failed;
-    note_progress();
-    arm_timers();
-    return;
-  }
-  deliver_payload(adu_id, meta.name, meta.syntax, std::move(payload));
-}
-
-void AlfReceiver::on_manip_done_chain(std::uint32_t adu_id, bool intact,
-                                      buf::BufChain&& chain,
-                                      const obs::CostAccount& cost) {
   manip_cost_.merge(cost);
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kHarvest,
                      flight_id(adu_id), chain.size());
@@ -707,46 +687,22 @@ void AlfReceiver::on_manip_done_chain(std::uint32_t adu_id, bool intact,
   manip_inflight_.erase(it);
   if (failed_) return;
   if (!intact) {
-    // Discard the damaged chain (segments recycle) and leave the id open
-    // for the NACK scan, exactly like the flat engine path.
+    // Same outcome as the inline path: the damaged chain is discarded
+    // (segments recycle) and the id stays open, so the NACK scan
+    // re-fetches the whole ADU (§5).
     ++stats_.adus_checksum_failed;
     note_recycle(adu_id, chain.size());
     note_progress();
     arm_timers();
     return;
   }
-  deliver_chain(adu_id, meta.name, meta.syntax, std::move(chain));
+  deliver(adu_id, meta.name, meta.syntax, std::move(chain));
 }
 
-void AlfReceiver::deliver(std::uint32_t adu_id, Reassembly&& r) {
-  deliver_payload(adu_id, r.name, r.syntax, std::move(r.buf));
-}
-
-void AlfReceiver::deliver_payload(std::uint32_t adu_id, const AduName& name,
-                                  TransferSyntax syntax, ByteBuffer&& payload) {
+void AlfReceiver::deliver(std::uint32_t adu_id, const AduName& name,
+                          TransferSyntax syntax, buf::BufChain&& chain) {
   // Out of order w.r.t. the id sequence? (Any earlier id still open.)
   // closed_prefix_ = ids 1..closed_prefix_ are all closed already.
-  const bool earlier_open = adu_id > closed_prefix_ + 1;
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kDeliver,
-                     flight_id(adu_id), payload.size());
-  close_id(adu_id);
-  ++delivered_count_;
-  ++stats_.adus_delivered;
-  stats_.payload_bytes_delivered += payload.size();
-  if (earlier_open) ++stats_.adus_delivered_out_of_order;
-
-  if (on_adu_) {
-    Adu adu;
-    adu.name = name;
-    adu.syntax = syntax;
-    adu.payload = std::move(payload);
-    on_adu_(std::move(adu));
-  }
-  check_complete();
-}
-
-void AlfReceiver::deliver_chain(std::uint32_t adu_id, const AduName& name,
-                                TransferSyntax syntax, buf::BufChain&& chain) {
   const bool earlier_open = adu_id > closed_prefix_ + 1;
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kDeliver,
                      flight_id(adu_id), chain.size());
@@ -811,7 +767,7 @@ void AlfReceiver::abandon(std::uint32_t adu_id, const Reassembly* r) {
 
 void AlfReceiver::release_pending(std::map<std::uint32_t, Reassembly>::iterator it) {
   if (it == pending_.end()) return;
-  if (it->second.pooled && !it->second.frags.empty()) {
+  if (!it->second.frags.empty()) {
     // The erase below drops the last references to this ADU's slices:
     // note the recycle here, on the control thread, so flight timelines
     // stay deterministic (the pool itself never records events).

@@ -2,13 +2,16 @@
 //
 // Stage 1 (per transmission unit, control only): verify the fragment
 // header, demux by session and ADU id, place the payload at its offset in
-// the ADU's reassembly buffer. The fragment tells us everything — no
-// connection byte-stream state, no ordering requirement.
+// the ADU's reassembly chain — by reference when the fragment sits in the
+// ingress frame's pool segment, by one copy otherwise (DESIGN.md §12). The
+// fragment tells us everything — no connection byte-stream state, no
+// ordering requirement.
 //
 // Stage 2 (per complete ADU, manipulation): the moment an ADU's last byte
 // arrives — regardless of the fate of earlier ADUs — run the integrated
-// manipulation pass (decrypt + integrity verify, fused when the session
-// selects ProcessMode::kIntegrated) and hand the ADU to the application.
+// manipulation pass over the chain (decrypt + integrity verify, fused when
+// the session selects ProcessMode::kIntegrated) and hand the ADU to the
+// application.
 // Complete ADUs are therefore delivered out of order; the presentation /
 // application pipeline never stalls behind a hole the way the in-order
 // stream transport does.
@@ -22,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "alf/adu.h"
 #include "alf/session.h"
@@ -69,6 +73,7 @@ struct ReceiverStats {
   std::uint64_t fragments_oversized = 0;     ///< adu_len > max_adu_len (also corrupt)
   std::uint64_t fragments_out_of_window = 0; ///< adu_id beyond window (also corrupt)
   std::uint64_t fragments_dropped_mem = 0;   ///< no reassembly room even after eviction
+                                             ///< (claim or pinned pool memory)
   std::uint64_t reassembly_evictions = 0;    ///< incomplete ADUs evicted for space
   std::uint64_t watchdog_fired = 0;          ///< stall watchdog abandoned the session
   std::uint64_t fragments_stale_epoch = 0;   ///< stamped with another epoch
@@ -77,9 +82,9 @@ struct ReceiverStats {
   /// ADUs whose stage-2 manipulation ran as an engine job (0 when inline).
   std::uint64_t adus_engine_offloaded = 0;
 
-  // Zero-copy datapath counters (rx pool attached; DESIGN.md §12).
+  // Zero-copy datapath counters (DESIGN.md §12).
   std::uint64_t fragments_zero_copy = 0;    ///< placed by reference (no copy)
-  std::uint64_t fragments_pool_copied = 0;  ///< placed by copy into a pool seg
+  std::uint64_t fragments_pool_copied = 0;  ///< placed by copy into copy blocks
   std::uint64_t adus_chain_delivered = 0;   ///< handed up as an AduChain
 
   /// ADUs whose presentation decode was fused into the stage-2 pass (a
@@ -98,6 +103,23 @@ struct ResumeSummary {
   std::uint32_t abandoned = 0;
   std::uint32_t highest_seen = 0;
   std::uint32_t expected_total = 0;         ///< 0 if DONE was never seen
+};
+
+/// The per-flow options one receiver incarnation is attached to, declared
+/// once: sessiond::OpenOptions, sessiond::ReceiverFactoryOptions and
+/// resilience::SupervisorConfig each carry one, and AlfReceiver::attach
+/// applies it whole. Everything it points at must outlive the receivers it
+/// is attached to (and, for the pool, every chain they delivered).
+struct ReceiverAttach {
+  /// Stage-2 engine offload (AlfReceiver::set_engine); null = inline.
+  engine::Engine* engine = nullptr;
+  SimDuration engine_harvest_delay = 0;
+  /// Pool for fragments placed by copy (AlfReceiver::set_rx_pool); null =
+  /// buf::default_pool().
+  buf::BufferPool* rx_pool = nullptr;
+  /// Compiled presentation plan fused into stage 2
+  /// (AlfReceiver::set_presentation); null = none.
+  std::shared_ptr<const presentation::PresentationPlan> presentation;
 };
 
 /// Ranks an ADU for the overload shedding policy: lower = shed first.
@@ -149,28 +171,38 @@ class AlfReceiver {
   /// control thread `harvest_delay` of simulated time later. ADUs then
   /// complete in ANY order (more so than inline), which ALF explicitly
   /// permits: delivery is by ADU name. Null reverts to inline execution
-  /// (the default, bit-identical to the classic path). Set before traffic
-  /// arrives; the engine must outlive this receiver.
+  /// (the default). Set before traffic arrives; the engine must outlive
+  /// this receiver.
   void set_engine(engine::Engine* eng, SimDuration harvest_delay = 0) noexcept {
     eng_ = eng;
     engine_harvest_delay_ = harvest_delay;
   }
 
+  /// Applies a whole attach set: engine, pool and plan, exactly as the
+  /// three setters would. Set before traffic.
+  void attach(const ReceiverAttach& a) {
+    set_engine(a.engine, a.engine_harvest_delay);
+    set_rx_pool(a.rx_pool);
+    set_presentation(a.presentation);
+  }
+
   /// Complete-ADU callback; invoked the moment each ADU completes, in
-  /// arrival-completion order (NOT id order — that is the point).
+  /// arrival-completion order (NOT id order — that is the point). When no
+  /// chain callback is set, this is the flatten bridge: the chain is
+  /// copied out once into the delivered Adu.
   void set_on_adu(std::function<void(Adu&&)> fn) { on_adu_ = std::move(fn); }
 
-  /// Opts this receiver into the zero-copy datapath (DESIGN.md §12). With a
-  /// pool attached — normally the SAME pool the ingress Link writes into
-  /// (Link::set_rx_pool) — fragments of Internet-checksummed ADUs are
-  /// reassembled as scatter-gather chains of refcounted pool slices: a
-  /// payload that arrives inside a pool segment is linked by reference
-  /// (no copy, no ledger charge); anything else is copied ONCE into a pool
-  /// segment. Stage 2 then runs over the gather list and delivery hands up
-  /// the chain itself (set_on_adu_chain) or flattens once as a bridge.
-  /// Strictly opt-in: with no pool the receiver is bit-identical to the
-  /// flat path. Set before traffic; the pool must outlive the receiver and
-  /// every chain it delivered.
+  /// The pool fragments are COPIED into (DESIGN.md §12). Every ADU is
+  /// reassembled as a scatter-gather chain of refcounted pool slices: a
+  /// payload that arrives inside the ingress frame's pool segment — every
+  /// Link publishes one — is linked by reference (no copy, no ledger
+  /// charge), whichever pool that segment belongs to; anything else (a
+  /// re-framed or mangled copy, a direct dispatch) is copied ONCE into a
+  /// segment of this pool. Null (the default) selects buf::default_pool().
+  /// Stage 2 then runs over the gather list and delivery hands up the
+  /// chain itself (set_on_adu_chain) or flattens once as a bridge. Set
+  /// before traffic; the pool must outlive the receiver and every chain it
+  /// delivered.
   void set_rx_pool(buf::BufferPool* pool) noexcept { rx_pool_ = pool; }
 
   /// Fuses a compiled presentation plan (DESIGN.md §13) into stage 2: ADUs
@@ -187,11 +219,11 @@ class AlfReceiver {
     present_plan_ = std::move(plan);
   }
 
-  /// Chain-delivery callback for pooled ADUs. When set, pooled ADUs bypass
-  /// the flatten bridge and arrive as AduChain — at most one copy remains
-  /// on the whole path (the link's copy "from the net" into the pool), and
-  /// the final placement is the application's to perform from the gather
-  /// list. Non-pooled ADUs still arrive via set_on_adu.
+  /// Chain-delivery callback. When set, every ADU bypasses the flatten
+  /// bridge and arrives as AduChain — at most one copy remains on the
+  /// whole path (the link's copy "from the net" into the pool), and the
+  /// final placement is the application's to perform from the gather
+  /// list.
   void set_on_adu_chain(std::function<void(AduChain&&)> fn) {
     on_adu_chain_ = std::move(fn);
   }
@@ -265,17 +297,21 @@ class AlfReceiver {
     std::uint8_t fec_k = 0;
     std::uint32_t adu_len = 0;
     std::uint32_t checksum = 0;
-    ByteBuffer buf;  ///< flat reassembly target (unused when pooled)
-    /// Zero-copy reassembly: disjoint pool slices keyed by ADU offset.
-    /// Complete coverage in key order IS the ADU; destroying the map (shed,
-    /// evict, checksum failure) releases every segment reference.
+    /// Disjoint pool slices keyed by ADU offset. Complete coverage in key
+    /// order IS the ADU; destroying the map (shed, evict, checksum
+    /// failure) releases every segment reference.
     std::map<std::uint32_t, buf::Slice> frags;
-    bool pooled = false;  ///< this ADU reassembles as slices, not into buf
     std::map<std::uint32_t, std::uint32_t> ranges;  ///< received [start,end)
     std::map<std::uint32_t, ByteBuffer> parity;     ///< group start -> block
+    /// Copy placement's segments, one per kCopyBlock of ADU offsets,
+    /// made on first use (empty until a fragment is copied).
+    std::vector<buf::BufRef> blocks;
     std::size_t bytes_received = 0;
     std::size_t frag_capacity = 0;  ///< inferred from the first fragment
-    std::size_t charged_bytes = 0;  ///< counted against reassembly_bytes_limit
+    std::size_t pinned_bytes = 0;   ///< pool capacity the slices hold
+    /// Counted against reassembly_bytes_limit: the larger of adu_len and
+    /// pinned_bytes, plus parity.
+    std::size_t charged_bytes = 0;
     int nacks = 0;
     SimTime next_nack_at = 0;  ///< exponential backoff per ADU
   };
@@ -302,48 +338,49 @@ class AlfReceiver {
   /// recipe both the inline path and engine workers execute, so the §4
   /// charges are identical by construction.
   ManipulationPlan make_plan(std::uint32_t adu_id, const Reassembly& r) const;
-  /// Stage 2: fused or layered decrypt+verify. True if intact.
-  bool verify_and_decrypt(std::uint32_t adu_id, Reassembly& r);
-  /// Places one data fragment of a pooled ADU: every not-yet-covered gap of
-  /// [start,end) becomes a slice — by reference when the payload sits in
-  /// the published ingress segment, by one pool copy otherwise.
-  void place_pooled(Reassembly& r, ConstBytes payload, std::uint32_t start,
-                    std::uint32_t end);
-  /// Reads [start,start+len) of a pooled ADU. `out` aliases a slice when
-  /// the range is contiguous in one, else the bytes are gathered into
+  /// The pool fragments are copied into: rx_pool_, else the default pool.
+  buf::BufferPool& pool() const noexcept {
+    return rx_pool_ != nullptr ? *rx_pool_ : buf::default_pool();
+  }
+  /// Places one data fragment: every not-yet-covered gap of [start,end)
+  /// becomes a slice — by reference when the payload sits in the published
+  /// ingress segment, by one copy into the ADU's copy blocks otherwise.
+  /// Returns where placement stopped: `end`, or earlier when pinning more
+  /// pool memory would break reassembly_bytes_limit.
+  std::uint32_t place(std::uint32_t adu_id, Reassembly& r, ConstBytes payload,
+                      std::uint32_t start, std::uint32_t end);
+  /// Charges `capacity` more pinned pool bytes to an ADU: only the part
+  /// that lifts its charge above max(adu_len, pinned_bytes) is reserved.
+  /// False = no room (nothing is charged).
+  bool pin(std::uint32_t adu_id, Reassembly& r, std::size_t capacity);
+  /// Reads [start,start+len) of an ADU. `out` aliases a slice when the
+  /// range is contiguous in one, else the bytes are gathered into
   /// `scratch`. False if any byte is missing.
-  bool read_pooled(const Reassembly& r, std::uint32_t start, std::size_t len,
-                   MutableBytes scratch, ConstBytes& out) const;
-  /// Links a pooled ADU's slices (complete, disjoint, in offset order) into
-  /// one chain and clears the slice map.
+  bool read_range(const Reassembly& r, std::uint32_t start, std::size_t len,
+                  MutableBytes scratch, ConstBytes& out) const;
+  /// Links an ADU's slices (complete, disjoint, in offset order) into one
+  /// chain and clears the slice map.
   buf::BufChain build_chain(Reassembly& r);
-  /// Stage 2 over the gather list (pooled ADUs): the checksum pass reads
-  /// the chain in place — no flat staging buffer exists to store into.
-  bool verify_and_decrypt_chain(std::uint32_t adu_id, const Reassembly& r,
-                                buf::BufChain& chain);
-  /// deliver_payload's zero-copy twin: hands up the chain (or flattens
-  /// once when only a flat consumer is registered).
-  void deliver_chain(std::uint32_t adu_id, const AduName& name,
-                     TransferSyntax syntax, buf::BufChain&& chain);
-  /// Control-thread continuation of an offloaded chain job.
-  void on_manip_done_chain(std::uint32_t adu_id, bool intact,
-                           buf::BufChain&& chain, const obs::CostAccount& cost);
+  /// Stage 2 over the gather list: fused or layered decrypt+verify(+swap)
+  /// in place. True if intact.
+  bool manipulate(std::uint32_t adu_id, const Reassembly& r,
+                  buf::BufChain& chain);
+  /// Closes the id and hands up the chain (or flattens once when only a
+  /// flat consumer is registered).
+  void deliver(std::uint32_t adu_id, const AduName& name,
+               TransferSyntax syntax, buf::BufChain&& chain);
   /// Flight note for a pool release the receiver itself decided on
-  /// (flatten bridge, checksum-fail discard, shed/evict of a pooled ADU).
+  /// (flatten bridge, checksum-fail discard, shed/evict of an ADU).
   void note_recycle(std::uint32_t adu_id, std::size_t bytes);
-  /// Engine path for complete_adu: moves the payload into a job, releases
+  /// Engine path for complete_adu: moves the chain into a job, releases
   /// the reassembly charge, and arms the harvest pump.
   void offload_adu(std::uint32_t adu_id, Reassembly& r);
   /// Control-thread continuation of an offloaded ADU (runs inside
   /// engine_pump's drain, i.e. at a deterministic simulated time).
-  void on_manip_done(std::uint32_t adu_id, bool intact, ByteBuffer&& payload,
+  void on_manip_done(std::uint32_t adu_id, bool intact, buf::BufChain&& chain,
                      const obs::CostAccount& cost);
   void arm_engine_pump();
   void engine_pump();
-  void deliver(std::uint32_t adu_id, Reassembly&& r);
-  /// Shared tail of deliver(): closes the id and hands the ADU up.
-  void deliver_payload(std::uint32_t adu_id, const AduName& name,
-                       TransferSyntax syntax, ByteBuffer&& payload);
   void abandon(std::uint32_t adu_id, const Reassembly* r);
   /// Overload policy (DESIGN.md §10.3): while reassembly memory sits above
   /// shed_highwater, drop lowest-priority incomplete ADUs (never
@@ -430,7 +467,7 @@ class AlfReceiver {
     TransferSyntax syntax = TransferSyntax::kRaw;
   };
   engine::Engine* eng_ = nullptr;
-  buf::BufferPool* rx_pool_ = nullptr;  ///< zero-copy opt-in (null = flat)
+  buf::BufferPool* rx_pool_ = nullptr;  ///< copy-placement pool (null = default)
   /// Compiled presentation plan to fuse into stage 2 (null = none).
   std::shared_ptr<const presentation::PresentationPlan> present_plan_;
   SimDuration engine_harvest_delay_ = 0;

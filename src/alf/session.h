@@ -99,10 +99,12 @@ struct SessionConfig {
   /// are counted corrupt and dropped before any allocation.
   std::uint32_t max_adu_len = 8 << 20;
 
-  /// Receiver: cap on total reassembly memory (ADU buffers + FEC parity)
-  /// across all pending ADUs. When a new ADU does not fit, the oldest
-  /// incomplete ADU is evicted (its id stays recoverable via NACK).
-  /// 0 = unlimited.
+  /// Receiver: cap on total reassembly memory across all pending ADUs:
+  /// per ADU the larger of its claimed adu_len and the pool capacity its
+  /// slices pin (a referenced frame pins its whole segment), plus FEC
+  /// parity. When a new ADU does not fit, the oldest incomplete ADU is
+  /// evicted (its id stays recoverable via NACK); a fragment that still
+  /// does not fit is dropped. 0 = unlimited.
   std::size_t reassembly_bytes_limit = 32 << 20;
 
   /// Receiver: ADU ids are only accepted within this window above the

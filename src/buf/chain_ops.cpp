@@ -2,7 +2,8 @@
 
 #include <array>
 
-#include "checksum/internet.h"
+#include "checksum/checksum.h"
+#include "ilp/engine.h"
 #include "simd/dispatch.h"
 
 namespace ngp::buf {
@@ -81,7 +82,104 @@ void scalar_decrypt(const ChaChaKey& key, std::size_t pos, MutableBytes bytes) {
   }
 }
 
+/// Absorbs `bytes` into a running CRC-32, a word at a time. The state
+/// carries across calls, so a chain's segments fold in order with no
+/// combine step.
+void crc_absorb(Crc32Stage& ck, ConstBytes bytes) {
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) ck.word(load_u64_le(p));
+  if (n > 0) ck.tail(ngp::detail::load_tail(p, n), n);
+}
+
+/// The fused CRC-32 walk: per segment, a scalar head up to the next
+/// keystream block (decrypt) or swap unit (byteswap) boundary, the ILP
+/// word loop over the aligned body, then a scalar remainder. Stage order
+/// is the flat executor's: decrypt, CRC of the plaintext, byteswap.
+template <bool kDecrypt, bool kSwap>
+std::uint32_t crc_walk(const ChaChaKey* key, BufChain& c) {
+  Crc32Stage ck;
+  const std::size_t region_end = swap_region_end(c.size());
+  SwapCursor cur;
+  const auto scalar = [&](MutableBytes bytes, std::size_t at) {
+    if constexpr (kDecrypt) scalar_decrypt(*key, at, bytes);
+    crc_absorb(ck, bytes);
+    if constexpr (kSwap) cur.feed(bytes, at, region_end);
+  };
+  constexpr std::size_t kAlign = kDecrypt ? 64 : kSwap ? 4 : 1;
+  std::size_t pos = 0;
+  c.for_each_mutable([&](MutableBytes seg) {
+    std::size_t done = 0;
+    if (pos % kAlign != 0 && !seg.empty()) {
+      done = std::min<std::size_t>(kAlign - pos % kAlign, seg.size());
+      scalar(seg.subspan(0, done), pos);
+    }
+    std::size_t bulk = seg.size() - done;
+    if constexpr (kSwap) {
+      const std::size_t in_region =
+          region_end > pos + done ? region_end - (pos + done) : 0;
+      bulk = std::min(bulk, in_region) & ~std::size_t{3};
+    }
+    if (bulk != 0) {
+      MutableBytes body = seg.subspan(done, bulk);
+      if constexpr (kDecrypt) {
+        EncryptStage dec(*key, static_cast<std::uint32_t>((pos + done) / 64));
+        if constexpr (kSwap) {
+          Byteswap32Stage swap;
+          ilp_fused(body, body, dec, ck, swap);
+        } else {
+          ilp_fused(body, body, dec, ck);
+        }
+      } else if constexpr (kSwap) {
+        Byteswap32Stage swap;
+        ilp_fused(body, body, ck, swap);
+      } else {
+        crc_absorb(ck, body);  // nothing to write: load-only
+      }
+      done += bulk;
+    }
+    if (done < seg.size()) scalar(seg.subspan(done), pos + done);
+    pos += seg.size();
+  });
+  return ck.result();
+}
+
 }  // namespace
+
+std::uint32_t chain_checksum(ChecksumKind kind, const BufChain& c) {
+  switch (kind) {
+    case ChecksumKind::kNone:
+      return 0;
+    case ChecksumKind::kInternet:
+      return chain_internet_checksum(c);
+    case ChecksumKind::kFletcher32: {
+      Fletcher32 f;
+      c.for_each([&](ConstBytes seg) { f.add(seg); });
+      return f.finish();
+    }
+    case ChecksumKind::kAdler32: {
+      std::uint32_t state = 1;
+      c.for_each([&](ConstBytes seg) { state = adler32_continue(state, seg); });
+      return state;
+    }
+    case ChecksumKind::kCrc32: {
+      Crc32Stage ck;
+      c.for_each([&](ConstBytes seg) { crc_absorb(ck, seg); });
+      return ck.result();
+    }
+  }
+  return 0;
+}
+
+std::uint32_t chain_fused_crc32(BufChain& c, const ChaChaKey* decrypt_key,
+                                bool byteswap) {
+  if (decrypt_key != nullptr) {
+    return byteswap ? crc_walk<true, true>(decrypt_key, c)
+                    : crc_walk<true, false>(decrypt_key, c);
+  }
+  return byteswap ? crc_walk<false, true>(nullptr, c)
+                  : crc_walk<false, false>(nullptr, c);
+}
 
 std::uint16_t chain_internet_checksum(const BufChain& c) {
   const simd::KernelTable& k = simd::kernels();

@@ -2,11 +2,12 @@
 //
 // The §4 claim, applied to the gather view: one logical pass over a chain
 // costs the same memory traffic as one pass over a flat buffer — the
-// segment walk only redirects the pointers. Each helper runs the active
-// SIMD tier's fused kernel per segment and folds the per-segment Internet
-// sums with InternetChecksum::combine, which tracks byte parity so odd
-// segment lengths fold correctly (tested against the flat scalar reference
-// across every tier in buf_test).
+// segment walk only redirects the pointers. The Internet-sum helpers run
+// the active SIMD tier's fused kernel per segment and fold the
+// per-segment sums with InternetChecksum::combine, which tracks byte
+// parity so odd segment lengths fold correctly; the other checksum kinds
+// carry their running state from segment to segment (tested against the
+// flat executor across every tier in buf_test).
 //
 // ChaCha20 note: the cipher's keystream is positional. A segment that
 // starts at ADU byte offset `pos` is decrypted with a scalar prefix up to
@@ -21,6 +22,7 @@
 #include <cstdint>
 
 #include "buf/chain.h"
+#include "checksum/checksum.h"
 #include "crypto/chacha20.h"
 
 namespace ngp::buf {
@@ -61,5 +63,23 @@ std::uint16_t chain_checksum_byteswap(BufChain& c);
 /// (keystream block counter 0 at chain byte 0). One load+store pass.
 std::uint16_t chain_decrypt_checksum_byteswap(const ChaChaKey& key,
                                               BufChain& c);
+
+/// `kind`'s checksum of the chain's bytes (widened to 32 bits, 0 for
+/// kNone) — identical to compute_checksum(kind, flattened chain). One
+/// load-only pass: Internet sums fold with combine, CRC-32 and Adler-32
+/// carry their running state across segments, Fletcher-32 carries the odd
+/// byte of a 16-bit word split by a segment boundary.
+std::uint32_t chain_checksum(ChecksumKind kind, const BufChain& c);
+
+/// CRC-32 fused walk, one pass per segment: ChaCha20-decrypts in place
+/// when `decrypt_key` is set (keystream block counter 0 at chain byte 0),
+/// takes the CRC-32 of the plaintext, then byte-swaps each 32-bit unit
+/// when `byteswap` is set (chain_byteswap32's tail rule). Bit-identical to
+/// the flat executor's fused EncryptStage/Crc32Stage/Byteswap32Stage loop
+/// over the flattened chain. The CRC state carries across segment
+/// boundaries, so no combine step exists. Load-only when neither stage
+/// writes, one load+store pass otherwise.
+std::uint32_t chain_fused_crc32(BufChain& c, const ChaChaKey* decrypt_key,
+                                bool byteswap);
 
 }  // namespace ngp::buf

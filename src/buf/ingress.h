@@ -3,17 +3,17 @@
 // Every frame handler in the repo is `std::function<void(ConstBytes)>`:
 // links, faulty paths, relays and the sessiond dispatcher all forward a
 // borrowed span. Threading a pool reference through each signature would
-// touch every intermediary for one consumer, so a pool-receiving link
-// instead PUBLISHES the segment backing the span for the duration of the
+// touch every intermediary for one consumer, so every link instead
+// PUBLISHES the pool segment backing the span for the duration of the
 // handler call, via this RAII scope on the delivering thread.
 //
 // A downstream consumer (AlfReceiver) that wants to keep bytes past the
 // handler return checks whether the span it was handed lies INSIDE the
 // published segment (BufRef::contains). If yes it takes its own reference
-// — zero copy; if no (an intermediary re-framed or mutated a copy, or no
-// pool is wired) it falls back to copying, which is always correct. That
-// containment test is what lets FaultyPath corrupt a COPY of a frame
-// without any zero-copy machinery noticing or caring.
+// — zero copy; if no (an intermediary re-framed or mutated a copy, or the
+// frame never crossed a link) it falls back to copying, which is always
+// correct. That containment test is what lets FaultyPath corrupt a COPY
+// of a frame without any zero-copy machinery noticing or caring.
 #pragma once
 
 #include "buf/chain.h"

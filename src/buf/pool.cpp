@@ -276,4 +276,11 @@ void BufferPool::export_metrics(obs::MetricSink& sink) const {
   sink.gauge("bytes_reserved", static_cast<double>(s.bytes_reserved));
 }
 
+BufferPool& default_pool() {
+  // Deliberately leaked: segments released during static destruction or
+  // by late thread exits still find their pool.
+  static BufferPool* const pool = new BufferPool();
+  return *pool;
+}
+
 }  // namespace ngp::buf

@@ -205,4 +205,10 @@ class BufferPool {
   std::atomic<std::uint64_t> bytes_reserved_{0};
 };
 
+/// The process-wide pool behind every link and receiver that was given no
+/// pool of its own: links deliver each frame inside one of its segments,
+/// and receivers copy fragments that arrive outside any segment into it.
+/// Default PoolConfig. Never destroyed, so no segment can outlive it.
+BufferPool& default_pool();
+
 }  // namespace ngp::buf

@@ -192,7 +192,10 @@ class Engine {
   EngineStats stats_;
   std::vector<WorkerStats> worker_stats_;
   Histogram queue_depth_;     ///< ring occupancy sampled at each submit
-  Histogram job_latency_us_;  ///< submit-to-completion wall time per job
+  /// Host wall time of each job's manipulation (the run_manipulation* call
+  /// plus any app stage) on its worker — not queueing, not harvest. 1 us
+  /// buckets over 0-200 us; slower jobs land in the overflow count.
+  Histogram job_latency_us_;
 
   // Completion channel (workers produce, control consumes).
   struct DoneQueue;

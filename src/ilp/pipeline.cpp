@@ -1,7 +1,5 @@
 #include "ilp/pipeline.h"
 
-#include <cassert>
-
 #include "buf/chain_ops.h"
 #include "ilp/engine.h"
 #include "ilp/stages.h"
@@ -11,20 +9,19 @@ namespace ngp {
 
 namespace {
 
-/// Fused decrypt+verify(+decode) combos for stages that have a word kernel
-/// but no dispatch-table entry (currently CRC-32). The stage pack order
-/// matters: the checksum stage sits between decrypt and byteswap so it
-/// always absorbs the plaintext wire bytes.
 /// kSwap32 is the only PresentStage that adds work to a pass; kIdentity
 /// and kNone both leave the bytes alone inside the executor.
 bool swap_fused(const ManipulationPlan& plan) {
   return plan.present == PresentStage::kSwap32;
 }
 
-template <WordStage CkStage>
-bool fused_verify(const ManipulationPlan& plan, MutableBytes buf,
-                  obs::CostAccount* acct, auto expected_of) {
-  CkStage ck;
+/// Fused decrypt+verify(+decode) over CRC-32, which has a word kernel but
+/// no dispatch-table entry. The stage pack order matters: the checksum
+/// stage sits between decrypt and byteswap so it always absorbs the
+/// plaintext wire bytes.
+bool fused_verify_crc32(const ManipulationPlan& plan, MutableBytes buf,
+                        obs::CostAccount* acct) {
+  Crc32Stage ck;
   if (plan.decrypt && swap_fused(plan)) {
     EncryptStage dec(plan.key, 0);
     Byteswap32Stage swap;
@@ -38,14 +35,14 @@ bool fused_verify(const ManipulationPlan& plan, MutableBytes buf,
   } else {
     ilp_fused_accounted(acct, buf, buf, ck);
   }
-  return ck.result() == expected_of(plan.expected_checksum);
+  return ck.result() == plan.expected_checksum;
 }
 
 /// Fused Internet-checksum combos via the dispatch table: the same stage
-/// compositions as fused_verify<ChecksumStage>, executed by the active
-/// SIMD tier in one memory pass. The §4 charge is charge_fused either way
-/// — the ledger prices memory passes, not instructions, so it is identical
-/// across tiers (a pinned test property).
+/// compositions as fused_verify_crc32, executed by the active SIMD tier in
+/// one memory pass. The §4 charge is charge_fused either way — the ledger
+/// prices memory passes, not instructions, so it is identical across
+/// tiers (a pinned test property).
 bool fused_verify_internet(const ManipulationPlan& plan, MutableBytes buf,
                            obs::CostAccount* acct) {
   const simd::KernelTable& k = simd::kernels();
@@ -63,45 +60,29 @@ bool fused_verify_internet(const ManipulationPlan& plan, MutableBytes buf,
   return got == static_cast<std::uint16_t>(plan.expected_checksum);
 }
 
-/// One separate byteswap pass (the non-fusable fallback paths); charged as
-/// a full mutating pass.
-void byteswap_pass(MutableBytes buf, obs::CostAccount* acct) {
-  simd::kernels().byteswap32(buf);
-  if (acct != nullptr) acct->charge_pass(buf.size(), /*stores=*/true);
+/// True when the plan runs as ONE fused pass: ILP mode and a checksum with
+/// a word kernel (Internet, CRC-32). Everything else runs one pass per
+/// manipulation.
+bool fuses(const ManipulationPlan& plan) {
+  return !plan.layered && (plan.checksum_kind == ChecksumKind::kInternet ||
+                           plan.checksum_kind == ChecksumKind::kCrc32);
 }
 
 }  // namespace
 
 bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
                       obs::CostAccount* acct) {
-  if (!plan.layered) {
-    // ILP: fuse every stage with a word kernel into ONE pass. Internet and
-    // CRC-32 verify fuse; Fletcher/Adler have no word kernel and cost one
-    // extra read-only pass over the plaintext (so any fused byteswap must
-    // wait until that pass has run).
-    if (plan.checksum_kind == ChecksumKind::kInternet) {
-      return fused_verify_internet(plan, buf, acct);
-    }
-    if (plan.checksum_kind == ChecksumKind::kCrc32) {
-      return fused_verify<Crc32Stage>(plan, buf, acct,
-                                      [](std::uint32_t e) { return e; });
-    }
-    if (plan.decrypt) {
-      simd::kernels().chacha20_xor(plan.key, 0, buf);
-      if (acct != nullptr) acct->charge_fused(buf.size());
-    } else if (acct != nullptr) {
-      acct->charge_operation(buf.size());
-    }
-    if (acct != nullptr) acct->charge_pass(buf.size(), /*stores=*/false);
-    const bool intact =
-        compute_checksum(plan.checksum_kind, buf) == plan.expected_checksum;
-    if (intact && swap_fused(plan)) byteswap_pass(buf, acct);
-    return intact;
+  if (fuses(plan)) {
+    return plan.checksum_kind == ChecksumKind::kInternet
+               ? fused_verify_internet(plan, buf, acct)
+               : fused_verify_crc32(plan, buf, acct);
   }
 
-  // Layered: one full pass per manipulation, conventional ordering. Each
-  // pass still runs on the active SIMD tier — layered vs fused is a
-  // statement about memory passes, not about instruction selection.
+  // Layered, or a checksum with no word kernel (Fletcher/Adler/none): one
+  // full pass per manipulation, conventional ordering — so any byteswap
+  // waits until the read-only verify pass has run. Each pass still runs
+  // on the active SIMD tier: layered vs fused is a statement about memory
+  // passes, not about instruction selection.
   if (acct != nullptr) acct->charge_operation(buf.size());
   if (plan.decrypt) {
     simd::kernels().chacha20_xor(plan.key, 0, buf);
@@ -110,50 +91,58 @@ bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
   if (acct != nullptr) acct->charge_pass(buf.size(), /*stores=*/false);
   const bool intact =
       compute_checksum(plan.checksum_kind, buf) == plan.expected_checksum;
-  if (intact && swap_fused(plan)) byteswap_pass(buf, acct);
+  if (intact && swap_fused(plan)) {
+    simd::kernels().byteswap32(buf);
+    if (acct != nullptr) acct->charge_pass(buf.size(), /*stores=*/true);
+  }
   return intact;
 }
 
 bool run_manipulation_chain(const ManipulationPlan& plan, buf::BufChain& chain,
                             obs::CostAccount* acct) {
-  assert(plan.checksum_kind == ChecksumKind::kInternet &&
-         "chain manipulation supports the receive-path plan shape only");
-  const auto expected = static_cast<std::uint16_t>(plan.expected_checksum);
+  const std::size_t n = chain.size();
   const bool swap = swap_fused(plan);
-  if (!plan.layered) {
-    // One fused pass over the gather view: decrypt and byteswap (when
+  if (fuses(plan)) {
+    // One fused walk over the gather view: decrypt and byteswap (when
     // asked) write back, a bare verify only reads. Same semantics as the
     // flat fused kernels: the checksum absorbs the plaintext wire bytes,
     // the swap lands unconditionally.
-    std::uint16_t got;
-    if (plan.decrypt && swap) {
-      got = buf::chain_decrypt_checksum_byteswap(plan.key, chain);
-    } else if (plan.decrypt) {
-      got = buf::chain_decrypt_internet_checksum(plan.key, chain);
-    } else if (swap) {
-      got = buf::chain_checksum_byteswap(chain);
+    bool intact;
+    if (plan.checksum_kind == ChecksumKind::kCrc32) {
+      intact = buf::chain_fused_crc32(chain, plan.decrypt ? &plan.key : nullptr,
+                                      swap) == plan.expected_checksum;
     } else {
-      got = buf::chain_internet_checksum(chain);
+      std::uint16_t got;
+      if (plan.decrypt && swap) {
+        got = buf::chain_decrypt_checksum_byteswap(plan.key, chain);
+      } else if (plan.decrypt) {
+        got = buf::chain_decrypt_internet_checksum(plan.key, chain);
+      } else if (swap) {
+        got = buf::chain_checksum_byteswap(chain);
+      } else {
+        got = buf::chain_internet_checksum(chain);
+      }
+      intact = got == static_cast<std::uint16_t>(plan.expected_checksum);
     }
     if (acct != nullptr) {
-      acct->charge_operation(chain.size());
-      acct->charge_pass(chain.size(), /*stores=*/plan.decrypt || swap);
+      acct->charge_operation(n);
+      acct->charge_pass(n, /*stores=*/plan.decrypt || swap);
     }
-    return got == expected;
+    return intact;
   }
 
-  // Layered: one pass per manipulation, as in the flat executor.
-  if (acct != nullptr) acct->charge_operation(chain.size());
+  // One pass per manipulation, exactly as in the flat executor.
+  if (acct != nullptr) acct->charge_operation(n);
   if (plan.decrypt) {
     buf::chain_chacha20_xor(plan.key, chain);
-    if (acct != nullptr) acct->charge_pass(chain.size(), /*stores=*/true);
+    if (acct != nullptr) acct->charge_pass(n, /*stores=*/true);
   }
-  const std::uint16_t got = buf::chain_internet_checksum(chain);
-  if (acct != nullptr) acct->charge_pass(chain.size(), /*stores=*/false);
-  const bool intact = got == expected;
+  if (acct != nullptr) acct->charge_pass(n, /*stores=*/false);
+  const bool intact =
+      buf::chain_checksum(plan.checksum_kind, chain) == plan.expected_checksum;
   if (intact && swap) {
     buf::chain_byteswap32(chain);
-    if (acct != nullptr) acct->charge_pass(chain.size(), /*stores=*/true);
+    if (acct != nullptr) acct->charge_pass(n, /*stores=*/true);
   }
   return intact;
 }

@@ -5,13 +5,14 @@
 // the manipulation itself is the expensive every-byte work. This header
 // reifies that decision as a ManipulationPlan so the same plan can run
 //
-//   * inline on the control thread (AlfReceiver's classic stage 2), or
+//   * inline on the control thread (AlfReceiver's stage 2), or
 //   * on an ngp::engine worker, out of order with other ADUs (§5: complete
 //     ADUs named in an application name-space need no mutual ordering).
 //
-// run_manipulation() is the single executor both paths share, so the §4
-// cost ledger (obs::CostAccount) is charged identically no matter where a
-// plan runs — a property the engine tests pin.
+// Both paths share one executor per buffer shape — run_manipulation_chain
+// for the receiver's reassembly chains, run_manipulation for flat buffers
+// — so the §4 cost ledger (obs::CostAccount) is charged identically no
+// matter where a plan runs, a property the engine tests pin.
 #pragma once
 
 #include "buf/chain.h"
@@ -72,19 +73,21 @@ struct ManipulationPlan {
 bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
                       obs::CostAccount* acct);
 
-/// Runs `plan` over a scatter-gather chain in place — the zero-copy twin
-/// of run_manipulation. Supports the receive-path plan shape only:
-/// checksum_kind == kInternet (the receiver keeps the flat path for every
-/// other checksum, so this is asserted, not handled). All PresentStage
-/// values are supported: kSwap32 runs the segment-straddling-safe chain
-/// byteswap fused with the verify. Per-segment fused kernels +
-/// InternetChecksum::combine make the result bit-identical to running the
-/// flat executor on the flattened chain.
+/// Runs `plan` over a scatter-gather chain in place — the receive path's
+/// executor. Every plan is supported: each ChecksumKind, decrypt on or
+/// off, every PresentStage, fused or layered; verdict and bytes are
+/// bit-identical to run_manipulation over the flattened chain, however the
+/// chain is segmented. Internet sums fold per segment with
+/// InternetChecksum::combine; CRC-32 fuses decrypt and byteswap into one
+/// walk per segment, its state carrying across boundaries; Fletcher-32 and
+/// Adler-32 take their extra read-only pass as in the flat executor.
 ///
-/// Ledger: unlike the flat fused path — whose kernel is copy-shaped and
-/// charges 1 load + 1 store per word — a checksum-only chain pass never
-/// writes, so it charges a load-only pass. That difference IS the
-/// zero-copy saving the COPY_LEDGER benches measure.
+/// Ledger: the flat executor's charge, which depends only on the plan and
+/// the byte count, with one exception: the flat fused kernel is
+/// copy-shaped and charges 1 load + 1 store per word, while a fused chain
+/// pass that writes nothing (no decrypt, no swap) charges a load-only
+/// pass. That difference IS the zero-copy saving the COPY_LEDGER benches
+/// measure.
 bool run_manipulation_chain(const ManipulationPlan& plan, buf::BufChain& chain,
                             obs::CostAccount* acct);
 

@@ -62,51 +62,31 @@ bool Link::send(ConstBytes frame) {
 
   if (dup) ++stats_.duplicated;
   // Drawn only for duplicates, so the rng stream (and every seeded
-  // simulation) is identical with and without an rx pool.
+  // simulation) is identical whichever pool the frames land in.
   const SimTime dup_arrive =
       dup ? arrive + static_cast<SimDuration>(rng_.uniform(kMillisecond) + 1)
           : 0;
 
-  if (rx_pool_ != nullptr) {
-    // Zero-copy rx: the one "from the net" copy lands in a pool segment
-    // the receiving stack can reference instead of re-copying.
-    buf::Slice s{rx_pool_->alloc(frame.size()), 0, frame.size()};
-    simd::kernels().copy(frame, s.mutable_bytes());
-    if (dup) {
-      buf::Slice second{rx_pool_->alloc(frame.size()), 0, frame.size()};
-      simd::kernels().copy(s.bytes(), second.mutable_bytes());
-      loop_.schedule_at(dup_arrive, [this, f = std::move(second)]() mutable {
-        deliver_pooled(std::move(f), /*is_duplicate=*/true);
-      });
-    }
-    loop_.schedule_at(arrive, [this, f = std::move(s)]() mutable {
-      deliver_pooled(std::move(f), /*is_duplicate=*/false);
-    });
-    return true;
-  }
-
-  ByteBuffer copy(frame);
+  // The one "from the net" copy lands in a pool segment — the rx pool, or
+  // the process-wide default — which the receiving stack can reference
+  // instead of re-copying.
+  buf::BufferPool& pool = rx_pool_ != nullptr ? *rx_pool_ : buf::default_pool();
+  buf::Slice s{pool.alloc(frame.size()), 0, frame.size()};
+  simd::kernels().copy(frame, s.mutable_bytes());
   if (dup) {
-    ByteBuffer second(copy.span());
+    buf::Slice second{pool.alloc(frame.size()), 0, frame.size()};
+    simd::kernels().copy(s.bytes(), second.mutable_bytes());
     loop_.schedule_at(dup_arrive, [this, f = std::move(second)]() mutable {
-      deliver(std::move(f), /*is_duplicate=*/true);
+      deliver(std::move(f));
     });
   }
-
-  loop_.schedule_at(arrive, [this, f = std::move(copy)]() mutable {
-    deliver(std::move(f), /*is_duplicate=*/false);
+  loop_.schedule_at(arrive, [this, f = std::move(s)]() mutable {
+    deliver(std::move(f));
   });
   return true;
 }
 
-void Link::deliver(ByteBuffer frame, bool /*is_duplicate*/) {
-  ++stats_.frames_delivered;
-  stats_.bytes_delivered += frame.size();
-  flight_note(obs::FlightStage::kLinkDeliver, frame.span());
-  if (handler_) handler_(frame.span());
-}
-
-void Link::deliver_pooled(buf::Slice frame, bool /*is_duplicate*/) {
+void Link::deliver(buf::Slice frame) {
   ++stats_.frames_delivered;
   stats_.bytes_delivered += frame.len;
   flight_note(obs::FlightStage::kLinkDeliver, frame.bytes());

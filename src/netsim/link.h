@@ -70,13 +70,13 @@ class Link {
   /// Registers the delivery callback (the receiving host's rx interrupt).
   void set_handler(FrameHandler handler) { handler_ = std::move(handler); }
 
-  /// Opts the receive side into the zero-copy datapath: accepted frames
-  /// are copied ONCE into a pool segment at send time (the paper's
-  /// unavoidable "from the net" pass), and delivery publishes the segment
-  /// via buf::IngressFrame for the handler's duration, so a downstream
-  /// consumer can take a reference instead of copying. nullptr reverts to
-  /// flat ByteBuffer delivery. The pool must outlive the link's in-flight
-  /// frames.
+  /// Chooses the pool received frames land in. Every accepted frame is
+  /// copied ONCE into a pool segment at send time (the paper's unavoidable
+  /// "from the net" pass), and delivery publishes the segment via
+  /// buf::IngressFrame for the handler's duration, so a downstream
+  /// consumer can take a reference instead of copying. nullptr (the
+  /// default) selects buf::default_pool(). The pool must outlive the
+  /// link's in-flight frames.
   void set_rx_pool(buf::BufferPool* pool) { rx_pool_ = pool; }
 
   /// Replaces the default Bernoulli(0) loss process.
@@ -114,8 +114,7 @@ class Link {
                   FlightTagFn tag);
 
  private:
-  void deliver(ByteBuffer frame, bool is_duplicate);
-  void deliver_pooled(buf::Slice frame, bool is_duplicate);
+  void deliver(buf::Slice frame);
   void flight_note(obs::FlightStage stage, ConstBytes frame);
 
   EventLoop& loop_;
@@ -123,7 +122,7 @@ class Link {
   Rng rng_;
   std::unique_ptr<LossModel> loss_;
   FrameHandler handler_;
-  buf::BufferPool* rx_pool_ = nullptr;
+  buf::BufferPool* rx_pool_ = nullptr;  ///< null = buf::default_pool()
   LinkStats stats_;
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_track_ = 0;

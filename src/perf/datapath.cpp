@@ -7,6 +7,7 @@
 #include "alf/receiver.h"
 #include "alf/sender.h"
 #include "alf/wire.h"
+#include "buf/ingress.h"
 #include "buf/pool.h"
 #include "checksum/checksum.h"
 #include "engine/engine.h"
@@ -31,17 +32,44 @@ namespace {
 struct Perturb {
   bool scalar = false;
   bool unfuse = false;
-  bool no_pool = false;
+  bool copy_ingress = false;
   bool shrink = false;
   bool copy_stage = false;
 
   explicit Perturb(const std::string& name) {
     scalar = name == kPerturbScalarKernels;
     unfuse = name == kPerturbUnfusePresentation;
-    no_pool = name == kPerturbDisableRxPool;
+    copy_ingress = name == kPerturbCopyOnIngress;
     shrink = name == kPerturbShrinkEngineWorkers;
     copy_stage = name == kPerturbSyntheticCopy;
   }
+};
+
+/// The copy_on_ingress operator on a NetPath: hands the receiver a private
+/// copy of every frame, outside any pool segment, so the receiver cannot
+/// place by reference and pays one charged placement copy per fragment.
+/// The copy itself models the substrate and is charged to no ledger.
+class CopyOnIngressPath final : public NetPath {
+ public:
+  explicit CopyOnIngressPath(NetPath& inner) : inner_(inner) {}
+
+  bool send(ConstBytes frame) override { return inner_.send(frame); }
+  void set_handler(FrameHandler handler) override {
+    if (!handler) {
+      inner_.set_handler(nullptr);
+      return;
+    }
+    inner_.set_handler([this, h = std::move(handler)](ConstBytes frame) {
+      copy_.resize(frame.size());
+      simd::kernels().copy(frame, copy_.span());
+      h(copy_.span());
+    });
+  }
+  std::size_t max_frame_size() const override { return inner_.max_frame_size(); }
+
+ private:
+  NetPath& inner_;
+  ByteBuffer copy_;
 };
 
 /// Restores the pre-run kernel tier no matter how the run exits.
@@ -91,9 +119,11 @@ std::uint64_t adu_hash(const AduName& name, const Record& rec) {
   return h;
 }
 
-/// Shared application-side consumption: optional synthetic copy stage,
-/// then the presentation decode (host-order when the plan was fused, the
-/// full transform when not), folded into the order-independent hash.
+/// Shared application-side consumption of a delivered chain: flatten once
+/// (the application's final placement from the gather list), optional
+/// synthetic copy stage, then the presentation decode (host-order when the
+/// plan was fused, the full transform when not), folded into the
+/// order-independent hash.
 struct AppConsumer {
   const presentation::PresentationPlan* plan = nullptr;
   bool fused = false;
@@ -102,7 +132,9 @@ struct AppConsumer {
   std::uint64_t hash = 0;
   std::uint64_t decode_failures = 0;
 
-  void consume(const AduName& name, ByteBuffer&& payload) {
+  void consume(AduChain&& c) {
+    ByteBuffer payload = c.payload.flatten();
+    cost.charge_pass(payload.size(), /*stores=*/true);
     cost.charge_operation(payload.size());
     if (copy_stage) {
       // The injected operator: one full extra copy pass per ADU.
@@ -118,15 +150,7 @@ struct AppConsumer {
       ++decode_failures;
       return;
     }
-    hash ^= adu_hash(name, *rec);
-  }
-
-  /// Chain delivery (pooled path): flatten once — the application's final
-  /// placement from the gather list — then consume as flat bytes.
-  void consume_chain(AduChain&& c) {
-    ByteBuffer flat = c.payload.flatten();
-    cost.charge_pass(flat.size(), /*stores=*/true);
-    consume(c.name, std::move(flat));
+    hash ^= adu_hash(c.name, *rec);
   }
 };
 
@@ -145,11 +169,9 @@ std::vector<PerturbationInfo> DatapathWorkload::perturbations() const {
   v.push_back({kPerturbUnfusePresentation,
                "no plan fused into stage 2; app pays the decode transform",
                Kind::kMemory});
-  if (opt_.pooled) {
-    v.push_back({kPerturbDisableRxPool,
-                 "flat receive path: placement copies return",
-                 Kind::kMemory});
-  }
+  v.push_back({kPerturbCopyOnIngress,
+               "frames reach the receiver outside the pool: placement copies",
+               Kind::kMemory});
   if (opt_.engine_workers > 0) {
     v.push_back({kPerturbShrinkEngineWorkers,
                  "engine worker pool -> 0 (inline at submit)",
@@ -201,15 +223,16 @@ RunMeasurement DatapathWorkload::run(std::size_t offered,
   key_rng.fill(MutableBytes{scfg.key.key.data(), scfg.key.key.size()});
   key_rng.fill(MutableBytes{scfg.key.nonce.data(), scfg.key.nonce.size()});
 
-  alf::AlfSender sender(loop, data, feedback_rx, scfg);
-  alf::AlfReceiver receiver(loop, data, feedback_tx, scfg);
-
+  // Declared before the endpoints, so destroyed after them: the link's
+  // in-flight frames and the receiver's chains hold its segments.
   buf::BufferPool pool;
-  const bool use_pool = opt_.pooled && !p.no_pool;
-  if (use_pool) {
-    channel.forward.set_rx_pool(&pool);
-    receiver.set_rx_pool(&pool);
-  }
+  channel.forward.set_rx_pool(&pool);
+  CopyOnIngressPath copying(data);
+  alf::AlfSender sender(loop, data, feedback_rx, scfg);
+  alf::AlfReceiver receiver(
+      loop, p.copy_ingress ? static_cast<NetPath&>(copying) : data, feedback_tx,
+      scfg);
+  receiver.set_rx_pool(&pool);
 
   const unsigned workers = p.shrink ? 0 : opt_.engine_workers;
   std::unique_ptr<engine::Engine> eng;
@@ -229,10 +252,7 @@ RunMeasurement DatapathWorkload::run(std::size_t offered,
   app.plan = plan.get();
   app.fused = fused;
   app.copy_stage = p.copy_stage;
-  receiver.set_on_adu([&app](Adu&& a) { app.consume(a.name, std::move(a.payload)); });
-  if (use_pool) {
-    receiver.set_on_adu_chain([&app](AduChain&& c) { app.consume_chain(std::move(c)); });
-  }
+  receiver.set_on_adu_chain([&app](AduChain&& c) { app.consume(std::move(c)); });
 
   // SLO watchdogs: edge-triggered failure detectors that must stay silent
   // on a healthy run — any firing is reported as a perf-report failure.
@@ -343,8 +363,8 @@ std::vector<PerturbationInfo> SessiondPlaneWorkload::perturbations() const {
   v.push_back({kPerturbUnfusePresentation,
                "no plan fused into stage 2; app pays the decode transform",
                Kind::kMemory});
-  v.push_back({kPerturbDisableRxPool,
-               "flat receive path per flow (no shared rx pool)",
+  v.push_back({kPerturbCopyOnIngress,
+               "frames dispatched from outside the pool: placement copies",
                Kind::kMemory});
   if (opt_.engine_workers > 0) {
     v.push_back({kPerturbShrinkEngineWorkers,
@@ -412,12 +432,11 @@ RunMeasurement SessiondPlaneWorkload::run(std::size_t offered,
     fopts.engine = eng.get();
     fopts.engine_harvest_delay = opt_.engine_harvest_delay;
   }
-  if (!p.no_pool) fopts.rx_pool = &pool;
+  fopts.rx_pool = &pool;
   if (fused) fopts.presentation = plan;
   fopts.configure = [&](const sessiond::FlowId&, alf::AlfReceiver& rx) {
     flows.push_back(&rx);
-    rx.set_on_adu([&app](Adu&& a) { app.consume(a.name, std::move(a.payload)); });
-    rx.set_on_adu_chain([&app](AduChain&& c) { app.consume_chain(std::move(c)); });
+    rx.set_on_adu_chain([&app](AduChain&& c) { app.consume(std::move(c)); });
   };
   daemon.set_factory(sessiond::alf_receiver_factory(loop, feedback, base, fopts));
 
@@ -436,10 +455,11 @@ RunMeasurement SessiondPlaneWorkload::run(std::size_t offered,
   watch("sessiond.dispatch.frames_unroutable", "dispatch_unroutable");
   watch("sessiond.dispatch.creates_rejected", "admission_rejected");
 
-  // ---- pre-encode every frame (the "remote senders"): this generation
-  // cost is identical across perturbations and excluded from the timing.
+  // ---- pre-encode every frame (the "remote senders") into the shared rx
+  // pool, where a NIC would have written it: this generation cost is
+  // identical across perturbations and excluded from the timing.
   constexpr std::size_t kFragLen = 1400;
-  std::vector<ByteBuffer> frames;
+  std::vector<buf::Slice> frames;
   std::vector<std::uint32_t> next_adu(sessions + 1, 1);
   Record record;
   record.emplace_back(std::vector<std::int32_t>{});
@@ -458,15 +478,25 @@ RunMeasurement SessiondPlaneWorkload::run(std::size_t offered,
     for (std::size_t off = 0; off < wire.size(); off += kFragLen) {
       f.frag_off = static_cast<std::uint32_t>(off);
       f.payload = wire.subspan(off, std::min(kFragLen, wire.size() - off));
-      frames.push_back(alf::encode_fragment(f));
+      const ByteBuffer encoded = alf::encode_fragment(f);
+      buf::Slice frame{pool.alloc(encoded.size()), 0, encoded.size()};
+      simd::kernels().copy(encoded.span(), frame.mutable_bytes());
+      frames.push_back(std::move(frame));
     }
   }
 
   hub.start();
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t dispatched = 0;
-  for (const ByteBuffer& frame : frames) {
-    daemon.dispatcher().dispatch(peer, frame.span());
+  for (const buf::Slice& frame : frames) {
+    if (p.copy_ingress) {
+      // Unpublished: the receiver sees bytes outside any segment it may
+      // reference, so it copies each fragment into its pool.
+      daemon.dispatcher().dispatch(peer, frame.bytes());
+    } else {
+      buf::IngressFrame scope(frame);
+      daemon.dispatcher().dispatch(peer, frame.bytes());
+    }
     if (++dispatched % 512 == 0) loop.run_until(loop.now() + 5 * kMillisecond);
   }
   // Drain: deliveries ride the engine harvest pump's sim timers.

@@ -15,7 +15,8 @@
 //
 //   SessiondPlaneWorkload — the server shape: a sharded session plane
 //   (ngp::sessiond) terminating many flows behind one dispatcher, fed
-//   pre-encoded record fragments. `offered` is the number of concurrent
+//   pre-encoded record fragments that sit in the shared rx pool, as if
+//   the NIC had written them there. `offered` is the number of concurrent
 //   sessions the fixed ADU budget round-robins across.
 //
 // Perturbations (each toggles exactly one operator; everything else,
@@ -23,7 +24,8 @@
 //   force_scalar_kernels   simd::set_active_tier(kScalar) for the run
 //   unfuse_presentation    no plan fused into stage 2; the application
 //                          pays the separate decode/transform pass
-//   disable_rx_pool        no rx BufferPool: placement copies return
+//   copy_on_ingress        frames reach the receiver outside any pool
+//                          segment, so every placement is one copy
 //   shrink_engine_workers  engine worker pool -> 0 (inline at submit)
 //   synthetic_per_adu_copy an extra full copy pass at delivery
 //
@@ -45,7 +47,7 @@ namespace ngp::perf {
 // bench_diagnose).
 inline constexpr const char* kPerturbScalarKernels = "force_scalar_kernels";
 inline constexpr const char* kPerturbUnfusePresentation = "unfuse_presentation";
-inline constexpr const char* kPerturbDisableRxPool = "disable_rx_pool";
+inline constexpr const char* kPerturbCopyOnIngress = "copy_on_ingress";
 inline constexpr const char* kPerturbShrinkEngineWorkers = "shrink_engine_workers";
 inline constexpr const char* kPerturbSyntheticCopy = "synthetic_per_adu_copy";
 
@@ -53,7 +55,6 @@ struct DatapathOptions {
   std::uint64_t seed = 1;
   std::size_t total_adus = 192;      ///< ADU budget per run
   std::size_t ints_per_adu = 4096;   ///< record payload: 16 KiB + prefix
-  bool pooled = true;                ///< zero-copy rx datapath (DESIGN.md §12)
   unsigned engine_workers = 2;       ///< 0 = engine off (drops the shrink op)
   SimDuration engine_harvest_delay = 200 * kMicrosecond;
   /// Collect a FlightRecorder per-stage latency breakdown on the baseline

@@ -61,11 +61,7 @@ void SessionSupervisor::build_endpoints() {
   const alf::SessionConfig c = incarnation_config();
   sender_ = std::make_unique<AlfSender>(loop_, data_, feedback_rx_, c);
   receiver_ = std::make_unique<AlfReceiver>(loop_, data_, feedback_tx_, c);
-  if (cfg_.engine != nullptr) {
-    receiver_->set_engine(cfg_.engine, cfg_.engine_harvest_delay);
-  }
-  if (cfg_.rx_pool != nullptr) receiver_->set_rx_pool(cfg_.rx_pool);
-  if (cfg_.presentation != nullptr) receiver_->set_presentation(cfg_.presentation);
+  receiver_->attach(cfg_.attach);
   if (priority_) receiver_->set_priority(priority_);
   if (flight_ != nullptr) {
     sender_->set_flight(flight_);

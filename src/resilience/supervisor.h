@@ -46,10 +46,6 @@ class MetricsRegistry;
 class FlightRecorder;
 }  // namespace ngp::obs
 
-namespace ngp::engine {
-class Engine;
-}  // namespace ngp::engine
-
 namespace ngp::resilience {
 
 /// Recovery state machine (DESIGN.md §10.1).
@@ -80,20 +76,12 @@ struct SupervisorConfig {
   /// retries allowed before the attempt itself counts as a failure.
   SimDuration resume_retry = 40 * kMillisecond;
   int max_resume_retries = 10;
-  /// Optional engine offload for each receiver incarnation (see
-  /// AlfReceiver::set_engine). The engine must outlive the supervisor.
-  engine::Engine* engine = nullptr;
-  SimDuration engine_harvest_delay = 0;
-  /// Optional zero-copy pool for each receiver incarnation (see
-  /// AlfReceiver::set_rx_pool): a restart rebuilds the receiver with the
-  /// same pool, and the dead incarnation's partial chains recycle on
-  /// destruction. The pool must outlive the supervisor.
-  buf::BufferPool* rx_pool = nullptr;
-  /// Optional compiled presentation plan fused into each receiver
-  /// incarnation's stage 2 (see AlfReceiver::set_presentation): a restart
-  /// re-attaches the same plan, so delivered payloads stay host-order
-  /// across incarnations.
-  std::shared_ptr<const presentation::PresentationPlan> presentation;
+  /// Engine, pool and plan applied to every receiver incarnation: a
+  /// restart rebuilds the receiver with the same attach set (the dead
+  /// incarnation's partial chains recycle on destruction, delivered
+  /// payloads stay host-order across incarnations). Everything it points
+  /// at must outlive the supervisor.
+  alf::ReceiverAttach attach;
 };
 
 struct SupervisorStats {

@@ -206,13 +206,7 @@ SessionFactory alf_receiver_factory(EventLoop& loop, NetPath& feedback_out,
     alf::SessionConfig cfg = base;
     cfg.session_id = flow.session_id;
     auto sess = std::make_unique<ReceiverSession>(loop, feedback_out, cfg);
-    if (opts.engine != nullptr) {
-      sess->receiver().set_engine(opts.engine, opts.engine_harvest_delay);
-    }
-    if (opts.rx_pool != nullptr) sess->receiver().set_rx_pool(opts.rx_pool);
-    if (opts.presentation != nullptr) {
-      sess->receiver().set_presentation(opts.presentation);
-    }
+    sess->receiver().attach(opts);
     if (opts.configure) opts.configure(flow, sess->receiver());
     return sess;
   };
@@ -273,12 +267,7 @@ Result<SessionHandle> Sessiond::open(const alf::SessionConfig& session,
   if (opts.supervised) {
     resilience::SupervisorConfig sup_cfg = opts.supervisor;
     sup_cfg.session = session;
-    if (opts.engine != nullptr) {
-      sup_cfg.engine = opts.engine;
-      sup_cfg.engine_harvest_delay = opts.engine_harvest_delay;
-    }
-    sup_cfg.rx_pool = opts.rx_pool;
-    sup_cfg.presentation = opts.presentation;
+    sup_cfg.attach = opts.attach;
     raw->sup_ = std::make_unique<resilience::SessionSupervisor>(
         loop_, *paths.data, *paths.feedback_tx, *paths.feedback_rx, sup_cfg);
   } else {
@@ -289,13 +278,7 @@ Result<SessionHandle> Sessiond::open(const alf::SessionConfig& session,
         loop_, *paths.data, *paths.feedback_rx, session);
     raw->receiver_ = std::make_unique<alf::AlfReceiver>(
         loop_, *paths.data, *paths.feedback_tx, session);
-    if (opts.engine != nullptr) {
-      raw->receiver_->set_engine(opts.engine, opts.engine_harvest_delay);
-    }
-    if (opts.rx_pool != nullptr) raw->receiver_->set_rx_pool(opts.rx_pool);
-    if (opts.presentation != nullptr) {
-      raw->receiver_->set_presentation(opts.presentation);
-    }
+    raw->receiver_->attach(opts.attach);
   }
   return SessionHandle(this, flow, raw);
 }

@@ -119,24 +119,16 @@ struct SessionPaths {
 struct OpenOptions {
   /// Opt into supervisor-per-session resilience: the association is owned
   /// by a resilience::SessionSupervisor (restart + delta resume) instead
-  /// of a bare endpoint pair. `supervisor.session` is overridden by the
-  /// config passed to open().
+  /// of a bare endpoint pair. `supervisor.session` and `supervisor.attach`
+  /// are overridden by the config passed to open() and by `attach`.
   bool supervised = false;
   resilience::SupervisorConfig supervisor{};
-  /// Shared manipulation engine for the receive side (flow+adu sharded —
-  /// one pool serves every session).
-  engine::Engine* engine = nullptr;
-  SimDuration engine_harvest_delay = 0;
-  /// Zero-copy opt-in (DESIGN.md §12): the shared rx buffer pool —
-  /// normally the one the ingress Link writes into — handed to this
-  /// session's receiver (every incarnation, under supervision). Closing,
-  /// shedding, or evicting the session destroys its reassembly chains and
-  /// recycles their segments. Must outlive the sessiond.
-  buf::BufferPool* rx_pool = nullptr;
-  /// Compiled presentation plan fused into the receiver's stage 2 (see
-  /// AlfReceiver::set_presentation; survives supervised restarts). Must be
-  /// the session's negotiated syntax. Null = no fusion.
-  std::shared_ptr<const presentation::PresentationPlan> presentation;
+  /// The receive side's engine, pool and plan (every incarnation, under
+  /// supervision): one engine is flow+adu sharded across every session;
+  /// closing, shedding or evicting the session recycles its reassembly
+  /// chains; the plan must match the session's negotiated syntax.
+  /// Everything it points at must outlive the sessiond.
+  alf::ReceiverAttach attach;
   /// Peer address for the flow id; 0 = auto-assign a fresh one (so two
   /// opens with the same session id never collide unless asked to).
   std::uint32_t peer = 0;
@@ -239,17 +231,12 @@ class SessionHandle {
   AlfSession* session_ = nullptr;
 };
 
-/// Options for alf_receiver_factory().
-struct ReceiverFactoryOptions {
-  engine::Engine* engine = nullptr;
-  SimDuration engine_harvest_delay = 0;
-  /// Zero-copy opt-in for every factory-created receiver (see
-  /// OpenOptions::rx_pool).
-  buf::BufferPool* rx_pool = nullptr;
-  /// Presentation fusion for every factory-created receiver (see
-  /// OpenOptions::presentation) — the server shape's live-traffic path:
-  /// thousands of receivers decode through one shared compiled plan.
-  std::shared_ptr<const presentation::PresentationPlan> presentation;
+/// Options for alf_receiver_factory(): the attach set every
+/// factory-created receiver gets — the server shape's live-traffic path,
+/// thousands of receivers behind one engine, one pool and one compiled
+/// plan — plus a per-session configurator. Derived from ReceiverAttach,
+/// so its fields are set by name (`opts.rx_pool = &pool`).
+struct ReceiverFactoryOptions : alf::ReceiverAttach {
   /// Per-session configurator, run right after construction: set on_adu /
   /// on_complete / priority here (the factory equivalent of the callback
   /// stapling open() handles do through their handle).

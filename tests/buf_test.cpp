@@ -1,16 +1,18 @@
 // Tests for src/buf (DESIGN.md §12): pool refcount lifecycle and recycle,
-// cross-thread last release, chain split/trim/append invariants, and
-// all-tier scatter_copy_checksum equivalence over pool-backed chains.
+// cross-thread last release, chain split/trim/append invariants, all-tier
+// scatter_copy_checksum equivalence over pool-backed chains, and the chain
+// executor against the flat one over every manipulation plan.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "buf/chain.h"
 #include "buf/chain_ops.h"
 #include "buf/pool.h"
-#include "checksum/internet.h"
+#include "checksum/checksum.h"
 #include "crypto/chacha20.h"
 #include "ilp/pipeline.h"
 #include "ilp/scatter.h"
@@ -37,7 +39,7 @@ BufChain make_chain(BufferPool& pool, ConstBytes data,
   std::size_t pos = 0;
   for (std::size_t n : cuts) {
     BufRef ref = pool.alloc(n + misalign);
-    std::memcpy(ref.data() + misalign, data.data() + pos, n);
+    if (n != 0) std::memcpy(ref.data() + misalign, data.data() + pos, n);
     chain.append(Slice{std::move(ref), misalign, n});
     pos += n;
   }
@@ -476,6 +478,125 @@ TEST(BufChain, ChainDecryptChecksumByteswapMatchesFlatFusedKernel) {
     }
   }
   simd::set_active_tier(saved);
+}
+
+/// Segmentations for an n-byte chain, every piece non-empty: whole, a
+/// 1-byte head, odd interior cuts that straddle 4/8-byte units and 64-byte
+/// keystream blocks, and an odd split near the middle.
+std::vector<std::vector<std::size_t>> cuttings(std::size_t n) {
+  std::vector<std::vector<std::size_t>> out{{n}};
+  if (n > 1) out.push_back({1, n - 1});
+  if (n > 13 + 61 + 67) out.push_back({13, 61, 67, n - 13 - 61 - 67});
+  if (n > 4) out.push_back({n / 2 | 1, n - (n / 2 | 1)});
+  return out;
+}
+
+/// What the chain executor must charge for `plan` over n bytes, given the
+/// flat executor's charge for the same plan and outcome: the same ledger,
+/// except that a fused pass that writes nothing is load-only.
+obs::CostAccount expected_chain_charge(const ManipulationPlan& plan,
+                                       std::size_t n, obs::CostAccount flat) {
+  const bool fused = !plan.layered &&
+                     (plan.checksum_kind == ChecksumKind::kInternet ||
+                      plan.checksum_kind == ChecksumKind::kCrc32);
+  if (fused && !plan.decrypt && plan.present != PresentStage::kSwap32) {
+    flat.word_stores -= obs::CostAccount::words(n);
+  }
+  return flat;
+}
+
+void expect_same_ledger(const obs::CostAccount& got, const obs::CostAccount& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.operations, want.operations) << where;
+  EXPECT_EQ(got.bytes_touched, want.bytes_touched) << where;
+  EXPECT_EQ(got.words_touched, want.words_touched) << where;
+  EXPECT_EQ(got.memory_passes, want.memory_passes) << where;
+  EXPECT_EQ(got.word_loads, want.word_loads) << where;
+  EXPECT_EQ(got.word_stores, want.word_stores) << where;
+}
+
+// The receive path's one executor against the flat reference, over the
+// whole plan space: every checksum kind x decrypt x present stage x
+// fused/layered x SIMD tier, on chains cut at odd offsets with misaligned
+// starts. Same verdict, same bytes (intact or after a one-bit flip), and a
+// ledger charge fixed by the plan and the byte count alone.
+TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
+  const simd::KernelTier saved = simd::active_tier();
+  ChaChaKey key;
+  for (std::size_t i = 0; i < key.key.size(); ++i) {
+    key.key[i] = static_cast<std::uint8_t>(0x5A ^ (7 * i));
+  }
+  key.nonce[11] = 0x33;
+  const ChecksumKind kinds[] = {ChecksumKind::kNone, ChecksumKind::kInternet,
+                                ChecksumKind::kFletcher32, ChecksumKind::kAdler32,
+                                ChecksumKind::kCrc32};
+  const PresentStage stages[] = {PresentStage::kNone, PresentStage::kIdentity,
+                                 PresentStage::kSwap32};
+  const std::size_t sizes[] = {1, 4, 7, 64, 65, 127, 1028, 4101};
+
+  BufferPool pool;
+  for (std::size_t ti = 0; ti < simd::kKernelTierCount; ++ti) {
+    const auto tier = static_cast<simd::KernelTier>(ti);
+    if (simd::tier_table(tier) == nullptr) continue;
+    ASSERT_TRUE(simd::set_active_tier(tier));
+    for (std::size_t n : sizes) {
+      const auto plain = random_bytes(n, 0xE0E0 + n);
+      for (ChecksumKind kind : kinds) {
+        for (bool decrypt : {false, true}) {
+          ByteBuffer wire(plain.span());
+          if (decrypt) chacha20_xor(key, 0, wire.span());
+          ByteBuffer flipped(wire.span());
+          flipped[n * 7 / 13] ^= 0x08;
+          for (PresentStage present : stages) {
+            for (bool layered : {false, true}) {
+              ManipulationPlan plan;
+              plan.layered = layered;
+              plan.decrypt = decrypt;
+              plan.key = key;
+              plan.checksum_kind = kind;
+              plan.expected_checksum = compute_checksum(kind, plain.span());
+              plan.present = present;
+              const std::string where =
+                  std::string(simd::tier_name(tier)) + " n=" + std::to_string(n) +
+                  " " + std::string(checksum_kind_name(kind)) +
+                  (decrypt ? " decrypt" : "") + " present=" +
+                  std::to_string(static_cast<int>(present)) +
+                  (layered ? " layered" : " fused");
+
+              for (const ByteBuffer* input : {&wire, &flipped}) {
+                ByteBuffer flat(input->span());
+                obs::CostAccount flat_acct;
+                const bool flat_ok = run_manipulation(plan, flat.span(), &flat_acct);
+                if (input == &wire) {
+                  EXPECT_TRUE(flat_ok) << where;
+                } else if (kind != ChecksumKind::kNone) {
+                  EXPECT_FALSE(flat_ok) << where << " (bit flip)";
+                }
+                const obs::CostAccount want =
+                    expected_chain_charge(plan, n, flat_acct);
+                for (const auto& cuts : cuttings(n)) {
+                  for (std::size_t misalign : {std::size_t{0}, std::size_t{3}}) {
+                    BufChain chain = make_chain(pool, input->span(), cuts, misalign);
+                    obs::CostAccount acct;
+                    const bool ok = run_manipulation_chain(plan, chain, &acct);
+                    const std::string at =
+                        where + " segs=" + std::to_string(cuts.size()) +
+                        " misalign=" + std::to_string(misalign) +
+                        (input == &wire ? "" : " (bit flip)");
+                    EXPECT_EQ(ok, flat_ok) << at;
+                    EXPECT_EQ(chain.flatten(), flat) << at;
+                    expect_same_ledger(acct, want, at);
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::set_active_tier(saved);
+  EXPECT_EQ(pool.stats().segments_live, 0u);
 }
 
 }  // namespace

@@ -191,6 +191,24 @@ TEST(FletcherTest, LargeInputNoOverflow) {
   EXPECT_EQ(f32, fletcher32(all_ff.span()));
 }
 
+TEST(FletcherTest, IncrementalMatchesOneShot) {
+  // Alternating 1- and 2-byte pieces, so odd bytes carry into the next
+  // piece and every other one-byte piece only completes the carried word;
+  // then one large piece across the deferred-modulo block boundary.
+  ByteBuffer b = random_bytes(2000, 17);
+  Fletcher32 f;
+  std::size_t off = 0;
+  for (std::size_t len = 1; off + len <= 301; len = 3 - len) {
+    f.add(b.span().subspan(off, len));
+    off += len;
+  }
+  f.add(b.span().subspan(off));
+  EXPECT_EQ(f.finish(), fletcher32(b.span()));
+  Fletcher32 odd;
+  odd.add(b.span().subspan(0, 1999));
+  EXPECT_EQ(odd.finish(), fletcher32(b.span().subspan(0, 1999)));
+}
+
 // ---- Adler ---------------------------------------------------------------------
 
 TEST(AdlerTest, KnownValue) {

@@ -1,11 +1,13 @@
 // presentation_pipeline_test.cpp — the fused presentation stage end to end
 // (DESIGN.md §13): a compiled plan attached to the live §4 pipeline runs
 // the wire→host transform inside the decrypt+verify pass, on every path
-// the receiver has — inline flat, inline chain (zero-copy), and engine
-// offload — and through sessiond's open()/supervised wiring. The ledger
-// pin is the §13 fusion contract: a manipulation pass with a presentation
-// stage charges EXACTLY what the same pass charges without one (the decode
-// rides free), and the post-fusion record materialization is load-only.
+// the receiver has — inline over a link with no pool wired, inline over a
+// pooled link, and engine offload — and through sessiond's
+// open()/supervised wiring. The ledger pin is the §13 fusion contract: a
+// manipulation pass with a presentation stage charges the passes and
+// loads the same pass charges without one (the decode rides free; on the
+// chain ledger only the swap's own stores are new), and the post-fusion
+// record materialization is load-only.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -96,7 +98,7 @@ struct PlanPair {
   }
 };
 
-// ---- inline flat path ------------------------------------------------------
+// ---- inline, link with no pool wired ---------------------------------------
 
 TEST(PresentationPipeline, FusedXdrDeliversHostOrderRecords) {
   SessionConfig scfg;
@@ -120,10 +122,13 @@ TEST(PresentationPipeline, FusedXdrDeliversHostOrderRecords) {
   }
 }
 
-TEST(PresentationPipeline, FusionChargesExactlyWhatThePlainPassCharges) {
-  // The §13 fusion contract: attach a plan, run the identical transfer,
-  // and the receiver's manipulation ledger must not move by one word —
-  // the presentation transform rides the pass that was already paid for.
+TEST(PresentationPipeline, FusionAddsOnlyTheSwapStoresToThePlainPass) {
+  // The §13 fusion contract on the chain ledger: attach a plan, run the
+  // identical transfer, and the receiver's manipulation ledger keeps its
+  // pass and load counts — the presentation transform rides the pass that
+  // was already paid for. The one difference is the swap's own stores: a
+  // bare verify over the gather list is load-only, while the fused swap
+  // writes each word back once.
   SessionConfig scfg;
   scfg.syntax = TransferSyntax::kXdr;
 
@@ -136,7 +141,13 @@ TEST(PresentationPipeline, FusionChargesExactlyWhatThePlainPassCharges) {
   const obs::CostAccount& b = without.receiver.manipulation_cost();
   EXPECT_EQ(a.memory_passes, b.memory_passes);
   EXPECT_EQ(a.word_loads, b.word_loads);
-  EXPECT_EQ(a.word_stores, b.word_stores);
+  EXPECT_EQ(b.word_stores, 0u);
+  std::uint64_t swap_words = 0;
+  for (const auto& adu : with.delivered) {
+    swap_words += obs::CostAccount::words(adu.payload.size());
+  }
+  ASSERT_EQ(with.delivered.size(), 8u);
+  EXPECT_EQ(a.word_stores, swap_words);
   EXPECT_EQ(with.receiver.stats().adus_presentation_fused, 8u);
   EXPECT_EQ(without.receiver.stats().adus_presentation_fused, 0u);
 
@@ -164,8 +175,8 @@ TEST(PresentationPipeline, EncryptedFusedXdrStillOnePassAndCorrect) {
     ASSERT_TRUE(rec.ok()) << rec.error().to_string();
     EXPECT_EQ(*rec, table1_record(301, adu.name.a));
   }
-  // decrypt + checksum + byteswap fused: still one pass per ADU plus the
-  // reassembly placement the flat path always pays.
+  // decrypt + checksum + byteswap fused: still one pass per ADU; the
+  // flatten bridge into on_adu is charged to the reassembly ledger.
   EXPECT_EQ(p.receiver.stats().adus_presentation_fused, 6u);
 }
 
@@ -232,9 +243,9 @@ TEST(PresentationPipeline, ChainPathSwapsAcrossSegmentBoundaries) {
 }
 
 TEST(PresentationPipeline, EncryptedChainPathMatchesFlat) {
-  // Same encrypted transfer twice — flat and pooled — with the plan fused
-  // on both: identical host-order bytes out of entirely different
-  // executors (flat fused kernel vs per-segment chain kernels).
+  // Same encrypted transfer twice — over a link with no pool wired (the
+  // default pool) and over a pooled one — with the plan fused on both:
+  // identical host-order bytes whichever pool the segments came from.
   SessionConfig scfg;
   scfg.syntax = TransferSyntax::kXdr;
   scfg.encrypt = true;
@@ -320,7 +331,7 @@ TEST(PresentationPipeline, SessiondOpenAttachesThePlan) {
   scfg.syntax = TransferSyntax::kXdr;
   auto plan = presentation::cached_plan(table1_schema(), scfg.syntax);
   sessiond::OpenOptions opts;
-  opts.presentation = plan;
+  opts.attach.presentation = plan;
   auto handle = daemon.open(scfg, {&data, &feedback_tx, &feedback_rx}, opts);
   ASSERT_TRUE(handle.ok());
 
@@ -357,7 +368,7 @@ TEST(PresentationPipeline, SupervisedOpenAttachesThePlan) {
   auto plan = presentation::cached_plan(table1_schema(), scfg.syntax);
   sessiond::OpenOptions opts;
   opts.supervised = true;
-  opts.presentation = plan;
+  opts.attach.presentation = plan;
   auto handle = daemon.open(scfg, {&data, &feedback_tx, &feedback_rx}, opts);
   ASSERT_TRUE(handle.ok());
 

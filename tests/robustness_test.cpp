@@ -3,10 +3,13 @@
 // must degrade gracefully. Shared path doubles live in test_paths.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "alf/receiver.h"
 #include "alf/sender.h"
+#include "buf/pool.h"
+#include "netsim/link.h"
 #include "netsim/net_path.h"
 #include "transport/stream_sender.h"
 #include "transport/stream_receiver.h"
@@ -273,6 +276,72 @@ TEST(ReceiverHardening, AduLargerThanWholeBudgetDropped) {
   fx.inject(f);
   EXPECT_EQ(fx.receiver->stats().fragments_dropped_mem, 1u);
   EXPECT_EQ(fx.receiver->stats().reassembly_bytes_peak, 0u);
+}
+
+TEST(ReceiverHardening, TinyFragmentsOverALinkPinNoMoreThanTheLimit) {
+  // A link lands every frame in a pool segment and the receiver links the
+  // fragment by reference, so a 1-byte fragment pins its frame's whole
+  // segment. reassembly_bytes_limit must bound that pinned pool memory,
+  // not just the adu_len the headers claim.
+  buf::BufferPool pool(buf::PoolConfig{.size_classes = {512}});
+  SessionConfig cfg;
+  cfg.max_adu_len = 16 << 10;
+  cfg.reassembly_bytes_limit = 64 << 10;
+  cfg.nack_delay = 3600 * kSecond;  // no NACK abandons mid-attack
+  cfg.stall_timeout = 0;
+  EventLoop loop;
+  Link link(loop, LinkConfig{});
+  link.set_rx_pool(&pool);
+  LinkPath data(link);
+  SinkPath feedback;
+  AlfReceiver receiver(loop, data, feedback, cfg);
+  receiver.set_rx_pool(&pool);
+
+  // Four ADUs whose claims exactly fill the limit, one byte at every other
+  // offset of their first KiB, interleaved: 2,048 frames that would pin
+  // 1 MiB of 512-byte segments if only the claims were charged.
+  const std::uint8_t byte = 0x5a;
+  std::uint64_t peak_live = 0;
+  for (std::uint32_t off = 0; off < 1024; off += 2) {
+    for (std::uint32_t id = 1; id <= 4; ++id) {
+      ByteBuffer frame =
+          encode_fragment(make_fragment(1, id, ConstBytes{&byte, 1}, 16 << 10, off));
+      ASSERT_TRUE(link.send(frame.span()));
+    }
+    loop.run_until(loop.now() + 5 * kMillisecond);  // every frame has landed
+    peak_live = std::max(peak_live, pool.stats().segments_live);
+  }
+  EXPECT_EQ(pool.stats().heap_fallbacks, 0u);
+  EXPECT_GT(receiver.stats().fragments_zero_copy, 0u);
+  EXPECT_LE(peak_live * 512, cfg.reassembly_bytes_limit);
+  EXPECT_LE(receiver.stats().reassembly_bytes_peak, cfg.reassembly_bytes_limit);
+  EXPECT_GT(receiver.stats().fragments_dropped_mem + receiver.stats().reassembly_evictions,
+            0u);
+}
+
+TEST(ReceiverHardening, TinyCopiedFragmentsShareTheAdusCopyBlocks) {
+  // A loopback hands over plain buffers, so every fragment is copied — into
+  // per-ADU blocks at fixed offsets, which scattered 1-byte fragments
+  // share instead of taking a segment each.
+  buf::BufferPool pool(buf::PoolConfig{.size_classes = {2048}});
+  SessionConfig cfg;
+  cfg.max_adu_len = 16 << 10;
+  cfg.reassembly_bytes_limit = 64 << 10;
+  cfg.nack_delay = 3600 * kSecond;
+  cfg.stall_timeout = 0;
+  ReceiverFixture fx(cfg);
+  fx.receiver->set_rx_pool(&pool);
+  const std::uint8_t byte = 0x5a;
+  for (std::uint32_t off = 0; off < (16 << 10); off += 64) {
+    for (std::uint32_t id = 1; id <= 4; ++id) {
+      fx.inject(make_fragment(1, id, ConstBytes{&byte, 1}, 16 << 10, off));
+    }
+  }
+  // 1,024 copies; the four ADUs pin eight 2 KiB blocks each — exactly
+  // their claims, so nothing beyond the claims was charged.
+  EXPECT_EQ(fx.receiver->stats().fragments_pool_copied, 1024u);
+  EXPECT_EQ(pool.stats().segments_live, 32u);
+  EXPECT_EQ(fx.receiver->stats().reassembly_bytes_peak, 4u * (16 << 10));
 }
 
 TEST(ReceiverHardening, StallWatchdogAbandonsDeadSession) {

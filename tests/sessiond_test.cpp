@@ -3,8 +3,9 @@
 // Covers the table in isolation (toy sessions: shard uniformity, LRU idle
 // GC, admission control, shed priority), the dispatcher (create-on-first-
 // frame, unroutable accounting), the redesigned facade (open/close RAII,
-// validation, byte-identical equivalence with the hand-wired idiom), the
-// SessionConfig builder, and TSan-visible concurrent dispatch.
+// validation, byte-identical equivalence with the hand-wired idiom, the
+// attach set surviving supervised restarts), the SessionConfig builder,
+// and TSan-visible concurrent dispatch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +18,12 @@
 #include "alf/sender.h"
 #include "alf/session.h"
 #include "alf/wire.h"
+#include "buf/pool.h"
+#include "engine/engine.h"
+#include "netsim/fault.h"
 #include "netsim/net_path.h"
 #include "obs/metrics.h"
+#include "presentation/plan.h"
 #include "sessiond/session_table.h"
 #include "sessiond/sessiond.h"
 #include "util/result.h"
@@ -587,6 +592,77 @@ TEST(Sessiond, SupervisedOpenCompletesUnderLoss) {
   h.loop.run();
   EXPECT_TRUE(complete);
   EXPECT_EQ(delivered, 10u);
+}
+
+TEST(Sessiond, SupervisedRestartKeepsTheWholeAttachSet) {
+  // open() forwards OpenOptions::attach whole to the supervisor, which
+  // applies it to every receiver incarnation: after a forced restart the
+  // live receiver still offloads to the engine, copies into the session's
+  // pool and fuses the plan.
+  EventLoop loop;
+  LinkConfig lc;
+  lc.bandwidth_bps = 100e6;
+  lc.propagation_delay = 2 * kMillisecond;
+  lc.queue_limit = 1 << 16;
+  DuplexChannel channel(loop, lc);
+  buf::BufferPool link_pool;
+  buf::BufferPool rx_pool;
+  channel.forward.set_rx_pool(&link_pool);
+  channel.reverse.set_rx_pool(&link_pool);
+  LinkPath raw_data(channel.forward);
+  // The outage outlasts the stall watchdog (one restart). FaultyPath hands
+  // the receiver copies of the frames, so every placement is a copy into
+  // whichever pool the live incarnation has attached.
+  FaultPlan outage;
+  outage.seed = 99;
+  outage.scheduled_outages.push_back({3 * kMillisecond, 800 * kMillisecond});
+  FaultyPath data(loop, raw_data, outage);
+  LinkPath feedback_tx(channel.reverse);
+  LinkPath feedback_rx(channel.reverse);
+
+  engine::Engine eng;  // workers = 0: inline, deterministic
+  alf::SessionConfig session;
+  session.syntax = TransferSyntax::kXdr;
+  session.stall_timeout = 400 * kMillisecond;
+  session.nack_delay = 10 * kMillisecond;
+  session.nack_retry = 20 * kMillisecond;
+  session.max_nacks = 30;
+  const auto plan = presentation::cached_plan(
+      RecordSchema{"ints", {FieldType::kInt32Array}}, session.syntax);
+
+  Sessiond daemon(loop);
+  OpenOptions opts;
+  opts.supervised = true;
+  opts.supervisor.restart_backoff = 50 * kMillisecond;
+  opts.attach.engine = &eng;
+  opts.attach.rx_pool = &rx_pool;
+  opts.attach.presentation = plan;
+  auto handle = daemon.open(session, {&data, &feedback_tx, &feedback_rx}, opts);
+  ASSERT_TRUE(handle.ok());
+  bool complete = false;
+  std::uint64_t delivered = 0;
+  handle.value().set_on_adu([&](Adu&&) { ++delivered; });
+  handle.value().set_on_complete([&] { complete = true; });
+
+  const std::uint64_t default_allocs = buf::default_pool().stats().allocs;
+  for (std::uint64_t i = 1; i <= 20; ++i) {
+    const Record rec{std::vector<std::int32_t>(1000, static_cast<std::int32_t>(i))};
+    auto wire = presentation::plan_encode(*plan, rec);
+    ASSERT_TRUE(wire.ok());
+    ASSERT_TRUE(handle.value().send_adu(generic_name(i), wire->span()).ok());
+  }
+  handle.value().finish();
+  loop.run();
+
+  ASSERT_TRUE(complete);
+  EXPECT_EQ(delivered, 20u);
+  ASSERT_GE(handle.value().supervisor()->stats().restarts, 1u);
+  const alf::ReceiverStats& st = handle.value().receiver().stats();
+  EXPECT_GT(st.adus_engine_offloaded, 0u);
+  EXPECT_GT(st.adus_presentation_fused, 0u);
+  EXPECT_GT(st.fragments_pool_copied, 0u);
+  // Every placement copy, in every incarnation, went to the attached pool.
+  EXPECT_EQ(buf::default_pool().stats().allocs, default_allocs);
 }
 
 TEST(Sessiond, ReceiverFactoryServesDemuxedFlows) {

@@ -1,9 +1,10 @@
 // zerocopy_test.cpp — the end-to-end zero-copy datapath (DESIGN.md §12).
 //
-// Runs the same seeded transfer twice — once over the classic flat path
-// (every byte staged, placed, and manipulated by copy) and once over the
-// pooled path (Link writes into a BufferPool, the receiver reassembles by
-// reference, the sender prepares in place) — and pins two things:
+// Runs the same seeded transfer twice — once the flat way (the sender
+// stages a flat payload, the link uses the default pool, the application
+// takes flat delivery through the flatten bridge) and once the pooled way
+// (Link writes into a BufferPool, the sender prepares in place, the
+// application takes the chain) — and pins two things:
 //
 //   1. The delivered bytes are IDENTICAL. Zero-copy is an ownership
 //      change, not a data change.
@@ -14,12 +15,15 @@
 //      pooled path stores nothing at all on those accounts.
 //
 // Then the supporting cast: the flatten bridge (chain-unaware apps),
-// loss + retransmission, FEC recovery, chain delivery into the file/video
-// sinks, sessiond's rx_pool opt-in, and pool drainage (segments_live == 0
-// once the endpoints are gone).
+// loss + retransmission, FEC recovery, every checksum kind over a link
+// with no pool wired (the default pool), chain delivery into the
+// file/video sinks, sessiond's rx_pool attach, and pool drainage
+// (segments_live == 0 once the endpoints are gone).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "alf/file_sink.h"
@@ -27,6 +31,7 @@
 #include "alf/sender.h"
 #include "alf/video_sink.h"
 #include "buf/pool.h"
+#include "engine/engine.h"
 #include "netsim/net_path.h"
 #include "sessiond/sessiond.h"
 #include "util/rng.h"
@@ -113,7 +118,8 @@ struct ZcPair {
 };
 
 /// One seeded multi-ADU transfer; returns (delivered payload by ordinal,
-/// copied bytes). `pool == nullptr` selects the flat path.
+/// copied bytes). `pool == nullptr` selects the flat way: flat send, no
+/// pool wired, flat delivery.
 struct TransferResult {
   std::map<std::uint64_t, ByteBuffer> delivered;
   std::uint64_t copied = 0;
@@ -177,8 +183,8 @@ TEST(ZeroCopy, CopiedBytesDropAtLeast40PercentWithIdenticalOutput) {
 
 TEST(ZeroCopy, EncryptedTransferStillDropsAtLeast40Percent) {
   // With ChaCha20 the pooled path pays exactly one store pass (the
-  // in-place cipher); the flat path pays staging + placement + fused
-  // decrypt. Output must still match byte for byte.
+  // in-place cipher); the flat way pays staging + cipher + the flatten
+  // bridge. Output must still match byte for byte.
   ChaChaKey key;
   for (std::size_t i = 0; i < key.key.size(); ++i) {
     key.key[i] = static_cast<std::uint8_t>(0xA0 + i);
@@ -292,27 +298,50 @@ TEST(ZeroCopy, FecRecoveryOverPooledPath) {
   EXPECT_EQ(pool.stats().segments_live, 0u);
 }
 
-TEST(ZeroCopy, NonInternetChecksumFallsBackToFlatPath) {
-  // The pooled receive path is kInternet-only (the chain checksum kernel);
-  // a CRC32 session over a pooled link must still deliver correctly, by
-  // copy, with zero chain deliveries.
-  SessionConfig scfg;
-  scfg.checksum = ChecksumKind::kCrc32;
-  buf::BufferPool pool;
-  ZcPair p(scfg, &pool);
-  p.collect_flat();
-  p.collect_chains();
+TEST(ZeroCopy, EveryChecksumKindRunsZeroCopyOverADefaultPoolLink) {
+  // Every Link delivers its frames inside a pool segment — its own rx pool
+  // or, with none wired anywhere, the process-wide default — so a session
+  // with no pool attached still reassembles by reference, whatever its
+  // checksum, with stage 2 inline or on engine workers.
+  const std::uint64_t live_before = buf::default_pool().stats().segments_live;
+  for (ChecksumKind kind : {ChecksumKind::kNone, ChecksumKind::kFletcher32,
+                            ChecksumKind::kAdler32, ChecksumKind::kCrc32}) {
+    for (unsigned workers : {0u, 2u}) {
+      SCOPED_TRACE(std::string(checksum_kind_name(kind)) +
+                   (workers == 0 ? " inline" : " 2-worker engine"));
+      std::map<std::uint64_t, ByteBuffer> sent, got;
+      {
+        std::unique_ptr<engine::Engine> eng;
+        if (workers > 0) {
+          eng = std::make_unique<engine::Engine>(
+              engine::EngineConfig{.workers = workers});
+        }
+        SessionConfig scfg;
+        scfg.checksum = kind;
+        ZcPair p(scfg, /*pool=*/nullptr);
+        p.receiver.set_engine(eng.get(), kMillisecond);
+        p.collect_chains();
+        for (std::uint64_t i = 0; i < 6; ++i) {
+          auto data = payload_of(9000 + static_cast<std::size_t>(i) * 777, 4242 + i);
+          ASSERT_TRUE(p.sender.send_adu(generic_name(i), data.span()).ok());
+          sent.emplace(i, std::move(data));
+        }
+        p.sender.finish();
+        p.loop.run();
 
-  auto data = payload_of(9000, 4242);
-  ASSERT_TRUE(p.sender.send_adu(generic_name(0), data.span()).ok());
-  p.sender.finish();
-  p.loop.run();
-
-  ASSERT_EQ(p.delivered.size() + p.chains.size(), 1u);
-  const ByteBuffer got = p.chains.empty() ? std::move(p.delivered[0].payload)
-                                          : p.chains[0].payload.flatten();
-  EXPECT_EQ(got, data);
-  EXPECT_EQ(p.receiver.stats().fragments_zero_copy, 0u);
+        ASSERT_TRUE(p.completed);
+        for (auto& c : p.chains) got[c.name.a] = c.payload.flatten();
+        const ReceiverStats& st = p.receiver.stats();
+        EXPECT_EQ(st.fragments_pool_copied, 0u);
+        EXPECT_GT(st.fragments_zero_copy, 0u);
+        EXPECT_EQ(st.adus_engine_offloaded, workers > 0 ? 6u : 0u);
+      }
+      EXPECT_EQ(got, sent);
+      // Endpoints, chains and in-flight frames are gone: every default-pool
+      // segment the transfer took came home.
+      EXPECT_EQ(buf::default_pool().stats().segments_live, live_before);
+    }
+  }
 }
 
 // ---- chain delivery into the sinks -----------------------------------------
@@ -441,7 +470,7 @@ TEST(ZeroCopy, SessiondOpenWiresRxPoolThroughToReceiver) {
   sessiond::Sessiond daemon(loop);
   SessionConfig scfg;
   sessiond::OpenOptions opts;
-  opts.rx_pool = &pool;
+  opts.attach.rx_pool = &pool;
   auto handle = daemon.open(scfg, {&data, &feedback_tx, &feedback_rx}, opts);
   ASSERT_TRUE(handle.ok());
 
@@ -492,7 +521,7 @@ TEST(ZeroCopy, SupervisedSessionKeepsPoolAcrossOpen) {
   SessionConfig scfg;
   sessiond::OpenOptions opts;
   opts.supervised = true;
-  opts.rx_pool = &pool;
+  opts.attach.rx_pool = &pool;
   auto handle = daemon.open(scfg, {&data, &feedback_tx, &feedback_rx}, opts);
   ASSERT_TRUE(handle.ok());
 
