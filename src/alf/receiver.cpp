@@ -9,7 +9,6 @@
 #include "ilp/engine.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "presentation/plan.h"
 #include "simd/dispatch.h"
 
@@ -580,7 +579,6 @@ bool AlfReceiver::manipulate(std::uint32_t adu_id, const Reassembly& r,
   // pipeline's fused-vs-layered pass counts come from. A bare verify only
   // reads: no flat staging buffer exists to store into, and that missing
   // store pass is the saving.
-  obs::TraceSpan span(trace_, "alf.rx.manip", chain.size());
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipBegin,
                      flight_id(adu_id), chain.size());
   const ManipulationPlan plan = make_plan(adu_id, r);
@@ -629,7 +627,6 @@ void AlfReceiver::offload_adu(std::uint32_t adu_id, Reassembly& r) {
   // released now — the job owns the bytes, not the reassembly pool.
   manip_inflight_.emplace(adu_id, InflightManip{r.name, r.syntax});
   ++stats_.adus_engine_offloaded;
-  if (trace_ != nullptr) trace_->instant("alf.rx.engine.submit", r.adu_len);
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kEngineSubmit,
                      flight_id(adu_id), r.adu_len);
 

@@ -39,7 +39,6 @@
 namespace ngp::obs {
 class MetricSink;
 class MetricsRegistry;
-class TraceRecorder;
 class FlightRecorder;
 }  // namespace ngp::obs
 
@@ -281,8 +280,6 @@ class AlfReceiver {
   /// Registers emit_metrics under `prefix` (e.g. "alf.rx"). The receiver
   /// must outlive the registry or be removed first.
   void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
-  /// Attaches a span trace recorder (null = untraced).
-  void set_trace(obs::TraceRecorder* trace) noexcept { trace_ = trace; }
   /// Attaches the per-ADU flight recorder on a new "alf.rx" track:
   /// fragment-placed / complete / manipulation / engine-submit / harvest /
   /// deliver / abandon events (null = untraced).
@@ -441,7 +438,6 @@ class AlfReceiver {
   ReceiverStats stats_;
   obs::CostAccount manip_cost_;
   obs::CostAccount reassembly_cost_;  ///< stage-1 placement + FEC traffic
-  obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_track_ = 0;
   /// This ADU's flow-scoped trace id (shared with the sender's side).

@@ -5,7 +5,6 @@
 #include "alf/fec.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "simd/dispatch.h"
 
 namespace ngp::alf {
@@ -37,35 +36,6 @@ AlfSender::~AlfSender() {
   if (watchdog_timer_ != 0) loop_.cancel(watchdog_timer_);
 }
 
-ByteBuffer AlfSender::prepare_wire_payload(std::uint32_t adu_id, ConstBytes plaintext,
-                                           std::uint32_t& checksum_out,
-                                           std::uint8_t& flags_out) {
-  obs::TraceSpan span(trace_, "alf.tx.manip", plaintext.size());
-  // The sender pipeline is the conventional layered engineering (the
-  // receive side is where ILP applies): the cost ledger therefore charges
-  // one full pass per manipulation below.
-  manip_cost_.charge_operation(plaintext.size());
-
-  // The per-ADU checksum covers the plaintext: the ADU is the unit of error
-  // detection (§5), independent of how it is fragmented or ciphered.
-  checksum_out = compute_checksum(cfg_.checksum, plaintext);
-  manip_cost_.charge_pass(plaintext.size(), /*stores=*/false);
-  flags_out = 0;
-  ByteBuffer wire(plaintext.size());
-  simd::kernels().copy(plaintext, wire.span());
-  manip_cost_.charge_pass(plaintext.size(), /*stores=*/true);  // staging copy
-  if (cfg_.encrypt) {
-    // Per-ADU nonce: ADU id into the nonce tail; the ADU is the encryption
-    // synchronization unit, so any complete ADU decrypts standalone.
-    ChaChaKey k = cfg_.key;
-    store_u32_be(k.nonce.data() + 8, adu_id);
-    simd::kernels().chacha20_xor(k, /*counter=*/0, wire.span());
-    manip_cost_.charge_pass(plaintext.size(), /*stores=*/true);
-    flags_out |= kFlagEncrypted;
-  }
-  return wire;
-}
-
 void AlfSender::emit_metrics(obs::MetricSink& sink) const {
   const SenderStats& s = stats_;
   sink.counter("adus_sent", s.adus_sent);
@@ -82,6 +52,7 @@ void AlfSender::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("retransmit_buffer_bytes", s.retransmit_buffer_bytes);
   sink.counter("retransmit_buffer_peak", s.retransmit_buffer_peak);
   sink.counter("watchdog_fired", s.watchdog_fired);
+  sink.counter("names_held", s.names_held);
   obs::emit_cost(sink, "cost", manip_cost_);
 }
 
@@ -92,65 +63,14 @@ void AlfSender::register_metrics(obs::MetricsRegistry& reg, std::string prefix) 
 
 Result<std::uint32_t> AlfSender::send_adu(const AduName& name, ConstBytes payload) {
   if (finished_) return Error{ErrorCode::kClosed, "finish() already called"};
-  Result<std::uint32_t> r = stage_adu(next_adu_id_, name, payload);
-  if (r.ok()) ++next_adu_id_;
-  return r;
+  if (Status s = admit(payload.size()); !s) return s.error();
+  return stage(next_adu_id_++, {.name = name, .wire_payload = copy_in(payload)});
 }
 
 Result<std::uint32_t> AlfSender::send_adu(const AduName& name, buf::Slice payload) {
   if (finished_) return Error{ErrorCode::kClosed, "finish() already called"};
-  Result<std::uint32_t> r = stage_adu_pooled(next_adu_id_, name, std::move(payload));
-  if (r.ok()) ++next_adu_id_;
-  return r;
-}
-
-Result<std::uint32_t> AlfSender::stage_adu_pooled(std::uint32_t adu_id,
-                                                  const AduName& name,
-                                                  buf::Slice payload) {
-  if (failed_) return Error{ErrorCode::kClosed, "session failed (feedback watchdog)"};
-  if (payload.empty()) return Error{ErrorCode::kOutOfRange, "empty ADU"};
-  if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered &&
-      stats_.retransmit_buffer_bytes + payload.len > cfg_.retransmit_buffer_limit) {
-    return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
-  }
-
-  names_[adu_id] = name;
-
-  BufferedAdu b;
-  b.name = name;
-  {
-    // In-place prepare — the zero-staging saving: the checksum reads the
-    // plaintext where it lies (load-only) and encryption ciphers the slice
-    // itself. No wire staging buffer is allocated or stored into, which is
-    // one full store pass less than prepare_wire_payload charges.
-    obs::TraceSpan span(trace_, "alf.tx.manip", payload.len);
-    manip_cost_.charge_operation(payload.len);
-    b.checksum = compute_checksum(cfg_.checksum, payload.bytes());
-    manip_cost_.charge_pass(payload.len, /*stores=*/false);
-    b.flags = 0;
-    if (cfg_.encrypt) {
-      ChaChaKey k = cfg_.key;
-      store_u32_be(k.nonce.data() + 8, adu_id);
-      simd::kernels().chacha20_xor(k, /*counter=*/0, payload.mutable_bytes());
-      manip_cost_.charge_pass(payload.len, /*stores=*/true);
-      b.flags |= kFlagEncrypted;
-    }
-  }
-  const std::size_t n = payload.len;
-  b.pooled = std::move(payload);
-  store_.emplace(adu_id, std::move(b));
-  if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered) {
-    stats_.retransmit_buffer_bytes += n;
-    stats_.retransmit_buffer_peak =
-        std::max(stats_.retransmit_buffer_peak, stats_.retransmit_buffer_bytes);
-  }
-
-  ++stats_.adus_sent;
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kStaged,
-                     obs::flight_trace_id(cfg_.session_id, adu_id), n);
-  enqueue_adu_fragments(adu_id, /*retransmit=*/false);
-  pump();
-  return adu_id;
+  if (Status s = admit(payload.len); !s) return s.error();
+  return stage(next_adu_id_++, {.name = name, .pooled = std::move(payload)});
 }
 
 Result<std::uint32_t> AlfSender::send_record(const AduName& name,
@@ -158,65 +78,15 @@ Result<std::uint32_t> AlfSender::send_record(const AduName& name,
                                              const Record& record) {
   if (finished_) return Error{ErrorCode::kClosed, "finish() already called"};
   if (failed_) return Error{ErrorCode::kClosed, "session failed (feedback watchdog)"};
+  // The marshalling stores into a fresh buffer, so it IS the staging pass:
+  // the buffer is prepared where it lies, with no copy after it.
   auto wire = plan.compiled
                   ? presentation::plan_encode(plan, record, &manip_cost_)
                   : encode_record_interpreted(plan.syntax, plan.schema, record,
                                               &manip_cost_);
   if (!wire) return wire.error();
-  Result<std::uint32_t> r = stage_adu_prepared(next_adu_id_, name, std::move(*wire));
-  if (r.ok()) ++next_adu_id_;
-  return r;
-}
-
-Result<std::uint32_t> AlfSender::stage_adu_prepared(std::uint32_t adu_id,
-                                                    const AduName& name,
-                                                    ByteBuffer&& plaintext) {
-  if (plaintext.empty()) return Error{ErrorCode::kOutOfRange, "empty ADU"};
-  if (plaintext.size() > UINT32_MAX) {
-    return Error{ErrorCode::kOutOfRange, "ADU too large"};
-  }
-  if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered &&
-      stats_.retransmit_buffer_bytes + plaintext.size() > cfg_.retransmit_buffer_limit) {
-    return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
-  }
-
-  names_[adu_id] = name;
-
-  BufferedAdu b;
-  b.name = name;
-  {
-    // The marshalling already stored into this buffer, so it IS the staging
-    // buffer: checksum reads it where it lies and encryption ciphers it in
-    // place — prepare_wire_payload's copy pass is the pass the fused
-    // encode saved.
-    obs::TraceSpan span(trace_, "alf.tx.manip", plaintext.size());
-    manip_cost_.charge_operation(plaintext.size());
-    b.checksum = compute_checksum(cfg_.checksum, plaintext.span());
-    manip_cost_.charge_pass(plaintext.size(), /*stores=*/false);
-    b.flags = 0;
-    if (cfg_.encrypt) {
-      ChaChaKey k = cfg_.key;
-      store_u32_be(k.nonce.data() + 8, adu_id);
-      simd::kernels().chacha20_xor(k, /*counter=*/0, plaintext.span());
-      manip_cost_.charge_pass(plaintext.size(), /*stores=*/true);
-      b.flags |= kFlagEncrypted;
-    }
-  }
-  const std::size_t n = plaintext.size();
-  b.wire_payload = std::move(plaintext);
-  store_.emplace(adu_id, std::move(b));
-  if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered) {
-    stats_.retransmit_buffer_bytes += n;
-    stats_.retransmit_buffer_peak =
-        std::max(stats_.retransmit_buffer_peak, stats_.retransmit_buffer_bytes);
-  }
-
-  ++stats_.adus_sent;
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kStaged,
-                     obs::flight_trace_id(cfg_.session_id, adu_id), n);
-  enqueue_adu_fragments(adu_id, /*retransmit=*/false);
-  pump();
-  return adu_id;
+  if (Status s = admit(wire->size()); !s) return s.error();
+  return stage(next_adu_id_++, {.name = name, .wire_payload = std::move(*wire)});
 }
 
 Result<std::uint32_t> AlfSender::send_adu_as(std::uint32_t adu_id,
@@ -229,38 +99,71 @@ Result<std::uint32_t> AlfSender::send_adu_as(std::uint32_t adu_id,
   if (store_.contains(adu_id)) {
     return Error{ErrorCode::kOutOfRange, "id already staged"};
   }
-  Result<std::uint32_t> r = stage_adu(adu_id, name, payload);
-  if (r.ok()) ++stats_.adus_resumed;
-  return r;
+  if (Status s = admit(payload.size()); !s) return s.error();
+  ++stats_.adus_resumed;
+  return stage(adu_id, {.name = name, .wire_payload = copy_in(payload)});
 }
 
-Result<std::uint32_t> AlfSender::stage_adu(std::uint32_t adu_id,
-                                           const AduName& name,
-                                           ConstBytes payload) {
+Status AlfSender::admit(std::size_t len) const {
   if (failed_) return Error{ErrorCode::kClosed, "session failed (feedback watchdog)"};
-  if (payload.empty()) return Error{ErrorCode::kOutOfRange, "empty ADU"};
-  if (payload.size() > UINT32_MAX) return Error{ErrorCode::kOutOfRange, "ADU too large"};
+  if (len == 0) return Error{ErrorCode::kOutOfRange, "empty ADU"};
+  if (len > UINT32_MAX) return Error{ErrorCode::kOutOfRange, "ADU too large"};
   if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered &&
-      stats_.retransmit_buffer_bytes + payload.size() > cfg_.retransmit_buffer_limit) {
+      stats_.retransmit_buffer_bytes + len > cfg_.retransmit_buffer_limit) {
     return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
   }
+  return Status::ok();
+}
 
-  names_[adu_id] = name;
+ByteBuffer AlfSender::copy_in(ConstBytes payload) {
+  ByteBuffer wire(payload.size());
+  simd::kernels().copy(payload, wire.span());
+  manip_cost_.charge_pass(payload.size(), /*stores=*/true);  // staging copy
+  return wire;
+}
 
-  BufferedAdu b;
-  b.name = name;
-  b.wire_payload = prepare_wire_payload(adu_id, payload, b.checksum, b.flags);
+void AlfSender::prepare(std::uint32_t adu_id, BufferedAdu& b) {
+  // The sender pipeline is the conventional layered engineering (the
+  // receive side is where ILP applies): the cost ledger therefore charges
+  // one full pass per manipulation below. Neither moves the wire bytes:
+  // the checksum only loads them and encryption ciphers them in place.
+  const MutableBytes wire = b.mutable_wire_bytes();
+  manip_cost_.charge_operation(wire.size());
+
+  // The per-ADU checksum covers the plaintext: the ADU is the unit of error
+  // detection (§5), independent of how it is fragmented or ciphered.
+  b.checksum = compute_checksum(cfg_.checksum, wire);
+  manip_cost_.charge_pass(wire.size(), /*stores=*/false);
+  b.flags = 0;
+  if (cfg_.encrypt) {
+    // Per-ADU nonce: ADU id into the nonce tail; the ADU is the encryption
+    // synchronization unit, so any complete ADU decrypts standalone.
+    ChaChaKey k = cfg_.key;
+    store_u32_be(k.nonce.data() + 8, adu_id);
+    simd::kernels().chacha20_xor(k, /*counter=*/0, wire);
+    manip_cost_.charge_pass(wire.size(), /*stores=*/true);
+    b.flags |= kFlagEncrypted;
+  }
+}
+
+std::uint32_t AlfSender::stage(std::uint32_t adu_id, BufferedAdu b) {
+  // Only a recompute reads a name once the store entry is gone.
+  if (cfg_.retransmit == RetransmitPolicy::kApplicationRecompute) {
+    names_[adu_id] = b.name;
+    stats_.names_held = names_.size();
+  }
+  prepare(adu_id, b);
+  const std::size_t n = b.wire_bytes().size();
   store_.emplace(adu_id, std::move(b));
   if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered) {
-    stats_.retransmit_buffer_bytes += payload.size();
+    stats_.retransmit_buffer_bytes += n;
     stats_.retransmit_buffer_peak =
         std::max(stats_.retransmit_buffer_peak, stats_.retransmit_buffer_bytes);
   }
 
   ++stats_.adus_sent;
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kStaged,
-                     obs::flight_trace_id(cfg_.session_id, adu_id),
-                     payload.size());
+                     obs::flight_trace_id(cfg_.session_id, adu_id), n);
   enqueue_adu_fragments(adu_id, /*retransmit=*/false);
   pump();
   return adu_id;
@@ -461,6 +364,7 @@ void AlfSender::fail_session() {
   queue_.clear();
   store_.clear();
   names_.clear();
+  stats_.names_held = 0;
   stats_.retransmit_buffer_bytes = 0;
   if (done_timer_ != 0) {
     loop_.cancel(done_timer_);
@@ -569,10 +473,10 @@ void AlfSender::handle_nack(const NackMessage& m) {
           ++stats_.nacks_ignored;  // app declined (e.g. data superseded)
           break;
         }
-        // Re-prepare under the same id so the receiver can reconcile.
-        BufferedAdu b;
-        b.name = name_it->second;
-        b.wire_payload = prepare_wire_payload(adu_id, payload->span(), b.checksum, b.flags);
+        // Re-prepare under the same id so the receiver can reconcile. The
+        // callback handed its buffer over, so it is prepared in place.
+        BufferedAdu b{.name = name_it->second, .wire_payload = std::move(*payload)};
+        prepare(adu_id, b);
         store_[adu_id] = std::move(b);
         ++stats_.adus_recomputed;
         ++stats_.adus_retransmitted;

@@ -35,7 +35,6 @@
 namespace ngp::obs {
 class MetricSink;
 class MetricsRegistry;
-class TraceRecorder;
 class FlightRecorder;
 }  // namespace ngp::obs
 
@@ -56,6 +55,7 @@ struct SenderStats {
   std::size_t retransmit_buffer_bytes = 0;
   std::size_t retransmit_buffer_peak = 0;
   std::uint64_t watchdog_fired = 0;  ///< gave up on a dead feedback channel
+  std::size_t names_held = 0;  ///< names kept for recompute (that policy only)
 };
 
 /// Regenerates an ADU's payload on demand (policy kApplicationRecompute).
@@ -167,8 +167,6 @@ class AlfSender {
   /// Registers emit_metrics under `prefix` (e.g. "alf.tx"). The sender
   /// must outlive the registry or be removed first.
   void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
-  /// Attaches a span trace recorder (null = untraced).
-  void set_trace(obs::TraceRecorder* trace) noexcept { trace_ = trace; }
   /// Attaches the per-ADU flight recorder on a new "alf.tx" track:
   /// staged / fragment-tx / retransmit-tx events (null = untraced).
   void set_flight(obs::FlightRecorder* flight);
@@ -185,42 +183,43 @@ class AlfSender {
 
   struct BufferedAdu {
     AduName name;
-    ByteBuffer wire_payload;  ///< post-encryption bytes as sent (flat path)
-    buf::Slice pooled;        ///< zero-staging path: prepared in place here
-    std::vector<ByteBuffer> parity_blocks;  ///< FEC parity, one per group
+    ByteBuffer wire_payload{};  ///< wire bytes in a sender-owned buffer...
+    buf::Slice pooled{};        ///< ...or in the application's pool slice
+    std::vector<ByteBuffer> parity_blocks{};  ///< FEC parity, one per group
     std::uint32_t checksum = 0;
     std::uint8_t flags = 0;
     std::size_t queued_fragments = 0;  ///< fragments not yet transmitted
 
-    /// The wire bytes, whichever path staged them.
+    /// The wire bytes (post-encryption once prepared), wherever they live.
     ConstBytes wire_bytes() const noexcept {
       return pooled.ref ? ConstBytes{pooled.bytes()}
                         : ConstBytes{wire_payload.span()};
     }
+    MutableBytes mutable_wire_bytes() noexcept {
+      return pooled.ref ? pooled.mutable_bytes() : wire_payload.span();
+    }
   };
 
+  /// The checks every entry runs before it touches the payload: failed
+  /// session, empty, too large, retransmit buffer full — in that order.
+  Status admit(std::size_t len) const;
+  /// The ConstBytes entries' staging copy: the caller keeps its bytes, so
+  /// they are stored once into a sender-owned buffer (one charged pass).
+  ByteBuffer copy_in(ConstBytes payload);
+  /// The sender's one manipulation site: a load-only checksum, then (if
+  /// configured) encryption in place under `adu_id`'s nonce.
+  void prepare(std::uint32_t adu_id, BufferedAdu& b);
+  /// The one staging body for an admitted ADU: prepares it, retains it,
+  /// accounts for it and queues its fragments.
+  std::uint32_t stage(std::uint32_t adu_id, BufferedAdu b);
   /// Queues an ADU's fragments (and FEC parity). Retransmissions go to the
   /// FRONT of the queue: recovery latency is what stalls the receiver's
   /// pipeline, so recovered data must not wait behind the backlog.
-  /// Shared body of send_adu / send_adu_as once the id is chosen.
-  Result<std::uint32_t> stage_adu(std::uint32_t adu_id, const AduName& name,
-                                  ConstBytes payload);
-  /// stage_adu's zero-staging twin: prepares the slice in place.
-  Result<std::uint32_t> stage_adu_pooled(std::uint32_t adu_id,
-                                         const AduName& name, buf::Slice payload);
-  /// Stages an already-marshalled buffer as the wire payload: checksum is a
-  /// load-only pass and encryption ciphers the buffer itself (the encode
-  /// that produced it was the staging pass).
-  Result<std::uint32_t> stage_adu_prepared(std::uint32_t adu_id,
-                                           const AduName& name,
-                                           ByteBuffer&& plaintext);
   void enqueue_adu_fragments(std::uint32_t adu_id, bool retransmit);
   void pump();               ///< sends fragments respecting pacing
   void send_fragment(const PendingFragment& pf);
   void on_feedback(ConstBytes frame);
   void handle_nack(const NackMessage& m);
-  ByteBuffer prepare_wire_payload(std::uint32_t adu_id, ConstBytes plaintext,
-                                  std::uint32_t& checksum_out, std::uint8_t& flags_out);
 
   EventLoop& loop_;
   NetPath& out_;
@@ -228,7 +227,6 @@ class AlfSender {
   SessionConfig cfg_;
   SenderStats stats_;
   obs::CostAccount manip_cost_;
-  obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_track_ = 0;
   RecomputeFn recompute_;
@@ -255,7 +253,8 @@ class AlfSender {
 
   // ADUs retained for retransmission (policy-dependent).
   std::map<std::uint32_t, BufferedAdu> store_;
-  // Names are kept for all ADUs (cheap) so recompute can be offered.
+  // Names for kApplicationRecompute: the callback needs an ADU's name after
+  // its store entry is gone. No other policy keeps them.
   std::map<std::uint32_t, AduName> names_;
 
   std::deque<PendingFragment> queue_;

@@ -110,8 +110,8 @@ struct CostAccount {
 
 /// Emits an account's counters and derived ratios into a snapshot, under
 /// `name` ("cost" -> cost.bytes_touched, cost.loads_per_word, ...).
-/// Defined in metrics-aware code (trace.cpp) so this header stays free of
-/// the sink type for hot-path includers.
+/// Defined in metrics.cpp so this header stays free of the sink type for
+/// hot-path includers.
 void emit_cost(MetricSink& sink, std::string_view name, const CostAccount& c);
 
 }  // namespace ngp::obs

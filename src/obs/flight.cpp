@@ -1,7 +1,6 @@
 #include "obs/flight.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "obs/metrics.h"
@@ -25,45 +24,6 @@ constexpr std::string_view kSegmentNames[FlightTable::kSegmentCount] = {
     "engine_queue",       "manipulation", "completion",
 };
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else {
-      out += c;
-    }
-  }
-}
-
-/// Deterministic double rendering (same discipline as metrics.cpp).
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
-}
-
-/// Nearest-rank percentile over an ascending-sorted sample vector.
-double sorted_percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  const auto rank =
-      static_cast<std::size_t>(std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-  return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-/// Appends a sim-time ns value as Chrome trace microseconds ("123.456"),
-/// built from integer arithmetic so the export never depends on
-/// floating-point formatting.
-void append_us(std::string& out, SimTime ns) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  out += buf;
-}
-
 }  // namespace
 
 std::string_view flight_stage_name(FlightStage s) noexcept {
@@ -83,8 +43,7 @@ FlightTable::FlightTable(std::vector<FlightRow> rows) : rows_(std::move(rows)) {
             });
   auto push = [this](Segment seg, SimTime a, SimTime b) {
     if (a < 0 || b < 0) return;
-    seg_[static_cast<std::size_t>(seg)].push_back(
-        static_cast<double>(b - a));
+    seg_[static_cast<std::size_t>(seg)].add(static_cast<double>(b - a));
   };
   for (const FlightRow& r : rows_) {
     if (r.delivered >= 0) ++delivered_;
@@ -96,15 +55,14 @@ FlightTable::FlightTable(std::vector<FlightRow> rows) : rows_(std::move(rows)) {
     push(Segment::kManipulation, r.manip_begin, r.manip_end);
     push(Segment::kCompletion, r.staged, r.delivered);
   }
-  for (auto& v : seg_) std::sort(v.begin(), v.end());
 }
 
 double FlightTable::percentile(Segment seg, double p) const {
-  return sorted_percentile(seg_[static_cast<std::size_t>(seg)], p);
+  return seg_[static_cast<std::size_t>(seg)].percentile(p);
 }
 
 std::size_t FlightTable::segment_count(Segment seg) const {
-  return seg_[static_cast<std::size_t>(seg)].size();
+  return seg_[static_cast<std::size_t>(seg)].count();
 }
 
 std::string FlightTable::to_text(std::size_t max_rows) const {
@@ -179,6 +137,21 @@ std::string FlightTable::to_json() const {
 }
 
 #if NGP_OBS_ENABLED
+
+namespace {
+
+/// Appends a sim-time ns value as Chrome trace microseconds ("123.456"),
+/// built from integer arithmetic so the export never depends on
+/// floating-point formatting.
+void append_us(std::string& out, SimTime ns) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%lld.%03lld",
+                static_cast<long long>(ns / 1000),
+                static_cast<long long>(ns % 1000));
+  out += buf;
+}
+
+}  // namespace
 
 std::uint16_t FlightRecorder::add_track(std::string_view name) {
   shards_.push_back(

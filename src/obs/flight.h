@@ -8,7 +8,7 @@
 // reassembly and placement, engine worker execution — under a flow-scoped
 // trace id, following the x-kernel's per-message tracing discipline.
 //
-// Cost discipline (same as obs/trace.h):
+// Cost discipline (the off-switch ladder in obs/config.h):
 //   * Compile-time: NGP_OBS=OFF compiles every recorder method to an empty
 //     inline body; call sites need no #ifdefs and produce no code.
 //   * Run-time: a recorder constructs disabled; enabled builds with flight
@@ -37,8 +37,9 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/trace.h"  // NGP_OBS_ENABLED / kEnabled / ClockFn convention
+#include "obs/config.h"
 #include "util/sim_clock.h"
+#include "util/stats.h"
 
 namespace ngp::obs {
 
@@ -166,7 +167,7 @@ class FlightTable {
 
  private:
   std::vector<FlightRow> rows_;  // sorted by trace_id
-  std::vector<double> seg_[kSegmentCount];  // sorted samples per segment
+  Percentiles seg_[kSegmentCount];  // samples per segment
   std::size_t delivered_ = 0;
   std::size_t abandoned_ = 0;
 };
@@ -179,8 +180,6 @@ class FlightTable {
 /// so recording is lock-free by construction. Export runs at quiescence.
 class FlightRecorder {
  public:
-  using ClockFn = SimTime (*)(const void*);
-
   FlightRecorder(ClockFn clock, const void* clock_ctx, FlightConfig cfg = {})
       : clock_(clock), clock_ctx_(clock_ctx), cfg_(cfg) {}
 
@@ -253,8 +252,6 @@ class FlightRecorder {
 
 class FlightRecorder {
  public:
-  using ClockFn = SimTime (*)(const void*);
-
   FlightRecorder(ClockFn, const void*, FlightConfig = {}) {}
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -288,8 +285,7 @@ inline void flight_record(FlightRecorder* f, std::uint16_t track,
   if (f != nullptr) f->record(track, stage, trace_id, arg);
 }
 
-/// Convenience: a flight recorder driven by `loop`'s simulated clock
-/// (mirrors make_loop_recorder in trace.h).
+/// Convenience: a flight recorder driven by `loop`'s simulated clock.
 template <typename Loop>
 FlightRecorder make_loop_flight_recorder(const Loop& loop,
                                          FlightConfig cfg = {}) {

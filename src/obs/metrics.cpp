@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/cost.h"
+
 namespace ngp::obs {
 
-namespace {
-
-/// Fixed-format double rendering: enough digits to round-trip the values
-/// we export (ratios of 64-bit counters), locale-independent.
 std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.10g", v);
@@ -25,6 +23,21 @@ void append_json_escaped(std::string& out, std::string_view s) {
     }
   }
 }
+
+void emit_cost(MetricSink& sink, std::string_view name, const CostAccount& c) {
+  const std::string base(name);
+  sink.counter(base + ".operations", c.operations);
+  sink.counter(base + ".bytes_touched", c.bytes_touched);
+  sink.counter(base + ".words_touched", c.words_touched);
+  sink.counter(base + ".memory_passes", c.memory_passes);
+  sink.counter(base + ".word_loads", c.word_loads);
+  sink.counter(base + ".word_stores", c.word_stores);
+  sink.gauge(base + ".passes_per_operation", c.passes_per_operation());
+  sink.gauge(base + ".loads_per_word", c.loads_per_word());
+  sink.gauge(base + ".stores_per_word", c.stores_per_word());
+}
+
+namespace {
 
 /// MetricSink that materialises samples with the source's prefix applied.
 class CollectingSink final : public MetricSink {

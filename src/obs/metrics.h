@@ -96,6 +96,13 @@ struct Sample {
 /// summary lines in exports and by TelemetryHub SLO watchdogs.
 double histogram_percentile(const Sample& s, double p);
 
+/// Text helpers the obs exports share. format_double renders "%.10g":
+/// enough digits to round-trip the values we export (ratios of 64-bit
+/// counters), locale-independent. append_json_escaped escapes only '"'
+/// and '\\'.
+std::string format_double(double v);
+void append_json_escaped(std::string& out, std::string_view s);
+
 /// A full-stack profile at one instant: name-sorted samples with
 /// deterministic text/JSON renderings.
 class Snapshot {

@@ -1,16 +1,22 @@
 // End-to-end tests for the ALF transport (src/alf/sender + receiver):
 // out-of-order ADU delivery, the three retransmit policies, encryption,
-// pacing, and loss reporting in application terms.
+// pacing, loss reporting in application terms, and the sender's one
+// staging path (every entry prepares in place).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "alf/receiver.h"
 #include "alf/sender.h"
+#include "buf/pool.h"
 #include "netsim/cell_link.h"
 #include "netsim/net_path.h"
+#include "obs/metrics.h"
+#include "presentation/plan.h"
 #include "util/rng.h"
 
 namespace ngp::alf {
@@ -554,6 +560,162 @@ TEST(AlfSenderQueue, FrontRequeueOfLargeBatchStaysLinear) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 250)
       << "retransmit front-requeue is no longer linear";
   EXPECT_EQ(sender.stats().adus_retransmitted, 1u);
+}
+
+// ---- Sender staging: one prepare for every entry ------------------------------
+
+/// A sender over capture paths: what each staging entry puts on the wire
+/// and charges to the ledger, with no link in between.
+struct CaptureSender {
+  EventLoop loop;
+  CapturePath out;
+  CapturePath feedback;
+  AlfSender sender;
+
+  explicit CaptureSender(const SessionConfig& scfg)
+      : sender(loop, out, feedback, scfg) {}
+};
+
+void expect_same_ledger(const obs::CostAccount& got, const obs::CostAccount& want) {
+  EXPECT_EQ(got.operations, want.operations);
+  EXPECT_EQ(got.bytes_touched, want.bytes_touched);
+  EXPECT_EQ(got.words_touched, want.words_touched);
+  EXPECT_EQ(got.memory_passes, want.memory_passes);
+  EXPECT_EQ(got.word_loads, want.word_loads);
+  EXPECT_EQ(got.word_stores, want.word_stores);
+}
+
+TEST(AlfSenderStaging, EveryEntryPutsIdenticalFramesOnTheWire) {
+  // One payload through each entry: the caller's bytes (send_adu), a pool
+  // slice (send_adu(Slice)), a record marshalled by the sender
+  // (send_record) and a resumed id (send_adu_as). All four prepare the
+  // same way, so the frames are byte-identical; only the copying entries
+  // pay a staging pass, and send_record's encode is its staging pass.
+  const RecordSchema schema{"ints", {FieldType::kInt32Array}};
+  std::vector<std::int32_t> ints(1000);  // ~4 KB: several fragments
+  Rng rng(31);
+  for (auto& x : ints) x = static_cast<std::int32_t>(rng.next());
+  const Record record{std::move(ints)};
+  const auto plan = presentation::compile_plan(schema, TransferSyntax::kXdr);
+  obs::CostAccount encode_cost;
+  const ByteBuffer wire = presentation::plan_encode(plan, record, &encode_cost).value();
+
+  for (ChecksumKind kind : {ChecksumKind::kNone, ChecksumKind::kInternet,
+                            ChecksumKind::kFletcher32, ChecksumKind::kAdler32,
+                            ChecksumKind::kCrc32}) {
+    for (bool encrypt : {false, true}) {
+      SCOPED_TRACE(std::string(checksum_kind_name(kind)) +
+                   (encrypt ? " encrypted" : " plain"));
+      SessionConfig scfg;
+      scfg.syntax = TransferSyntax::kXdr;
+      scfg.checksum = kind;
+      scfg.encrypt = encrypt;
+      scfg.key.key[0] = 0x5A;
+
+      CaptureSender copied(scfg);
+      ASSERT_TRUE(copied.sender.send_adu(generic_name(1), wire.span()).ok());
+
+      buf::BufferPool pool;
+      buf::BufRef ref = pool.alloc(wire.size());
+      std::memcpy(ref.data(), wire.data(), wire.size());
+      CaptureSender pooled(scfg);
+      ASSERT_TRUE(pooled.sender
+                      .send_adu(generic_name(1), buf::Slice{std::move(ref), 0, wire.size()})
+                      .ok());
+
+      CaptureSender encoded(scfg);
+      ASSERT_TRUE(encoded.sender.send_record(generic_name(1), plan, record).ok());
+
+      SessionConfig resumed_cfg = scfg;
+      resumed_cfg.first_adu_id = 2;  // id 1 belongs to a previous incarnation
+      CaptureSender resumed(resumed_cfg);
+      ASSERT_TRUE(resumed.sender.send_adu_as(1, generic_name(1), wire.span()).ok());
+
+      for (CaptureSender* s : {&copied, &pooled, &encoded, &resumed}) s->loop.run();
+      ASSERT_GT(copied.out.frames.size(), 1u);
+      EXPECT_EQ(pooled.out.frames, copied.out.frames);
+      EXPECT_EQ(encoded.out.frames, copied.out.frames);
+      EXPECT_EQ(resumed.out.frames, copied.out.frames);
+
+      // In place: the operation, a load-only checksum, the cipher's pass.
+      obs::CostAccount in_place;
+      in_place.charge_operation(wire.size());
+      in_place.charge_pass(wire.size(), /*stores=*/false);
+      if (encrypt) in_place.charge_pass(wire.size(), /*stores=*/true);
+      expect_same_ledger(pooled.sender.manipulation_cost(), in_place);
+
+      obs::CostAccount with_copy = in_place;
+      with_copy.charge_pass(wire.size(), /*stores=*/true);
+      expect_same_ledger(copied.sender.manipulation_cost(), with_copy);
+      expect_same_ledger(resumed.sender.manipulation_cost(), with_copy);
+
+      obs::CostAccount with_encode = encode_cost;
+      with_encode.merge(in_place);
+      expect_same_ledger(encoded.sender.manipulation_cost(), with_encode);
+    }
+  }
+}
+
+TEST(AlfSenderStaging, RecomputePreparesTheReturnedBufferInPlace) {
+  // The recompute callback hands its buffer over by value, so the sender
+  // prepares that buffer where it lies: a load-only checksum pass, plus
+  // the cipher's store pass when encrypting, and no staging copy.
+  const ByteBuffer data = payload_of(3000, 41);
+  const std::uint64_t words = obs::CostAccount::words(data.size());
+  for (bool encrypt : {false, true}) {
+    SCOPED_TRACE(encrypt ? "encrypted" : "plain");
+    SessionConfig scfg;
+    scfg.retransmit = RetransmitPolicy::kApplicationRecompute;
+    scfg.encrypt = encrypt;
+    CaptureSender s(scfg);
+    s.sender.set_recompute([&data](std::uint32_t, const AduName&) {
+      return std::optional<ByteBuffer>(data);
+    });
+    ASSERT_TRUE(s.sender.send_adu(generic_name(1), data.span()).ok());
+    s.loop.run();
+    const std::vector<ByteBuffer> first = std::move(s.out.frames);
+    s.out.frames.clear();
+    const obs::CostAccount before = s.sender.manipulation_cost();
+
+    NackMessage m;
+    m.session = scfg.session_id;
+    m.adu_ids.push_back(1);
+    const ByteBuffer nack = encode_nack(m);
+    s.feedback.deliver(nack.span());
+    s.loop.run();
+
+    EXPECT_EQ(s.sender.stats().adus_recomputed, 1u);
+    EXPECT_EQ(s.out.frames, first);  // same id, same bytes: same frames
+    const obs::CostAccount& after = s.sender.manipulation_cost();
+    EXPECT_EQ(after.operations - before.operations, 1u);
+    EXPECT_EQ(after.memory_passes - before.memory_passes, encrypt ? 2u : 1u);
+    EXPECT_EQ(after.word_stores - before.word_stores, encrypt ? words : 0u);
+  }
+}
+
+TEST(AlfSenderStaging, NamesAreHeldOnlyForRecompute) {
+  // Only a recompute needs an ADU's name after its fragments left; the
+  // other policies must not keep a name for every ADU ever sent.
+  for (RetransmitPolicy policy :
+       {RetransmitPolicy::kTransportBuffered, RetransmitPolicy::kNone,
+        RetransmitPolicy::kApplicationRecompute}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    SessionConfig scfg;
+    scfg.retransmit = policy;
+    CaptureSender s(scfg);
+    const ByteBuffer data = payload_of(64, 51);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(s.sender.send_adu(generic_name(i), data.span()).ok());
+    }
+    s.loop.run();
+
+    const std::size_t want =
+        policy == RetransmitPolicy::kApplicationRecompute ? 1000 : 0;
+    EXPECT_EQ(s.sender.stats().names_held, want);
+    obs::MetricsRegistry reg;
+    s.sender.register_metrics(reg, "alf.tx");
+    EXPECT_EQ(reg.snapshot().counter_or("alf.tx.names_held", 99999), want);
+  }
 }
 
 }  // namespace

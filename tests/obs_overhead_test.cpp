@@ -1,10 +1,10 @@
 // Guards the observability cost discipline: metrics registration and cost
 // accounting are snapshot-on-demand / analytic (O(1) per operation), and
-// tracing vanishes when NGP_OBS=OFF. The CMake NGP_OBS option promises an
-// OFF build within ~1% of the uninstrumented seed throughput; wall-clock
-// assertions that tight are CI noise, so this test checks the structural
-// facts that make the promise hold — no per-word work, no per-span
-// allocation when disabled — plus one very lenient timing smoke.
+// flight recording vanishes when NGP_OBS=OFF. The CMake NGP_OBS option
+// promises an OFF build within ~1% of the uninstrumented seed throughput;
+// wall-clock assertions that tight are CI noise, so this test checks the
+// structural facts that make the promise hold — no per-word work, no
+// recorded state when disabled — plus one very lenient timing smoke.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,7 +13,6 @@
 #include "obs/cost.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace ngp {
@@ -45,27 +44,6 @@ TEST(ObsOverhead, RegistrationDoesNotTouchTheHotPath) {
   EXPECT_EQ(runs, 64);
 }
 
-TEST(ObsOverhead, DisabledTracingLeavesNoState) {
-  if constexpr (obs::kEnabled) {
-    // ON build: a runtime-disabled recorder must not accumulate events.
-    obs::TraceRecorder rec(+[](const void*) -> SimTime { return 0; }, nullptr);
-    for (int i = 0; i < 1000; ++i) {
-      obs::TraceSpan span(&rec, "hot", 64);
-      rec.instant("hot");
-    }
-    EXPECT_TRUE(rec.events().empty());
-  } else {
-    // OFF build: the span carries no members at all — the compiler sees an
-    // empty object and deletes the call sites.
-    EXPECT_EQ(sizeof(obs::TraceSpan), 1u) << "OFF-mode TraceSpan must be empty";
-    obs::TraceRecorder rec(nullptr, nullptr);
-    rec.set_enabled(true);  // even asking for tracing is a no-op
-    rec.instant("hot");
-    EXPECT_TRUE(rec.events().empty());
-    EXPECT_EQ(rec.to_json(), "{\"trace\":[]}");
-  }
-}
-
 TEST(ObsOverhead, FlightRecordingFollowsTheSameDiscipline) {
   if constexpr (obs::kEnabled) {
     // ON build: a runtime-disabled flight recorder accumulates nothing —
@@ -94,11 +72,11 @@ TEST(ObsOverhead, FlightRecordingFollowsTheSameDiscipline) {
 }
 
 TEST(ObsOverhead, NullSpanTimingSmoke) {
-  // The per-span cost with a null recorder is one pointer test. Compare a
-  // checksum loop with and without a span per iteration; allow generous
-  // slack (3x) because CI timing is noisy — the ~1% claim is validated by
-  // the structural tests above and by running bench_stack on an
-  // NGP_OBS=OFF build.
+  // The per-event cost with a null recorder is one pointer test. Compare a
+  // checksum loop with and without a flight event per iteration; allow
+  // generous slack (3x) because CI timing is noisy — the ~1% claim is
+  // validated by the structural tests above and by running bench_stack on
+  // an NGP_OBS=OFF build.
   ByteBuffer buf(1 << 16);
   Rng(0x0B5).fill(buf.span());
   constexpr int kIters = 400;
@@ -109,17 +87,18 @@ TEST(ObsOverhead, NullSpanTimingSmoke) {
     for (int i = 0; i < kIters; ++i) sink = internet_checksum(buf.span());
     return std::chrono::steady_clock::now() - t0;
   };
-  auto spanned = [&] {
+  auto recorded = [&] {
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kIters; ++i) {
-      obs::TraceSpan span(nullptr, "cksum", buf.size());
+      obs::flight_record(nullptr, 0, obs::FlightStage::kManipBegin, 1,
+                         buf.size());
       sink = internet_checksum(buf.span());
     }
     return std::chrono::steady_clock::now() - t0;
   };
   (void)bare();  // warm-up
   const auto without = bare();
-  const auto with = spanned();
+  const auto with = recorded();
   EXPECT_LT(with.count(), 3 * without.count() + 1'000'000);
 }
 

@@ -1,8 +1,8 @@
 // Tests for the ngp::obs subsystem: MetricsRegistry snapshot semantics,
 // analytic cost accounting (the §4 fused-vs-layered memory-pass claim as
-// exact integers), span tracing on the simulated clock, and the flagship
-// determinism property — two seeded runs of the same fault-injected ALF
-// transfer export byte-identical observability JSON.
+// exact integers), and the flagship determinism property — two seeded runs
+// of the same fault-injected ALF transfer export byte-identical metrics and
+// flight-recorder JSON.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,8 +16,8 @@
 #include "netsim/link.h"
 #include "netsim/net_path.h"
 #include "obs/cost.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "simd/dispatch.h"
 #include "util/rng.h"
 
@@ -220,81 +220,6 @@ TEST(CostAccount, MergeAndEmitCost) {
   EXPECT_DOUBLE_EQ(snap.gauge_or("m.cost.passes_per_operation"), 2.5);
 }
 
-// ---- Tracing on the simulated clock ---------------------------------------------
-
-TEST(TraceRecorder, SpansRecordSimClockDurations) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "NGP_OBS=OFF build";
-
-  EventLoop loop;
-  obs::TraceRecorder rec = obs::make_loop_recorder(loop);
-  rec.set_enabled(true);
-
-  loop.schedule_at(10 * kMillisecond, [&] {
-    obs::TraceSpan span(&rec, "work", 512);
-    loop.schedule_at(loop.now(), [] {});  // no time advances inside the span
-  });
-  loop.schedule_at(25 * kMillisecond, [&] { rec.instant("tick", 1); });
-  loop.run();
-
-  ASSERT_EQ(rec.events().size(), 2u);
-  EXPECT_EQ(rec.events()[0].name, "work");
-  EXPECT_EQ(rec.events()[0].at, 10 * kMillisecond);
-  EXPECT_EQ(rec.events()[0].duration, 0);
-  EXPECT_EQ(rec.events()[0].arg, 512u);
-  EXPECT_EQ(rec.events()[1].name, "tick");
-  EXPECT_EQ(rec.events()[1].at, 25 * kMillisecond);
-
-  const std::string json = rec.to_json();
-  EXPECT_NE(json.find("\"work\""), std::string::npos);
-
-  obs::MetricsRegistry reg;
-  rec.register_metrics(reg, "trace");
-  EXPECT_GE(reg.snapshot().counter_or("trace.events"), 2u);
-}
-
-TEST(TraceRecorder, BoundedRingOverwritesOldestAndCountsDrops) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "NGP_OBS=OFF build";
-
-  obs::TraceRecorder rec(+[](const void*) -> SimTime { return 0; }, nullptr);
-  rec.set_max_events(4);
-  rec.set_enabled(true);
-  for (int i = 0; i < 10; ++i) {
-    rec.record(i, 0, "e" + std::to_string(i), static_cast<std::uint64_t>(i));
-  }
-
-  const obs::TraceStats st = rec.stats();
-  EXPECT_EQ(st.recorded, 10u);
-  EXPECT_EQ(st.dropped, 6u);
-  EXPECT_EQ(st.stored, 4u);
-  EXPECT_EQ(rec.events().size(), 4u);
-
-  // Survivors are the newest 4, and to_json renders them oldest-first even
-  // though the ring's storage order has rotated.
-  const std::string json = rec.to_json();
-  EXPECT_EQ(json.find("\"e5\""), std::string::npos);
-  const std::size_t oldest = json.find("\"e6\"");
-  const std::size_t newest = json.find("\"e9\"");
-  ASSERT_NE(oldest, std::string::npos);
-  ASSERT_NE(newest, std::string::npos);
-  EXPECT_LT(oldest, newest);
-
-  rec.clear();
-  EXPECT_EQ(rec.stats().recorded, 0u);
-  EXPECT_EQ(rec.stats().dropped, 0u);
-}
-
-TEST(TraceRecorder, DisabledRecorderAndNullSpanCostNothingVisible) {
-  EventLoop loop;
-  obs::TraceRecorder rec = obs::make_loop_recorder(loop);
-  // Constructed disabled: spans and instants must leave no events.
-  {
-    obs::TraceSpan span(&rec, "ignored", 1);
-    rec.instant("ignored");
-  }
-  { obs::TraceSpan span(nullptr, "null-recorder"); }
-  EXPECT_TRUE(rec.events().empty());
-}
-
 // ---- Live-traffic cost: ProcessMode is visible in the ledger --------------------
 
 LinkConfig obs_fast_link() {
@@ -383,7 +308,8 @@ TEST(ManipulationCost, SenderLedgerCoversEveryAdu) {
 
 struct RunResult {
   std::string metrics_json;
-  std::string trace_json;
+  std::string flight_json;
+  std::uint64_t flight_events = 0;  ///< as the registry exported it
   std::size_t delivered = 0;
 };
 
@@ -407,10 +333,10 @@ RunResult run_faulty_transfer(std::uint64_t seed) {
   AlfSender sender(loop, data_path, feedback_rx, scfg);
   AlfReceiver receiver(loop, data_path, feedback_tx, scfg);
 
-  obs::TraceRecorder trace = obs::make_loop_recorder(loop);
-  trace.set_enabled(true);
-  receiver.set_trace(&trace);
-  sender.set_trace(&trace);
+  obs::FlightRecorder flight = obs::make_loop_flight_recorder(loop);
+  flight.set_enabled(true);
+  sender.set_flight(&flight);
+  receiver.set_flight(&flight);
 
   obs::MetricsRegistry reg;
   sender.register_metrics(reg, "alf.tx");
@@ -418,7 +344,7 @@ RunResult run_faulty_transfer(std::uint64_t seed) {
   channel.forward.register_metrics(reg, "net.data");
   channel.reverse.register_metrics(reg, "net.feedback");
   data_path.register_metrics(reg, "chaos.data");
-  trace.register_metrics(reg, "trace");
+  flight.register_metrics(reg, "flight");
 
   RunResult out;
   receiver.set_on_adu([&out](Adu&&) { ++out.delivered; });
@@ -431,8 +357,10 @@ RunResult run_faulty_transfer(std::uint64_t seed) {
   sender.finish();
   loop.run();
 
-  out.metrics_json = reg.snapshot().to_json();
-  out.trace_json = trace.to_json();
+  const obs::Snapshot snap = reg.snapshot();
+  out.metrics_json = snap.to_json();
+  out.flight_events = snap.counter_or("flight.events");
+  out.flight_json = flight.to_perfetto_json();
   return out;
 }
 
@@ -443,8 +371,10 @@ TEST(SnapshotDeterminism, SameSeedSameTransferByteIdenticalJson) {
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.metrics_json, b.metrics_json);  // byte-identical export
   if constexpr (obs::kEnabled) {
-    EXPECT_FALSE(a.trace_json.empty());
-    EXPECT_EQ(a.trace_json, b.trace_json);
+    // The registered recorder exports its event count into the snapshot.
+    EXPECT_GT(a.flight_events, 0u);
+    EXPECT_NE(a.flight_json.find("\"staged\""), std::string::npos);
+    EXPECT_EQ(a.flight_json, b.flight_json);
   }
   // And the export actually carries cross-layer content.
   EXPECT_NE(a.metrics_json.find("alf.rx.cost.memory_passes"), std::string::npos);
@@ -467,7 +397,7 @@ TEST(SnapshotDeterminism, KernelTierDoesNotPerturbSnapshot) {
   EXPECT_EQ(scalar.delivered, best.delivered);
   EXPECT_EQ(scalar.metrics_json, best.metrics_json);  // ledger tier-invariant
   if constexpr (obs::kEnabled) {
-    EXPECT_EQ(scalar.trace_json, best.trace_json);
+    EXPECT_EQ(scalar.flight_json, best.flight_json);
   }
 }
 
