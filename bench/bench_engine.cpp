@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "buf/pool.h"
 #include "checksum/checksum.h"
 #include "crypto/chacha20.h"
 #include "engine/engine.h"
@@ -116,6 +117,8 @@ SimTime step_clock(const void* ctx) {
 }
 
 RunResult run_session(const std::vector<WireAdu>& adus, unsigned workers) {
+  // Declared before the engine: every job's segment must outlive it.
+  buf::BufferPool pool;
   engine::Engine eng(engine::EngineConfig{.workers = workers});
   RunResult r;
   std::size_t wire_bytes = 0;
@@ -137,25 +140,32 @@ RunResult run_session(const std::vector<WireAdu>& adus, unsigned workers) {
 
   const double secs = ngp::bench::time_once([&] {
     for (std::size_t a = 0; a < adus.size(); ++a) {
-      wire_bytes += adus[a].wire.size();
+      const ByteBuffer& wire = adus[a].wire;
+      wire_bytes += wire.size();
       engine::ManipulationJob job;
-      job.adu_id = static_cast<std::uint32_t>(a + 1);
-      job.flight_id = obs::flight_trace_id(1, job.adu_id);
-      job.payload = adus[a].wire;  // fresh copy per run: manipulated in place
+      job.id = obs::flight_trace_id(1, static_cast<std::uint32_t>(a + 1));
+      // Fresh copy per run, one segment per ADU: manipulated in place.
+      buf::Slice seg{pool.alloc(wire.size()), 0, wire.size()};
+      std::memcpy(seg.mutable_bytes().data(), wire.data(), wire.size());
+      job.chain.append(std::move(seg));
       job.plan = adus[a].plan;
       // Presentation decode in application context (worker thread): BER
       // has no word kernel, so it runs as the job's app stage after the
-      // fused decrypt+verify pass proves the ADU intact.
-      job.app_stage = [](ByteBuffer& payload, obs::CostAccount& cost) {
-        auto out = decode_int_array(TransferSyntax::kBer, payload.span(), &cost);
+      // fused decrypt+verify pass proves the ADU intact. The decoded ints
+      // overwrite the segment they were decoded from.
+      job.app_stage = [](buf::BufChain& chain, obs::CostAccount& cost) {
+        const buf::Slice& seg = chain.segment(0);
+        auto out = decode_int_array(TransferSyntax::kBer, seg.bytes(), &cost);
         if (!out.ok()) std::abort();
-        payload.resize(out->size() * sizeof(std::int32_t));
-        std::memcpy(payload.data(), out->data(), payload.size());
+        const std::size_t n = out->size() * sizeof(std::int32_t);
+        if (n > seg.len) std::abort();
+        std::memcpy(seg.mutable_bytes().data(), out->data(), n);
+        chain.trim_back(chain.size() - n);
       };
-      job.on_done = [&r](bool intact, ByteBuffer&& payload,
+      job.on_done = [&r](bool intact, buf::BufChain&& chain,
                          const obs::CostAccount& cost) {
         if (!intact) ++r.failed;
-        r.output_hash ^= fnv1a_words(payload.span());
+        r.output_hash ^= fnv1a_words(chain.segment(0).bytes());
         r.ledger.merge(cost);
       };
       eng.submit(std::move(job));

@@ -337,8 +337,9 @@ void print_cost_profile() {
 
 // ---- Kernel-tier sweep: the production executor on every dispatch level --------
 //
-// run_manipulation is the single fused executor the receive path and the
-// engine share; here it runs the full depth-3 plan (ChaCha20 decrypt +
+// run_manipulation is the flat reference of the fused executor the receive
+// path and the engine share (run_manipulation_chain, bit-identical over a
+// chain); here it runs the full depth-3 plan (ChaCha20 decrypt +
 // Internet-checksum verify + byteswap decode) once per SIMD tier, fused vs
 // layered. The fused/layered contrast is §4's claim; the per-tier spread
 // shows the dispatch table compounding on top of it without changing the

@@ -123,9 +123,9 @@ void AlfReceiver::fail_session() {
   pending_.clear();
   reassembly_bytes_ = 0;
   nack_counts_.clear();
-  // In-flight engine jobs are orphaned: their completions will still be
-  // harvested (the cost was genuinely paid) but deliver nothing.
-  manip_inflight_.clear();
+  // In-flight engine jobs stay in their book: their completions are still
+  // harvested (the cost was genuinely paid) and deliver nothing, and the
+  // destructor settles any the cancelled pump leaves on the engine.
   cancel_timers();
   if (on_session_failed_) on_session_failed_();
 }
@@ -258,7 +258,7 @@ void AlfReceiver::on_data(const DataFragment& f) {
 
   if (f.is_parity()) {
     // FEC parity: keep the block keyed by its group start; it is not ADU
-    // data, so the range map is untouched. Parity blocks are memory too —
+    // data, so the slice map is untouched. Parity blocks are memory too —
     // charged against the same reassembly budget.
     if (!r.parity.contains(f.frag_off)) {
       if (!reserve_bytes(f.adu_id, f.payload.size())) {
@@ -277,23 +277,30 @@ void AlfReceiver::on_data(const DataFragment& f) {
   // Stage 1 placement: the fragment becomes a slice at its offset — by
   // REFERENCE when the payload already sits in a pool segment (that
   // placement charges nothing, which is the whole point), else by the one
-  // unavoidable copy ("moving to/from the net", §3). Range bookkeeping
-  // detects what is genuinely new.
+  // unavoidable copy ("moving to/from the net", §3). The link published
+  // the frame's backing segment for the duration of this handler call;
+  // payloads from elsewhere (a re-framed path, a corrupted-copy replay, a
+  // direct dispatch) are not inside it.
+  const buf::Slice* ing = buf::IngressFrame::current();
+  const bool by_ref = ing != nullptr && ing->ref.contains(f.payload);
   const std::uint32_t start = f.frag_off;
   const std::uint32_t end = start + static_cast<std::uint32_t>(f.payload.size());
-  const std::uint32_t placed_end = place(f.adu_id, r, f.payload, start, end);
+  const std::size_t had = r.bytes_received;
+  const std::uint32_t placed_end =
+      place(f.adu_id, r, f.payload, start, end, by_ref ? ing : nullptr);
+  if (r.bytes_received > had) {
+    if (by_ref) ++stats_.fragments_zero_copy;
+    else ++stats_.fragments_pool_copied;
+  }
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kFragRx,
                      flight_id(f.adu_id), f.payload.size());
   if (placed_end < end) {
     // The rest would pin pool memory past the limit: keep what was linked,
     // drop the remainder (the NACK scan re-fetches it).
     ++stats_.fragments_dropped_mem;
-    if (placed_end > start) merge_range(r, start, placed_end);
     return;
   }
-  if (!merge_range(r, start, end)) {
-    ++stats_.fragments_duplicate;
-  }
+  if (r.bytes_received == had) ++stats_.fragments_duplicate;
 
   if (r.bytes_received == r.adu_len) {
     complete_adu(f.adu_id, r);
@@ -310,36 +317,19 @@ void AlfReceiver::on_data(const DataFragment& f) {
   shed_for_overload(f.adu_id);
 }
 
-bool AlfReceiver::merge_range(Reassembly& r, std::uint32_t start, std::uint32_t end) {
-  std::uint32_t new_start = start, new_end = end;
-  auto next = r.ranges.lower_bound(start);
-  if (next != r.ranges.begin()) {
-    auto prev = std::prev(next);
-    if (prev->second >= start) {  // overlaps/abuts on the left
-      new_start = prev->first;
-      new_end = std::max(new_end, prev->second);
-      next = r.ranges.erase(prev);
-    }
-  }
-  while (next != r.ranges.end() && next->first <= new_end) {
-    new_end = std::max(new_end, next->second);
-    next = r.ranges.erase(next);
-  }
-  const std::size_t covered_before = r.bytes_received;
-  r.ranges.emplace(new_start, new_end);
-  std::size_t covered = 0;
-  for (const auto& [s, e] : r.ranges) covered += e - s;
-  r.bytes_received = covered;
-  return covered != covered_before;
-}
-
 bool AlfReceiver::range_present(const Reassembly& r, std::uint32_t start,
                                 std::uint32_t end) const {
   if (start >= end) return true;
-  auto it = r.ranges.upper_bound(start);
-  if (it == r.ranges.begin()) return false;
-  --it;
-  return it->first <= start && it->second >= end;
+  auto it = r.frags.upper_bound(start);
+  if (it == r.frags.begin()) return false;
+  // Walk the slices from the one holding `start`: each must begin where
+  // the covered run so far ends.
+  std::uint32_t covered = start;
+  for (--it; it != r.frags.end() && it->first <= covered; ++it) {
+    covered = std::max(covered, it->first + it->second.len);
+    if (covered >= end) return true;
+  }
+  return false;
 }
 
 bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
@@ -366,16 +356,17 @@ bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
       }
       if (more_than_one || !missing) continue;
 
-      // Recover the missing fragment into a fresh pool slice and link it
-      // like any other arrival — the ADU never flattens. The surviving
-      // fragments are read in place (scratch only when one straddles a
-      // slice boundary). Charge the XOR traffic to the stage-1 ledger: one
-      // loading pass per surviving source, one storing pass over the
-      // recovered slice.
+      // Recover the missing fragment into a fresh pool slice and place it
+      // by reference like any other arrival — the ADU never flattens, and
+      // only the gaps link (part of the fragment may already be here: a
+      // placement cut short by the memory limit, or a peer that re-cut
+      // its fragments). The surviving fragments are read in place
+      // (scratch only when one straddles a slice boundary). Charge the
+      // XOR traffic to the stage-1 ledger: one loading pass per surviving
+      // source, one storing pass over the recovered slice.
       const auto s = static_cast<std::uint32_t>(group.fragment_offset(*missing));
       const std::size_t frag_len = group.fragment_length(*missing);
       buf::Slice out{pool().alloc(frag_len), 0, frag_len};
-      if (!pin(adu_id, r, out.ref.capacity())) return false;
       simd::kernels().copy(block.span().first(frag_len), out.mutable_bytes());
       ByteBuffer scratch(r.frag_capacity);
       for (std::size_t i = 0; i < group.fragment_count(); ++i) {
@@ -387,7 +378,8 @@ bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
           xor_into(out.mutable_bytes(), src);
         }
       }
-      r.frags.emplace(s, std::move(out));
+      const auto e = static_cast<std::uint32_t>(s + frag_len);
+      if (place(adu_id, r, out.bytes(), s, e, &out) < e) return false;
       reassembly_cost_.charge_operation(frag_len);
       reassembly_cost_.charge_pass(frag_len, /*stores=*/false);  // parity prefix
       for (std::size_t i = 0; i < group.fragment_count(); ++i) {
@@ -396,10 +388,9 @@ bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
                                      /*stores=*/false);
       }
       reassembly_cost_.charge_pass(frag_len, /*stores=*/true);
-      merge_range(r, s, s + static_cast<std::uint32_t>(frag_len));
       ++stats_.fragments_fec_reconstructed;
       progressed = true;
-      break;  // parity map unchanged but ranges changed: rescan
+      break;  // parity map unchanged but coverage changed: rescan
     }
   }
 
@@ -412,44 +403,35 @@ bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
 
 std::uint32_t AlfReceiver::place(std::uint32_t adu_id, Reassembly& r,
                                  ConstBytes payload, std::uint32_t start,
-                                 std::uint32_t end) {
-  // The link published the frame's backing segment for the duration of
-  // this handler call; if the payload sits inside it, every new byte is
-  // placed by taking a sub-slice reference — zero copies, zero charges.
-  // Payloads from elsewhere (a re-framed path, a corrupted-copy replay, a
-  // direct dispatch) fall back to ONE charged copy into the ADU's copy
-  // blocks. Either way the pool memory a new slice pins — the whole
-  // ingress segment, or a fresh block — is charged before it is linked,
-  // so reassembly_bytes_limit bounds what the pool really holds.
-  const buf::Slice* ing = buf::IngressFrame::current();
-  const bool by_ref = ing != nullptr && ing->ref.contains(payload);
-  bool placed = false;
-  const auto stop = [&](std::uint32_t at) {
-    if (placed) {
-      if (by_ref) ++stats_.fragments_zero_copy;
-      else ++stats_.fragments_pool_copied;
-    }
-    return at;
-  };
+                                 std::uint32_t end, const buf::Slice* src) {
+  // By reference, every new byte is a sub-slice of `src` — zero copies,
+  // zero charges; otherwise ONE charged copy into the ADU's copy blocks.
+  // Either way the pool memory a new slice pins — the whole source
+  // segment, or a fresh block — is charged before it is linked, so
+  // reassembly_bytes_limit bounds what the pool really holds.
+  bool pinned = false;
 
-  // Walk the not-yet-covered gaps of [start, end): only genuinely new
+  // Walk the gaps between the slices already placed: only genuinely new
   // bytes take a slice — a duplicate must neither hold an extra segment
-  // reference nor shadow bytes already placed.
+  // reference nor shadow bytes already placed. New slices land before
+  // `it`, and map insertion leaves `it` valid.
   std::uint32_t pos = start;
-  auto it = r.ranges.upper_bound(start);
-  if (it != r.ranges.begin() && std::prev(it)->second > start) {
-    pos = static_cast<std::uint32_t>(std::min<std::uint64_t>(end, std::prev(it)->second));
+  auto it = r.frags.upper_bound(start);
+  if (it != r.frags.begin()) {
+    const auto& [off, prev] = *std::prev(it);
+    pos = std::max(pos, std::min(end, off + prev.len));
   }
   while (pos < end) {
     const std::uint32_t gap_end =
-        it != r.ranges.end() ? std::min(end, it->first) : end;
-    if (pos < gap_end && by_ref) {
-      // One frame, one segment: pinned once, however many gaps it fills.
-      if (!placed && !pin(adu_id, r, ing->ref.capacity())) return stop(pos);
+        it != r.frags.end() ? std::min(end, it->first) : end;
+    if (pos < gap_end && src != nullptr) {
+      // One source, one segment: pinned once, however many gaps it fills.
+      if (!pinned && !pin(adu_id, r, src->ref.capacity())) return pos;
+      pinned = true;
       const auto at = static_cast<std::size_t>(
-          payload.data() + (pos - start) - (ing->ref.data() + ing->off));
-      r.frags.emplace(pos, ing->sub(at, gap_end - pos));
-      placed = true;
+          payload.data() + (pos - start) - (src->ref.data() + src->off));
+      r.frags.emplace(pos, src->sub(at, gap_end - pos));
+      r.bytes_received += gap_end - pos;
     } else if (pos < gap_end) {
       if (r.blocks.empty()) {
         r.blocks.resize((std::size_t{r.adu_len} + kCopyBlock - 1) / kCopyBlock);
@@ -468,19 +450,17 @@ std::uint32_t AlfReceiver::place(std::uint32_t adu_id, Reassembly& r,
         buf::Slice s{block, at - base, upto - at};
         simd::kernels().copy(payload.subspan(at - start, upto - at), s.mutable_bytes());
         r.frags.emplace(at, std::move(s));
+        r.bytes_received += upto - at;
         at = upto;
       }
-      if (at > pos) {
-        reassembly_cost_.charge_fused(at - pos);
-        placed = true;
-      }
-      if (at < gap_end) return stop(at);
+      if (at > pos) reassembly_cost_.charge_fused(at - pos);
+      if (at < gap_end) return at;
     }
-    if (it == r.ranges.end()) break;
-    pos = std::max(pos, std::min(end, it->second));
+    if (it == r.frags.end()) break;
+    pos = std::max(pos, std::min(end, it->first + it->second.len));
     ++it;
   }
-  return stop(end);
+  return end;
 }
 
 bool AlfReceiver::pin(std::uint32_t adu_id, Reassembly& r, std::size_t capacity) {
@@ -614,14 +594,6 @@ void AlfReceiver::complete_adu(std::uint32_t adu_id, Reassembly& r) {
 }
 
 void AlfReceiver::offload_adu(std::uint32_t adu_id, Reassembly& r) {
-  // Engine-backlog pressure valve (DESIGN.md §10.3): when stage-2 jobs
-  // pile up faster than they harvest, each further offload sheds one
-  // lowest-priority incomplete ADU — the pipeline keeps moving and the
-  // application hears about the casualties by name.
-  if (cfg_.engine_shed_highwater > 0 &&
-      manip_inflight_.size() >= cfg_.engine_shed_highwater) {
-    (void)shed_one(adu_id);
-  }
   // Control keeps only what delivery needs (§5: the name addresses the
   // ADU); the chain travels with the job. The reassembly charge is
   // released now — the job owns the bytes, not the reassembly pool.
@@ -631,19 +603,17 @@ void AlfReceiver::offload_adu(std::uint32_t adu_id, Reassembly& r) {
                      flight_id(adu_id), r.adu_len);
 
   engine::ManipulationJob job;
-  job.adu_id = adu_id;
   // Flow+adu worker sharding: an engine shared across many sessions
   // (sessiond) spreads distinct flows over its workers while this flow's
   // equal-id jobs still land on one FIFO lane.
-  job.shard_key = obs::flight_trace_id(cfg_.session_id, adu_id);
-  job.flight_id = flight_id(adu_id);
+  job.id = flight_id(adu_id);
   job.plan = make_plan(adu_id, r);
   if (job.plan.present != PresentStage::kNone) ++stats_.adus_presentation_fused;
   // The chain's last release — wherever that happens — recycles the
   // segments (the pool is thread-safe for this).
   job.chain = build_chain(r);
-  job.on_done_chain = [this, adu_id](bool intact, buf::BufChain&& chain,
-                                     const obs::CostAccount& cost) {
+  job.on_done = [this, adu_id](bool intact, buf::BufChain&& chain,
+                                const obs::CostAccount& cost) {
     on_manip_done(adu_id, intact, std::move(chain), cost);
   };
   release_pending(pending_.find(adu_id));
@@ -811,19 +781,14 @@ void AlfReceiver::shed(std::map<std::uint32_t, Reassembly>::iterator it) {
   check_complete();
 }
 
-bool AlfReceiver::shed_one(std::uint32_t protect_id) {
-  auto victim = pick_shed_victim(protect_id);
-  if (victim == pending_.end()) return false;
-  shed(victim);
-  return true;
-}
-
 void AlfReceiver::shed_for_overload(std::uint32_t protect_id) {
   if (cfg_.shed_highwater == 0 || reassembly_bytes_ <= cfg_.shed_highwater) return;
   const std::size_t target =
       cfg_.shed_lowwater > 0 ? cfg_.shed_lowwater : cfg_.shed_highwater / 2;
   while (reassembly_bytes_ > target) {
-    if (!shed_one(protect_id)) break;
+    auto victim = pick_shed_victim(protect_id);
+    if (victim == pending_.end()) break;
+    shed(victim);
   }
 }
 

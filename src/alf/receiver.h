@@ -294,16 +294,16 @@ class AlfReceiver {
     std::uint8_t fec_k = 0;
     std::uint32_t adu_len = 0;
     std::uint32_t checksum = 0;
-    /// Disjoint pool slices keyed by ADU offset. Complete coverage in key
-    /// order IS the ADU; destroying the map (shed, evict, checksum
+    /// Disjoint pool slices keyed by ADU offset: the one record of what
+    /// the ADU holds (its gaps are what is missing). Complete coverage in
+    /// key order IS the ADU; destroying the map (shed, evict, checksum
     /// failure) releases every segment reference.
     std::map<std::uint32_t, buf::Slice> frags;
-    std::map<std::uint32_t, std::uint32_t> ranges;  ///< received [start,end)
-    std::map<std::uint32_t, ByteBuffer> parity;     ///< group start -> block
+    std::map<std::uint32_t, ByteBuffer> parity;  ///< group start -> block
     /// Copy placement's segments, one per kCopyBlock of ADU offsets,
     /// made on first use (empty until a fragment is copied).
     std::vector<buf::BufRef> blocks;
-    std::size_t bytes_received = 0;
+    std::size_t bytes_received = 0;  ///< sum of the slices' lengths
     std::size_t frag_capacity = 0;  ///< inferred from the first fragment
     std::size_t pinned_bytes = 0;   ///< pool capacity the slices hold
     /// Counted against reassembly_bytes_limit: the larger of adu_len and
@@ -322,12 +322,10 @@ class AlfReceiver {
   void on_frame(ConstBytes frame);
   void on_data(const DataFragment& f);
   void on_done(const DoneMessage& d);
-  /// Merges [start,end) into r.ranges and updates coverage. Returns true
-  /// if any byte was new.
-  bool merge_range(Reassembly& r, std::uint32_t start, std::uint32_t end);
   /// FEC: reconstructs any group that is one fragment short of complete.
   /// Returns true if the ADU became complete as a result.
   bool try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r);
+  /// True when the slices cover [start,end) without a gap.
   bool range_present(const Reassembly& r, std::uint32_t start,
                      std::uint32_t end) const;
   void complete_adu(std::uint32_t adu_id, Reassembly& r);
@@ -339,13 +337,17 @@ class AlfReceiver {
   buf::BufferPool& pool() const noexcept {
     return rx_pool_ != nullptr ? *rx_pool_ : buf::default_pool();
   }
-  /// Places one data fragment: every not-yet-covered gap of [start,end)
-  /// becomes a slice — by reference when the payload sits in the published
-  /// ingress segment, by one copy into the ADU's copy blocks otherwise.
-  /// Returns where placement stopped: `end`, or earlier when pinning more
-  /// pool memory would break reassembly_bytes_limit.
+  /// Places `payload` at ADU offsets [start,end): every gap between the
+  /// slices already placed becomes a new slice, and its length is added
+  /// to bytes_received. `src` non-null = by reference: `payload` lies
+  /// inside that slice's segment (the published ingress frame, or an FEC
+  /// recovered slice), whose capacity is pinned once. Null = one copy
+  /// into the ADU's copy blocks. Returns where placement stopped: `end`,
+  /// or earlier when pinning more pool memory would break
+  /// reassembly_bytes_limit.
   std::uint32_t place(std::uint32_t adu_id, Reassembly& r, ConstBytes payload,
-                      std::uint32_t start, std::uint32_t end);
+                      std::uint32_t start, std::uint32_t end,
+                      const buf::Slice* src);
   /// Charges `capacity` more pinned pool bytes to an ADU: only the part
   /// that lifts its charge above max(adu_len, pinned_bytes) is reserved.
   /// False = no room (nothing is charged).
@@ -384,9 +386,6 @@ class AlfReceiver {
   /// `protect_id`) down to the low-water mark. Shed ADUs are closed and
   /// reported via on_adu_lost — the application copes in its own terms.
   void shed_for_overload(std::uint32_t protect_id);
-  /// Sheds one victim for engine backlog pressure. Returns false if no
-  /// incomplete ADU remains to shed.
-  bool shed_one(std::uint32_t protect_id);
   std::map<std::uint32_t, Reassembly>::iterator pick_shed_victim(
       std::uint32_t protect_id);
   void shed(std::map<std::uint32_t, Reassembly>::iterator it);
@@ -457,7 +456,9 @@ class AlfReceiver {
 
   // Engine offload state. An ADU in manip_inflight_ has left pending_ but
   // is not yet closed: NACK machinery must neither re-request it nor count
-  // it complete until its job is harvested.
+  // it complete until its job is harvested. The book outlives
+  // fail_session(): every job it lists still holds a completion into this
+  // object, and the destructor settles them by it.
   struct InflightManip {
     AduName name;
     TransferSyntax syntax = TransferSyntax::kRaw;

@@ -114,8 +114,8 @@ struct SessionConfig {
 
   // --- Graceful degradation under overload (DESIGN.md §10.3) ---
   // ALF's escape hatch: because the application names its data, the
-  // receiver can shed the least important incomplete ADUs under memory or
-  // engine pressure instead of stalling (or evicting) indiscriminately.
+  // receiver can shed the least important incomplete ADUs under memory
+  // pressure instead of stalling (or evicting) indiscriminately.
 
   /// Receiver: once reassembly memory exceeds this mark, shed
   /// lowest-priority incomplete ADUs (see AlfReceiver::set_priority) until
@@ -124,10 +124,6 @@ struct SessionConfig {
   std::size_t shed_highwater = 0;
   /// Shedding target. 0 = shed_highwater / 2.
   std::size_t shed_lowwater = 0;
-  /// Receiver: engine backlog (offloaded, unharvested ADUs) at or above
-  /// which each further offload sheds one lowest-priority incomplete ADU.
-  /// 0 disables.
-  std::size_t engine_shed_highwater = 0;
 
   /// Both ends: stall watchdog. A receiver session hearing nothing valid
   /// for this long — no validated current-epoch fragment, no DONE news —
@@ -184,7 +180,6 @@ class SessionConfigBuilder {
   SessionConfigBuilder& adu_id_window(std::uint32_t v) { cfg_.adu_id_window = v; return *this; }
   SessionConfigBuilder& shed_highwater(std::size_t v) { cfg_.shed_highwater = v; return *this; }
   SessionConfigBuilder& shed_lowwater(std::size_t v) { cfg_.shed_lowwater = v; return *this; }
-  SessionConfigBuilder& engine_shed_highwater(std::size_t v) { cfg_.engine_shed_highwater = v; return *this; }
   SessionConfigBuilder& stall_timeout(SimDuration v) { cfg_.stall_timeout = v; return *this; }
 
   /// Validates and yields the config; a malformed combination fails here,

@@ -14,25 +14,27 @@
 
 namespace ngp::engine {
 
+namespace {
+
+/// Per-worker SPSC ring slots; submit() spins when a ring is full.
+constexpr std::size_t kQueueCapacity = 1024;
+
+}  // namespace
+
 struct Engine::Task {
-  std::uint64_t ticket = 0;
   SimTime submitted_at = 0;  ///< sim clock at submit (workers can't read it)
   ManipulationJob job;
 };
 
 struct Engine::Completion {
-  std::uint64_t ticket = 0;
   unsigned worker = 0;
   bool intact = false;
-  std::uint32_t adu_id = 0;
   std::size_t bytes = 0;        ///< plan input size (pre app-stage)
   std::uint64_t latency_ns = 0;
-  std::uint64_t flight_id = 0;
-  ByteBuffer payload;
+  std::uint64_t id = 0;
   buf::BufChain chain;
   obs::CostAccount cost;
   CompletionFn on_done;
-  ChainCompletionFn on_done_chain;
 };
 
 /// The dispatch ring plus the sleep/wake machinery for one worker. The
@@ -66,7 +68,7 @@ Engine::Engine(EngineConfig cfg)
       done_(std::make_unique<DoneQueue>()) {
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(cfg_.queue_capacity));
+    workers_.push_back(std::make_unique<Worker>(kQueueCapacity));
   }
   for (unsigned i = 0; i < cfg_.workers; ++i) {
     workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
@@ -75,7 +77,7 @@ Engine::Engine(EngineConfig cfg)
 
 Engine::~Engine() {
   for (auto& w : workers_) {
-    // Queued jobs still run (their payloads and callbacks may anchor
+    // Queued jobs still run (their chains and callbacks may anchor
     // caller state); only then is the worker told to exit.
     while (!w->ring.empty()) std::this_thread::yield();
     w->stop.store(true, std::memory_order_relaxed);
@@ -86,17 +88,13 @@ Engine::~Engine() {
   }
 }
 
-Engine::Completion Engine::execute_job(unsigned worker, std::uint64_t ticket,
-                                       SimTime submitted_at, ManipulationJob&& job) {
-  const bool is_chain = static_cast<bool>(job.on_done_chain);
+Engine::Completion Engine::execute_job(unsigned worker, SimTime submitted_at,
+                                       ManipulationJob&& job) {
   Completion c;
-  c.ticket = ticket;
   c.worker = worker;
-  c.adu_id = job.adu_id;
-  c.bytes = is_chain ? job.chain.size() : job.payload.size();
-  c.flight_id = job.flight_id;
+  c.bytes = job.chain.size();
+  c.id = job.id;
   c.on_done = std::move(job.on_done);
-  c.on_done_chain = std::move(job.on_done_chain);
 
   // Worker-side flight events carry the submit-time sim clock: a worker
   // thread cannot touch the (control-thread) clock source, and sim time
@@ -105,15 +103,11 @@ Engine::Completion Engine::execute_job(unsigned worker, std::uint64_t ticket,
                    worker < flight_worker_tracks_.size();
   if (fly) {
     flight_->record_at(flight_worker_tracks_[worker], submitted_at,
-                       obs::FlightStage::kWorkerBegin, job.flight_id, c.bytes);
+                       obs::FlightStage::kWorkerBegin, job.id, c.bytes);
   }
   const auto t0 = std::chrono::steady_clock::now();
-  if (is_chain) {
-    c.intact = run_manipulation_chain(job.plan, job.chain, &c.cost);
-  } else {
-    c.intact = run_manipulation(job.plan, job.payload.span(), &c.cost);
-    if (c.intact && job.app_stage) job.app_stage(job.payload, c.cost);
-  }
+  c.intact = run_manipulation_chain(job.plan, job.chain, &c.cost);
+  if (c.intact && job.app_stage) job.app_stage(job.chain, c.cost);
   const auto t1 = std::chrono::steady_clock::now();
   c.latency_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
@@ -121,9 +115,8 @@ Engine::Completion Engine::execute_job(unsigned worker, std::uint64_t ticket,
   // deterministic (sim-time and sizes only) so exports are reproducible.
   if (fly) {
     flight_->record_at(flight_worker_tracks_[worker], submitted_at,
-                       obs::FlightStage::kWorkerEnd, job.flight_id, c.bytes);
+                       obs::FlightStage::kWorkerEnd, job.id, c.bytes);
   }
-  c.payload = std::move(job.payload);
   c.chain = std::move(job.chain);
   return c;
 }
@@ -141,7 +134,7 @@ void Engine::worker_loop(unsigned idx) {
   Task t;
   for (;;) {
     if (w.ring.try_pop(t)) {
-      push_completion(execute_job(idx, t.ticket, t.submitted_at, std::move(t.job)));
+      push_completion(execute_job(idx, t.submitted_at, std::move(t.job)));
       continue;
     }
     std::unique_lock lk(w.m);
@@ -155,8 +148,7 @@ void Engine::worker_loop(unsigned idx) {
 
 std::uint64_t Engine::submit(ManipulationJob job) {
   const std::uint64_t ticket = ++last_ticket_;
-  const std::size_t job_bytes =
-      job.on_done_chain ? job.chain.size() : job.payload.size();
+  const std::size_t job_bytes = job.chain.size();
   ++stats_.jobs_submitted;
   stats_.bytes_submitted += job_bytes;
   ++outstanding_;
@@ -166,22 +158,19 @@ std::uint64_t Engine::submit(ManipulationJob job) {
   if (obs::kEnabled && flight_ != nullptr) {
     submitted_at = flight_->now();
     flight_->record_at(flight_ctl_track_, submitted_at,
-                       obs::FlightStage::kEngineSubmit, job.flight_id,
-                       job_bytes);
+                       obs::FlightStage::kEngineSubmit, job.id, job_bytes);
   }
 
   if (workers_.empty()) {
     ++stats_.inline_executions;
-    push_completion(execute_job(0, ticket, submitted_at, std::move(job)));
+    push_completion(execute_job(0, submitted_at, std::move(job)));
     return ticket;
   }
 
-  const std::uint64_t shard =
-      job.shard_key != 0 ? job.shard_key : std::uint64_t{job.adu_id};
-  const unsigned idx = static_cast<unsigned>(shard % workers_.size());
+  const unsigned idx = static_cast<unsigned>(job.id % workers_.size());
   Worker& w = *workers_[idx];
   queue_depth_.add(static_cast<double>(w.ring.size()));
-  Task t{ticket, submitted_at, std::move(job)};
+  Task t{submitted_at, std::move(job)};
   if (!w.ring.try_push(std::move(t))) {
     // Ring full: the worker is the only consumer and needs no help from
     // this thread, so spinning here is safe (and rare — it means control
@@ -229,13 +218,9 @@ std::size_t Engine::drain_ready(bool block) {
     job_latency_us_.add(static_cast<double>(c.latency_ns) / 1e3);
     if (obs::kEnabled && flight_ != nullptr) {
       flight_->record(flight_ctl_track_, obs::FlightStage::kHarvest,
-                      c.flight_id, c.bytes);
+                      c.id, c.bytes);
     }
-    if (c.on_done_chain) {
-      c.on_done_chain(c.intact, std::move(c.chain), c.cost);
-    } else if (c.on_done) {
-      c.on_done(c.intact, std::move(c.payload), c.cost);
-    }
+    if (c.on_done) c.on_done(c.intact, std::move(c.chain), c.cost);
   }
   return batch.size();
 }

@@ -8,11 +8,12 @@
 //
 //   * the CONTROL thread stays on the deterministic EventLoop, validating
 //     frames and assembling ADUs;
-//   * each complete ADU becomes a ManipulationJob — the buffer plus its
-//     fused ILP stage plan (ilp/pipeline.h) — dispatched to a worker pool
-//     of real std::threads over per-worker SPSC rings;
-//   * jobs are sharded by ADU id, so two jobs for the same ADU keep FIFO
-//     order while distinct ADUs run concurrently and complete in ANY order;
+//   * each complete ADU becomes a ManipulationJob — its reassembly chain
+//     plus its fused ILP stage plan (ilp/pipeline.h) — dispatched to a
+//     worker pool of real std::threads over per-worker SPSC rings;
+//   * jobs are sharded by their id (the receiver's flow-scoped trace id),
+//     so two jobs for the same ADU keep FIFO order while distinct ADUs run
+//     concurrently and complete in ANY order;
 //   * completions post back to the control thread, which drains them at
 //     its own pace (poll/drain/wait_all) and delivers by ADU name — never
 //     by arrival order, which is exactly why any completion order is valid.
@@ -33,7 +34,6 @@
 #include "buf/chain.h"
 #include "ilp/pipeline.h"
 #include "obs/cost.h"
-#include "util/bytes.h"
 #include "util/sim_clock.h"
 #include "util/stats.h"
 
@@ -48,8 +48,6 @@ namespace ngp::engine {
 struct EngineConfig {
   /// Worker threads. 0 = inline execution at submit() (deterministic).
   unsigned workers = 0;
-  /// Per-worker SPSC ring slots; submit() spins when a ring is full.
-  std::size_t queue_capacity = 1024;
   /// Non-zero: deterministically shuffle each drained completion batch —
   /// the seeded adversarial-reorder schedule of the engine tests.
   std::uint64_t reorder_seed = 0;
@@ -58,45 +56,32 @@ struct EngineConfig {
 /// Optional application-context stage run after the fused plan (only when
 /// the ADU proved intact): presentation decode of syntaxes with no word
 /// kernel, application consumption, etc. Runs on the WORKER thread — it
-/// must only touch the job's own payload and cost ledger.
-using AppStage = std::function<void(ByteBuffer& payload, obs::CostAccount& cost)>;
+/// must only touch the job's own chain and cost ledger.
+using AppStage = std::function<void(buf::BufChain& chain, obs::CostAccount& cost)>;
 
 /// Completion callback; always invoked on the draining (control) thread.
-/// `cost` is the job's private §4 ledger — merge it into the session
+/// The chain is the job's own, manipulated in place segment by segment and
+/// never flattened; its last release recycles the segments into their
+/// pool. `cost` is the job's private §4 ledger — merge it into the session
 /// account; the merge is commutative, so ledgers are identical no matter
 /// the completion order.
-using CompletionFn =
-    std::function<void(bool intact, ByteBuffer&& payload, const obs::CostAccount& cost)>;
-
-/// Completion callback for zero-copy (chain) jobs; same contract as
-/// CompletionFn, but the payload stays a scatter-gather chain of pool
-/// segments end to end — the worker manipulated it in place, segment by
-/// segment, and never flattened it.
-using ChainCompletionFn = std::function<void(bool intact, buf::BufChain&& chain,
-                                             const obs::CostAccount& cost)>;
+using CompletionFn = std::function<void(bool intact, buf::BufChain&& chain,
+                                        const obs::CostAccount& cost)>;
 
 /// One complete ADU plus its manipulation pipeline.
 struct ManipulationJob {
-  std::uint32_t adu_id = 0;  ///< shard key: equal ids share a worker (FIFO)
-  /// Overrides adu_id as the worker-shard key when nonzero. A pool shared
-  /// across many sessions (sessiond) sets this to the flow-scoped trace id
-  /// ((session << 32) | adu_id) so distinct flows spread across workers
-  /// while each flow's equal-id jobs still share one FIFO lane.
-  std::uint64_t shard_key = 0;
-  ByteBuffer payload;        ///< the complete ADU, manipulated in place
-  /// Zero-copy variant: when on_done_chain is set the job's bytes are this
-  /// chain (payload/app_stage unused) and the worker runs the plan via
-  /// run_manipulation_chain — the last release of the chain's segments
-  /// recycles them into their pool, possibly from the control thread.
+  /// Worker-shard key and flight-recorder trace id in one: equal ids share
+  /// a worker (FIFO). The receiver uses the flow-scoped trace id
+  /// (obs::flight_trace_id), so an engine shared across many sessions
+  /// (sessiond) spreads distinct flows over its workers while each flow's
+  /// equal-id jobs still share one lane, and begin/end events land on the
+  /// right ADU journey. 0 = untraced.
+  std::uint64_t id = 0;
+  /// The complete ADU, manipulated in place by run_manipulation_chain.
   buf::BufChain chain;
   ManipulationPlan plan;
-  AppStage app_stage;        ///< optional, worker context, intact ADUs only
+  AppStage app_stage;  ///< optional, worker context, intact ADUs only
   CompletionFn on_done;
-  ChainCompletionFn on_done_chain;  ///< set = chain job (takes precedence)
-  /// Flow-scoped flight-recorder trace id (obs::flight_trace_id); 0 =
-  /// untraced. Carried through worker execution so begin/end events land
-  /// on the right ADU journey.
-  std::uint64_t flight_id = 0;
 };
 
 struct WorkerStats {
@@ -116,7 +101,7 @@ struct EngineStats {
 };
 
 /// Worker-pool execution engine for ManipulationJobs. All public methods
-/// belong to ONE control thread; only the job payload, its plan, and its
+/// belong to ONE control thread; only the job chain, its plan, and its
 /// private cost ledger ever cross a thread boundary.
 class Engine {
  public:
@@ -146,7 +131,7 @@ class Engine {
   /// Blocks until every submitted job has been completed AND delivered.
   void wait_all();
 
-  /// Jobs submitted but not yet delivered to their CompletionFn.
+  /// Jobs submitted but not yet delivered to their on_done.
   std::size_t outstanding() const noexcept { return outstanding_; }
 
   const EngineStats& stats() const noexcept { return stats_; }
@@ -170,8 +155,7 @@ class Engine {
   struct Worker;
   struct Completion;
 
-  Completion execute_job(unsigned worker, std::uint64_t ticket, SimTime submitted_at,
-                         ManipulationJob&& job);
+  Completion execute_job(unsigned worker, SimTime submitted_at, ManipulationJob&& job);
   void worker_loop(unsigned idx);
   std::size_t drain_ready(bool block);
   void push_completion(Completion&& c);
@@ -192,8 +176,8 @@ class Engine {
   EngineStats stats_;
   std::vector<WorkerStats> worker_stats_;
   Histogram queue_depth_;     ///< ring occupancy sampled at each submit
-  /// Host wall time of each job's manipulation (the run_manipulation* call
-  /// plus any app stage) on its worker — not queueing, not harvest. 1 us
+  /// Host wall time of each job's manipulation (the run_manipulation_chain
+  /// call plus any app stage) on its worker — not queueing, not harvest. 1 us
   /// buckets over 0-200 us; slower jobs land in the overflow count.
   Histogram job_latency_us_;
 

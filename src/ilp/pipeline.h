@@ -9,10 +9,11 @@
 //   * on an ngp::engine worker, out of order with other ADUs (§5: complete
 //     ADUs named in an application name-space need no mutual ordering).
 //
-// Both paths share one executor per buffer shape — run_manipulation_chain
-// for the receiver's reassembly chains, run_manipulation for flat buffers
-// — so the §4 cost ledger (obs::CostAccount) is charged identically no
-// matter where a plan runs, a property the engine tests pin.
+// Both paths run one executor over the receiver's reassembly chains,
+// run_manipulation_chain, so the §4 cost ledger (obs::CostAccount) is
+// charged identically no matter where a plan runs, a property the engine
+// tests pin. run_manipulation is its flat twin: the reference the chain
+// executor is tested against, and the kernel-tier benches' subject.
 #pragma once
 
 #include "buf/chain.h"

@@ -173,8 +173,8 @@ class SessionTable {
   bool contains(const FlowId& flow) const;
 
   /// Evicts every unpinned session idle since `now - idle_timeout`.
-  /// Driven by the sim clock (caller or Sessiond's sweep timer decides
-  /// cadence). Returns the number evicted. No-op when idle_timeout == 0.
+  /// Driven by the sim clock; the caller decides the cadence. Returns the
+  /// number evicted. No-op when idle_timeout == 0.
   std::size_t sweep_idle(SimTime now);
 
   std::size_t size() const noexcept;

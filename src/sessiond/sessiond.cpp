@@ -215,25 +215,13 @@ SessionFactory alf_receiver_factory(EventLoop& loop, NetPath& feedback_out,
 // ---- Sessiond --------------------------------------------------------------
 
 Sessiond::Sessiond(EventLoop& loop, Config cfg)
-    : loop_(loop), cfg_(cfg), table_(cfg.table), dispatcher_(loop, table_) {
+    : loop_(loop), table_(cfg.table), dispatcher_(loop, table_) {
   table_.set_on_evict([this](const FlowId& flow, Session&, EvictReason why) {
     obs::flight_record(flight_, flight_track_,
                        obs::FlightStage::kSessionEvict,
                        obs::flight_trace_id(flow.session_id, 0),
                        static_cast<std::uint64_t>(why));
     if (on_evict_) on_evict_(flow, why);
-  });
-  if (cfg_.sweep_interval > 0) arm_sweep();
-}
-
-Sessiond::~Sessiond() {
-  if (sweep_timer_ != 0) loop_.cancel(sweep_timer_);
-}
-
-void Sessiond::arm_sweep() {
-  sweep_timer_ = loop_.schedule_after(cfg_.sweep_interval, [this] {
-    table_.sweep_idle(loop_.now());
-    arm_sweep();
   });
 }
 

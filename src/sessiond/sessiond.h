@@ -255,10 +255,6 @@ SessionFactory alf_receiver_factory(EventLoop& loop, NetPath& feedback_out,
 
 struct SessiondConfig {
   SessionTableConfig table;
-  /// Sim-clock idle-GC cadence: > 0 arms a recurring sweep_idle() timer.
-  /// NOTE a recurring timer keeps EventLoop::run() busy forever — use
-  /// run_until(), or leave this 0 and call sweep_idle() manually.
-  SimDuration sweep_interval = 0;
 };
 
 /// The facade that owns the table and the dispatcher.
@@ -269,7 +265,6 @@ class Sessiond {
   explicit Sessiond(EventLoop& loop, Config cfg = {});
   Sessiond(const Sessiond&) = delete;
   Sessiond& operator=(const Sessiond&) = delete;
-  ~Sessiond();
 
   /// Opens one full association over `paths`: validates `session`, builds
   /// the endpoints (exactly the hand-wired construction order, so
@@ -287,7 +282,8 @@ class Sessiond {
   /// Create-on-first-frame hook (see Dispatcher::set_factory).
   void set_factory(SessionFactory fn) { dispatcher_.set_factory(std::move(fn)); }
 
-  /// Manual idle GC at `now` (or the loop's now). Returns evicted count.
+  /// Idle GC at the loop's now; the caller picks the cadence. Returns the
+  /// evicted count.
   std::size_t sweep_idle() { return table_.sweep_idle(loop_.now()); }
 
   SessionTable& table() noexcept { return table_; }
@@ -311,14 +307,11 @@ class Sessiond {
 
  private:
   friend class SessionHandle;
-  void arm_sweep();
 
   EventLoop& loop_;
-  Config cfg_;
   SessionTable table_;
   Dispatcher dispatcher_;
   std::uint32_t next_open_peer_ = 0x40000000;  ///< disjoint from bind() peers
-  EventId sweep_timer_ = 0;
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_track_ = 0;
   obs::FlightRecorder* tracked_flight_ = nullptr;  ///< recorder the cached

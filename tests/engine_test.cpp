@@ -4,12 +4,14 @@
 // sink bytes and §4 cost ledgers are invariant across execution schedules.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <vector>
 
 #include "alf/file_sink.h"
 #include "alf/receiver.h"
 #include "alf/sender.h"
+#include "buf/pool.h"
 #include "checksum/checksum.h"
 #include "crypto/chacha20.h"
 #include "engine/engine.h"
@@ -18,6 +20,8 @@
 #include "obs/metrics.h"
 #include "simd/dispatch.h"
 #include "util/rng.h"
+
+#include "test_paths.h"
 
 namespace ngp::engine {
 namespace {
@@ -53,10 +57,13 @@ MadeJob make_encrypted(std::uint32_t adu_id, std::size_t n, std::uint64_t seed) 
   return m;
 }
 
-ManipulationJob to_job(std::uint32_t adu_id, MadeJob& m, CompletionFn done) {
+/// The wire bytes as a one-segment chain from the default pool.
+ManipulationJob to_job(std::uint32_t adu_id, const MadeJob& m, CompletionFn done) {
   ManipulationJob j;
-  j.adu_id = adu_id;
-  j.payload = std::move(m.wire);
+  j.id = adu_id;
+  buf::Slice seg{buf::default_pool().alloc(m.wire.size()), 0, m.wire.size()};
+  std::memcpy(seg.mutable_bytes().data(), m.wire.data(), m.wire.size());
+  j.chain.append(std::move(seg));
   j.plan = m.plan;
   j.on_done = std::move(done);
   return j;
@@ -97,10 +104,10 @@ TEST(EngineInline, DecryptsVerifiesAndDeliversAtPoll) {
   MadeJob m = make_encrypted(1, 5000, 42);
   const ByteBuffer expected = m.plain;
   bool done = false;
-  eng.submit(to_job(1, m, [&](bool intact, ByteBuffer&& payload,
+  eng.submit(to_job(1, m, [&](bool intact, buf::BufChain&& chain,
                               const obs::CostAccount& cost) {
     EXPECT_TRUE(intact);
-    EXPECT_EQ(payload, expected);
+    EXPECT_EQ(chain.flatten(), expected);
     EXPECT_GT(cost.memory_passes, 0u);
     done = true;
   }));
@@ -122,7 +129,7 @@ TEST(EngineInline, CorruptPayloadReportsNotIntact) {
   MadeJob m = make_encrypted(2, 1000, 7);
   m.wire.data()[100] ^= 0x01;  // damage one wire byte
   bool saw = false;
-  eng.submit(to_job(2, m, [&](bool intact, ByteBuffer&&, const obs::CostAccount&) {
+  eng.submit(to_job(2, m, [&](bool intact, buf::BufChain&&, const obs::CostAccount&) {
     EXPECT_FALSE(intact);
     saw = true;
   }));
@@ -137,13 +144,14 @@ TEST(EngineInline, AppStageRunsOnlyWhenIntact) {
   MadeJob bad = make_encrypted(2, 256, 4);
   bad.wire.data()[0] ^= 0xFF;
   int stage_runs = 0;
-  const auto stage = [&stage_runs](ByteBuffer& payload, obs::CostAccount& cost) {
+  const auto stage = [&stage_runs](buf::BufChain& chain, obs::CostAccount& cost) {
     ++stage_runs;
-    cost.charge_pass(payload.size(), /*stores=*/false);
+    cost.charge_pass(chain.size(), /*stores=*/false);
   };
-  ManipulationJob j1 = to_job(1, good, [](bool, ByteBuffer&&, const obs::CostAccount&) {});
+  const auto ignore = [](bool, buf::BufChain&&, const obs::CostAccount&) {};
+  ManipulationJob j1 = to_job(1, good, ignore);
   j1.app_stage = stage;
-  ManipulationJob j2 = to_job(2, bad, [](bool, ByteBuffer&&, const obs::CostAccount&) {});
+  ManipulationJob j2 = to_job(2, bad, ignore);
   j2.app_stage = stage;
   eng.submit(std::move(j1));
   eng.submit(std::move(j2));
@@ -163,10 +171,10 @@ TEST(EngineParallel, FourWorkersMatchInlineByteForByte) {
     for (int i = 1; i <= kJobs; ++i) {
       const auto id = static_cast<std::uint32_t>(i);
       MadeJob m = make_encrypted(id, 512 + i * 13, 100 + i);
-      eng.submit(to_job(id, m, [&, id](bool intact, ByteBuffer&& payload,
+      eng.submit(to_job(id, m, [&, id](bool intact, buf::BufChain&& chain,
                                        const obs::CostAccount& cost) {
         ASSERT_TRUE(intact);
-        ref.emplace(id, std::move(payload));
+        ref.emplace(id, chain.flatten());
         ref_cost.merge(cost);
       }));
     }
@@ -182,10 +190,10 @@ TEST(EngineParallel, FourWorkersMatchInlineByteForByte) {
     for (int i = 1; i <= kJobs; ++i) {
       const auto id = static_cast<std::uint32_t>(i);
       MadeJob m = make_encrypted(id, 512 + i * 13, 100 + i);
-      eng.submit(to_job(id, m, [&, id](bool intact, ByteBuffer&& payload,
+      eng.submit(to_job(id, m, [&, id](bool intact, buf::BufChain&& chain,
                                        const obs::CostAccount& cost) {
         ASSERT_TRUE(intact);
-        par.emplace(id, std::move(payload));
+        par.emplace(id, chain.flatten());
         par_cost.merge(cost);
       }));
     }
@@ -205,21 +213,21 @@ TEST(EngineParallel, EqualAduIdsShareOneWorker) {
   constexpr int kJobs = 12;
   for (int i = 0; i < kJobs; ++i) {
     MadeJob m = make_encrypted(5, 2048, 900 + i);
-    eng.submit(to_job(5, m, [](bool, ByteBuffer&&, const obs::CostAccount&) {}));
+    eng.submit(to_job(5, m, [](bool, buf::BufChain&&, const obs::CostAccount&) {}));
   }
   eng.wait_all();
   int workers_used = 0;
   for (unsigned w = 0; w < eng.workers(); ++w) {
     if (eng.worker_stats(w).jobs > 0) ++workers_used;
   }
-  EXPECT_EQ(workers_used, 1);  // shard key = ADU id: same id, same lane
+  EXPECT_EQ(workers_used, 1);  // shard key = job id: same id, same lane
 }
 
 TEST(EngineParallel, DistinctIdsSpreadAcrossWorkers) {
   Engine eng(EngineConfig{.workers = 4});
   for (std::uint32_t id = 1; id <= 32; ++id) {
     MadeJob m = make_encrypted(id, 1024, id);
-    eng.submit(to_job(id, m, [](bool, ByteBuffer&&, const obs::CostAccount&) {}));
+    eng.submit(to_job(id, m, [](bool, buf::BufChain&&, const obs::CostAccount&) {}));
   }
   eng.wait_all();
   int workers_used = 0;
@@ -250,10 +258,10 @@ TEST(EngineKernelTiers, PayloadsAndLedgerIdenticalAcrossTiers) {
     for (int i = 1; i <= kJobs; ++i) {
       const auto id = static_cast<std::uint32_t>(i);
       MadeJob m = make_encrypted(id, 300 + i * 37, 7000 + i);
-      eng.submit(to_job(id, m, [&, id](bool intact, ByteBuffer&& payload,
+      eng.submit(to_job(id, m, [&, id](bool intact, buf::BufChain&& chain,
                                        const obs::CostAccount& c) {
         ASSERT_TRUE(intact);
-        out.emplace(id, std::move(payload));
+        out.emplace(id, chain.flatten());
         cost.merge(c);
       }));
     }
@@ -285,7 +293,7 @@ TEST(EngineReorder, SeededScheduleScramblesDeterministically) {
     std::vector<std::uint32_t> order;
     for (std::uint32_t id = 1; id <= 16; ++id) {
       MadeJob m = make_encrypted(id, 256, id);
-      eng.submit(to_job(id, m, [&order, id](bool, ByteBuffer&&,
+      eng.submit(to_job(id, m, [&order, id](bool, buf::BufChain&&,
                                             const obs::CostAccount&) {
         order.push_back(id);
       }));
@@ -310,7 +318,7 @@ TEST(EngineObs, RegistersCountersAndPerWorkerStats) {
   eng.register_metrics(reg, "engine");
   for (std::uint32_t id = 1; id <= 8; ++id) {
     MadeJob m = make_encrypted(id, 4096, id);
-    eng.submit(to_job(id, m, [](bool, ByteBuffer&&, const obs::CostAccount&) {}));
+    eng.submit(to_job(id, m, [](bool, buf::BufChain&&, const obs::CostAccount&) {}));
   }
   eng.wait_all();
   const obs::Snapshot snap = reg.snapshot();
@@ -321,6 +329,43 @@ TEST(EngineObs, RegistersCountersAndPerWorkerStats) {
             8u);
   EXPECT_NE(snap.find("engine.queue_depth"), nullptr);
   EXPECT_NE(snap.find("engine.job_latency_us"), nullptr);
+}
+
+// ---- Receiver teardown -----------------------------------------------------------
+
+TEST(EngineTeardown, FailedReceiverSettlesItsJobsOnDestruction) {
+  // A session that fails with a job in flight cancels its harvest pump,
+  // but the job's completion still calls into the receiver: destroying the
+  // receiver must settle it, or the next drain (a successor's pump on the
+  // same engine, another session's, or wait_all) runs it on freed memory.
+  Engine eng;  // inline: the job runs at submit, its harvest waits
+  EventLoop loop;
+  test::LoopbackPath data;
+  test::SinkPath feedback;
+  alf::SessionConfig cfg;
+  cfg.stall_timeout = 10 * kMillisecond;
+  auto receiver = std::make_unique<alf::AlfReceiver>(loop, data, feedback, cfg);
+  receiver->set_engine(&eng, 50 * kMillisecond);
+  int delivered = 0;
+  receiver->set_on_adu([&delivered](Adu&&) { ++delivered; });
+
+  ByteBuffer payload(1000);
+  Rng(9).fill(payload.span());
+  alf::DataFragment f =
+      test::make_fragment(cfg.session_id, 1, payload.span(), 1000, 0);
+  f.adu_checksum = compute_checksum(ChecksumKind::kInternet, payload.span());
+  data.send(alf::encode_fragment(f).span());
+  EXPECT_EQ(receiver->stats().adus_engine_offloaded, 1u);
+
+  // The watchdog fails the session at 10 ms, before the 50 ms harvest.
+  loop.run_until(20 * kMillisecond);
+  EXPECT_TRUE(receiver->failed());
+  EXPECT_EQ(eng.outstanding(), 1u);
+
+  receiver.reset();
+  ASSERT_EQ(eng.outstanding(), 0u);
+  eng.wait_all();  // nothing is left to call into the dead receiver
+  EXPECT_EQ(delivered, 0);
 }
 
 // ---- The property: schedule-invariant transfers ----------------------------------

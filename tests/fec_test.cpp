@@ -8,8 +8,11 @@
 #include "alf/fec.h"
 #include "alf/receiver.h"
 #include "alf/sender.h"
+#include "checksum/checksum.h"
 #include "netsim/net_path.h"
 #include "util/rng.h"
+
+#include "test_paths.h"
 
 namespace ngp::alf {
 namespace {
@@ -100,6 +103,47 @@ TEST(FecMath, SingleFragmentGroupParityIsCopy) {
   EXPECT_EQ(parity, adu);
   ByteBuffer rec = reconstruct_fragment(adu.span(), parity.span(), g, 0);
   EXPECT_EQ(rec, adu);
+}
+
+// ---- Receiver placement -----------------------------------------------------------
+
+TEST(FecPlacement, PartlyPlacedFragmentIsRecoveredWhole) {
+  // Part of the fragment FEC recovers may already be placed (a placement
+  // cut short by the memory limit, a peer that re-cut its fragments): the
+  // recovered slice links only the gaps, and the ADU completes at its
+  // full length. 2,000 bytes at capacity 1,000 with k = 2: fragment
+  // [1000,2000), then only [0,500) of fragment 0, then the parity.
+  for (const ChecksumKind kind : {ChecksumKind::kNone, ChecksumKind::kInternet}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    EventLoop loop;
+    test::LoopbackPath data;
+    test::SinkPath feedback;
+    SessionConfig cfg;
+    AlfReceiver rx(loop, data, feedback, cfg);
+    std::vector<Adu> delivered;
+    rx.set_on_adu([&delivered](Adu&& a) { delivered.push_back(std::move(a)); });
+
+    const ByteBuffer adu = payload_of(2000, 11);
+    const ByteBuffer parity = compute_parity(adu.span(), FecGroup{0, 2, 1000, 2000});
+    DataFragment f = test::make_fragment(cfg.session_id, 1, {}, 2000, 0);
+    f.checksum_kind = kind;
+    f.fec_k = 2;
+    f.adu_checksum = compute_checksum(kind, adu.span());
+    const auto send = [&](std::uint32_t off, ConstBytes payload, std::uint8_t flags) {
+      f.frag_off = off;
+      f.payload = payload;
+      f.flags = flags;
+      data.send(encode_fragment(f).span());
+    };
+    send(1000, adu.subspan(1000, 1000), 0);
+    send(0, adu.subspan(0, 500), 0);
+    send(0, parity.span(), kFlagFecParity);
+
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_EQ(delivered[0].payload, adu);
+    EXPECT_EQ(rx.stats().fragments_fec_reconstructed, 1u);
+    EXPECT_EQ(rx.stats().adus_checksum_failed, 0u);
+  }
 }
 
 // ---- End-to-end -------------------------------------------------------------------

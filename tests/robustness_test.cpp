@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "alf/receiver.h"
 #include "alf/sender.h"
+#include "buf/ingress.h"
 #include "buf/pool.h"
 #include "netsim/link.h"
 #include "netsim/net_path.h"
@@ -104,22 +106,42 @@ TEST(ReceiverRobustness, DuplicateFragmentBeforeCompletionCounted) {
 }
 
 TEST(ReceiverRobustness, OverlappingFragmentsMergeCorrectly) {
-  ReceiverFixture fx;
   ByteBuffer full(1000);
   Rng rng(4);
   rng.fill(full.span());
   const auto ck = internet_checksum_unrolled(full.span());
-  // Three overlapping pieces: [0,600), [400,900), [700,1000).
-  for (auto [off, len] : {std::pair<std::size_t, std::size_t>{0, 600},
-                          {400, 500},
-                          {700, 300}}) {
-    auto f = make_fragment(1, 1, full.subspan(off, len), 1000,
-                           static_cast<std::uint32_t>(off));
-    f.adu_checksum = ck;
-    fx.inject(f);
+  // Overlapping pieces [0,600), [400,900) and [700,1000), plus [200,500),
+  // which lies wholly inside bytes already placed. Two inputs: by copy (a
+  // loopback frame lies in no pool segment) and by reference (each frame
+  // sits in a pool segment published as the ingress frame, as a Link
+  // publishes it).
+  for (const bool by_ref : {false, true}) {
+    SCOPED_TRACE(by_ref ? "by reference" : "by copy");
+    ReceiverFixture fx;
+    for (auto [off, len] : {std::pair<std::size_t, std::size_t>{0, 600},
+                            {400, 500},
+                            {200, 300},
+                            {700, 300}}) {
+      auto f = make_fragment(1, 1, full.subspan(off, len), 1000,
+                             static_cast<std::uint32_t>(off));
+      f.adu_checksum = ck;
+      if (!by_ref) {
+        fx.inject(f);
+        continue;
+      }
+      const ByteBuffer wire = encode_fragment(f);
+      buf::Slice frame{buf::default_pool().alloc(wire.size()), 0, wire.size()};
+      std::memcpy(frame.mutable_bytes().data(), wire.data(), wire.size());
+      buf::IngressFrame scope(frame);
+      fx.receiver->handle_frame(frame.bytes());
+    }
+    ASSERT_EQ(fx.delivered.size(), 1u);
+    EXPECT_EQ(fx.delivered[0].payload, full);
+    const ReceiverStats& st = fx.receiver->stats();
+    EXPECT_EQ(st.fragments_duplicate, 1u);
+    EXPECT_EQ(st.fragments_zero_copy, by_ref ? 3u : 0u);
+    EXPECT_EQ(st.fragments_pool_copied, by_ref ? 0u : 3u);
   }
-  ASSERT_EQ(fx.delivered.size(), 1u);
-  EXPECT_EQ(fx.delivered[0].payload, full);
 }
 
 TEST(ReceiverRobustness, GarbageFramesOnlyBumpCorruptCounter) {
