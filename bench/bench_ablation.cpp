@@ -79,7 +79,6 @@ void ablation_compiled_vs_interpreted() {
   // sizes both run from L2 and the comparison is dominated by noise.
   const std::size_t big = 32 << 20;
   ByteBuffer src = make_buffer(big), dst(big);
-  ChaChaKey key{};
 
   const double compiled = measure_mbps(big, [&] {
     ChecksumStage ck;

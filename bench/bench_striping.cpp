@@ -98,7 +98,7 @@ RunResult run(std::size_t lanes, double loss) {
 
 int main() {
   std::printf("=== E7 (§7 extension): ADU striping across parallel lanes ===\n");
-  std::printf("%u MB transfer, %.0f Mb/s per lane\n\n", kFile >> 20, kLaneBps / 1e6);
+  std::printf("%zu MB transfer, %.0f Mb/s per lane\n\n", kFile >> 20, kLaneBps / 1e6);
 
   for (double loss : {0.0, 0.02}) {
     std::printf("-- %.0f%% per-lane loss --\n", loss * 100);

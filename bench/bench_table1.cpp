@@ -307,7 +307,7 @@ void print_copy_ledger(ngp::bench::BenchReport& rep) {
     chain.append(buf::Slice{std::move(ref), 0, len});
   }
   const double pooled = measure_mbps(n, [&] {
-    sink = buf::chain_internet_checksum(chain);
+    sink = buf::chain_checksum(ChecksumKind::kInternet, chain);
   });
   (void)sink;
 

@@ -141,14 +141,6 @@ class BufChain {
     for (Slice& s : segs_) fn(s.mutable_bytes());
   }
 
-  /// The iovec as plain spans (for APIs that want a materialized view).
-  std::vector<ConstBytes> view() const {
-    std::vector<ConstBytes> v;
-    v.reserve(segs_.size());
-    for (const Slice& s : segs_) v.push_back(s.bytes());
-    return v;
-  }
-
   /// Copies the chain's bytes into `dst` (dst.size() >= size()). One store
   /// pass; the CALLER charges the ledger (kernel discipline).
   void copy_out(MutableBytes dst) const;

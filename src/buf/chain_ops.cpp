@@ -1,6 +1,7 @@
 #include "buf/chain_ops.h"
 
 #include <array>
+#include <cassert>
 
 #include "checksum/checksum.h"
 #include "ilp/engine.h"
@@ -9,30 +10,6 @@
 namespace ngp::buf {
 
 namespace {
-
-/// Decrypts a segment that begins at ADU byte offset `pos`, absorbing the
-/// plaintext into `acc`. Scalar prefix to the next 64-byte keystream block
-/// boundary, then the fused tier kernel from block (pos+prefix)/64.
-void decrypt_segment(const ChaChaKey& key, std::size_t pos, MutableBytes seg,
-                     InternetChecksum& acc) {
-  const simd::KernelTable& k = simd::kernels();
-  std::size_t intra = pos % 64;
-  std::size_t done = 0;
-  if (intra != 0) {
-    std::array<std::uint8_t, 64> ks;
-    chacha20_block(key, static_cast<std::uint32_t>(pos / 64), ks);
-    const std::size_t prefix = std::min<std::size_t>(64 - intra, seg.size());
-    for (std::size_t i = 0; i < prefix; ++i) seg[i] ^= ks[intra + i];
-    acc.add(seg.subspan(0, prefix));
-    done = prefix;
-  }
-  if (done < seg.size()) {
-    MutableBytes bulk = seg.subspan(done);
-    const std::uint16_t sum = k.decrypt_internet_checksum(
-        key, static_cast<std::uint32_t>((pos + done) / 64), bulk);
-    acc.combine(sum, bulk.size());
-  }
-}
 
 /// End of the byteswap region for an n-byte buffer, matching the flat
 /// Byteswap32Stage tail rule exactly: whole 8-byte words swap both 32-bit
@@ -92,21 +69,87 @@ void crc_absorb(Crc32Stage& ck, ConstBytes bytes) {
   if (n > 0) ck.tail(ngp::detail::load_tail(p, n), n);
 }
 
-/// The fused CRC-32 walk: per segment, a scalar head up to the next
-/// keystream block (decrypt) or swap unit (byteswap) boundary, the ILP
-/// word loop over the aligned body, then a scalar remainder. Stage order
-/// is the flat executor's: decrypt, CRC of the plaintext, byteswap.
-template <bool kDecrypt, bool kSwap>
-std::uint32_t crc_walk(const ChaChaKey* key, BufChain& c) {
+// Sum policies for walk(). Each names the body kernel for a (decrypt,
+// swap) pair — run over a segment's aligned body starting at keystream
+// block `block` — how a scalar piece is absorbed, and the widened result.
+
+/// No checksum: the layered decrypt and byteswap passes.
+struct NoSum {
+  template <bool kDecrypt, bool kSwap>
+  void body(const simd::KernelTable& k, const ChaChaKey* key,
+            std::uint32_t block, MutableBytes b) {
+    if constexpr (kDecrypt) k.chacha20_xor(*key, block, b);
+    if constexpr (kSwap) k.byteswap32(b);
+  }
+  void absorb(ConstBytes) {}
+  std::uint32_t result() const { return 0; }
+};
+
+/// RFC 1071: the tier's fused kernel per body, folded with combine.
+struct InternetSum {
+  InternetChecksum acc;
+
+  template <bool kDecrypt, bool kSwap>
+  void body(const simd::KernelTable& k, const ChaChaKey* key,
+            std::uint32_t block, MutableBytes b) {
+    std::uint16_t s = 0;
+    if constexpr (kDecrypt && kSwap) {
+      s = k.decrypt_checksum_byteswap(*key, block, b);
+    } else if constexpr (kDecrypt) {
+      s = k.decrypt_internet_checksum(*key, block, b);
+    } else {
+      s = k.checksum_byteswap(b);
+    }
+    acc.combine(s, b.size());
+  }
+  void absorb(ConstBytes b) { acc.add(b); }
+  std::uint32_t result() const { return acc.finish(); }
+};
+
+/// CRC-32: the ILP word loop over the flat executor's stage pack, so the
+/// checksum absorbs the plaintext before the swap. The running state
+/// carries across pieces, so no combine step exists.
+struct Crc32Sum {
   Crc32Stage ck;
+
+  template <bool kDecrypt, bool kSwap>
+  void body(const simd::KernelTable&, const ChaChaKey* key,
+            std::uint32_t block, MutableBytes b) {
+    if constexpr (kDecrypt) {
+      EncryptStage dec(*key, block);
+      if constexpr (kSwap) {
+        Byteswap32Stage swap;
+        ilp_fused(b, b, dec, ck, swap);
+      } else {
+        ilp_fused(b, b, dec, ck);
+      }
+    } else {
+      Byteswap32Stage swap;
+      ilp_fused(b, b, ck, swap);
+    }
+  }
+  void absorb(ConstBytes b) { crc_absorb(ck, b); }
+  std::uint32_t result() const { return ck.result(); }
+};
+
+/// The one chain walk: per segment, a scalar head up to the next keystream
+/// block (decrypt) or swap unit (byteswap) boundary, Sum's body kernel over
+/// the aligned part inside the swap region, then a scalar remainder. A
+/// SwapCursor carries a unit split by a segment boundary; the scalar
+/// pieces keep the stage order: decrypt, checksum, byteswap.
+template <typename Sum, bool kDecrypt, bool kSwap>
+std::uint32_t walk(const ChaChaKey* key, BufChain& c) {
+  static_assert(kDecrypt || kSwap, "a pass that writes nothing is chain_checksum");
+  const simd::KernelTable& k = simd::kernels();
+  Sum sum;
   const std::size_t region_end = swap_region_end(c.size());
   SwapCursor cur;
   const auto scalar = [&](MutableBytes bytes, std::size_t at) {
     if constexpr (kDecrypt) scalar_decrypt(*key, at, bytes);
-    crc_absorb(ck, bytes);
+    sum.absorb(bytes);
     if constexpr (kSwap) cur.feed(bytes, at, region_end);
   };
-  constexpr std::size_t kAlign = kDecrypt ? 64 : kSwap ? 4 : 1;
+  constexpr std::size_t kAlign = kDecrypt ? 64 : 4;
   std::size_t pos = 0;
   c.for_each_mutable([&](MutableBytes seg) {
     std::size_t done = 0;
@@ -121,27 +164,22 @@ std::uint32_t crc_walk(const ChaChaKey* key, BufChain& c) {
       bulk = std::min(bulk, in_region) & ~std::size_t{3};
     }
     if (bulk != 0) {
-      MutableBytes body = seg.subspan(done, bulk);
-      if constexpr (kDecrypt) {
-        EncryptStage dec(*key, static_cast<std::uint32_t>((pos + done) / 64));
-        if constexpr (kSwap) {
-          Byteswap32Stage swap;
-          ilp_fused(body, body, dec, ck, swap);
-        } else {
-          ilp_fused(body, body, dec, ck);
-        }
-      } else if constexpr (kSwap) {
-        Byteswap32Stage swap;
-        ilp_fused(body, body, ck, swap);
-      } else {
-        crc_absorb(ck, body);  // nothing to write: load-only
-      }
+      sum.template body<kDecrypt, kSwap>(
+          k, key, static_cast<std::uint32_t>((pos + done) / 64),
+          seg.subspan(done, bulk));
       done += bulk;
     }
     if (done < seg.size()) scalar(seg.subspan(done), pos + done);
     pos += seg.size();
   });
-  return ck.result();
+  return sum.result();
+}
+
+template <typename Sum>
+std::uint32_t walk_with(const ChaChaKey* key, bool byteswap, BufChain& c) {
+  if (key == nullptr) return walk<Sum, false, true>(nullptr, c);
+  return byteswap ? walk<Sum, true, true>(key, c)
+                  : walk<Sum, true, false>(key, c);
 }
 
 }  // namespace
@@ -150,8 +188,14 @@ std::uint32_t chain_checksum(ChecksumKind kind, const BufChain& c) {
   switch (kind) {
     case ChecksumKind::kNone:
       return 0;
-    case ChecksumKind::kInternet:
-      return chain_internet_checksum(c);
+    case ChecksumKind::kInternet: {
+      const simd::KernelTable& k = simd::kernels();
+      InternetChecksum acc;
+      c.for_each([&](ConstBytes seg) {
+        if (!seg.empty()) acc.combine(k.internet_checksum(seg), seg.size());
+      });
+      return acc.finish();
+    }
     case ChecksumKind::kFletcher32: {
       Fletcher32 f;
       c.for_each([&](ConstBytes seg) { f.add(seg); });
@@ -171,170 +215,18 @@ std::uint32_t chain_checksum(ChecksumKind kind, const BufChain& c) {
   return 0;
 }
 
-std::uint32_t chain_fused_crc32(BufChain& c, const ChaChaKey* decrypt_key,
-                                bool byteswap) {
-  if (decrypt_key != nullptr) {
-    return byteswap ? crc_walk<true, true>(decrypt_key, c)
-                    : crc_walk<true, false>(decrypt_key, c);
+std::uint32_t chain_pass(BufChain& c, const ChaChaKey* decrypt,
+                         ChecksumKind sum, bool byteswap) {
+  if (decrypt == nullptr && !byteswap) return chain_checksum(sum, c);
+  switch (sum) {
+    case ChecksumKind::kInternet:
+      return walk_with<InternetSum>(decrypt, byteswap, c);
+    case ChecksumKind::kCrc32:
+      return walk_with<Crc32Sum>(decrypt, byteswap, c);
+    default:
+      assert(sum == ChecksumKind::kNone && "no body kernel for this sum");
+      return walk_with<NoSum>(decrypt, byteswap, c);
   }
-  return byteswap ? crc_walk<false, true>(nullptr, c)
-                  : crc_walk<false, false>(nullptr, c);
-}
-
-std::uint16_t chain_internet_checksum(const BufChain& c) {
-  const simd::KernelTable& k = simd::kernels();
-  InternetChecksum acc;
-  c.for_each([&](ConstBytes seg) {
-    if (seg.empty()) return;
-    acc.combine(k.internet_checksum(seg), seg.size());
-  });
-  return acc.finish();
-}
-
-std::uint16_t chain_decrypt_internet_checksum(const ChaChaKey& key,
-                                              BufChain& c) {
-  InternetChecksum acc;
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    if (!seg.empty()) decrypt_segment(key, pos, seg, acc);
-    pos += seg.size();
-  });
-  return acc.finish();
-}
-
-void chain_chacha20_xor(const ChaChaKey& key, BufChain& c) {
-  const simd::KernelTable& k = simd::kernels();
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    std::size_t intra = pos % 64;
-    std::size_t done = 0;
-    if (intra != 0 && !seg.empty()) {
-      std::array<std::uint8_t, 64> ks;
-      chacha20_block(key, static_cast<std::uint32_t>(pos / 64), ks);
-      const std::size_t prefix = std::min<std::size_t>(64 - intra, seg.size());
-      for (std::size_t i = 0; i < prefix; ++i) seg[i] ^= ks[intra + i];
-      done = prefix;
-    }
-    if (done < seg.size()) {
-      k.chacha20_xor(key, static_cast<std::uint32_t>((pos + done) / 64),
-                     seg.subspan(done));
-    }
-    pos += seg.size();
-  });
-}
-
-std::uint16_t chain_copy_internet_checksum(const BufChain& c,
-                                           MutableBytes dst) {
-  const simd::KernelTable& k = simd::kernels();
-  InternetChecksum acc;
-  std::size_t off = 0;
-  c.for_each([&](ConstBytes seg) {
-    if (seg.empty()) return;
-    const std::uint16_t sum =
-        k.copy_internet_checksum(seg, dst.subspan(off, seg.size()));
-    acc.combine(sum, seg.size());
-    off += seg.size();
-  });
-  return acc.finish();
-}
-
-void chain_byteswap32(BufChain& c) {
-  const simd::KernelTable& k = simd::kernels();
-  const std::size_t region_end = swap_region_end(c.size());
-  SwapCursor cur;
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    std::size_t done = 0;
-    // Scalar head: completes a unit straddling in from the previous segment.
-    if (pos % 4 != 0 && !seg.empty()) {
-      done = std::min<std::size_t>(4 - pos % 4, seg.size());
-      cur.feed(seg.subspan(0, done), pos, region_end);
-    }
-    // Unit-aligned bulk inside the swap region: the tier kernel.
-    const std::size_t in_region =
-        region_end > pos + done ? region_end - (pos + done) : 0;
-    const std::size_t bulk =
-        std::min(seg.size() - done, in_region) & ~std::size_t{3};
-    if (bulk != 0) {
-      k.byteswap32(seg.subspan(done, bulk));
-      done += bulk;
-    }
-    // Remainder: the head of a straddling unit and/or the pass-through tail.
-    if (done < seg.size()) cur.feed(seg.subspan(done), pos + done, region_end);
-    pos += seg.size();
-  });
-}
-
-std::uint16_t chain_checksum_byteswap(BufChain& c) {
-  const simd::KernelTable& k = simd::kernels();
-  const std::size_t region_end = swap_region_end(c.size());
-  InternetChecksum acc;
-  SwapCursor cur;
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    std::size_t done = 0;
-    if (pos % 4 != 0 && !seg.empty()) {
-      done = std::min<std::size_t>(4 - pos % 4, seg.size());
-      acc.add(seg.subspan(0, done));  // the checksum sees pre-swap bytes
-      cur.feed(seg.subspan(0, done), pos, region_end);
-    }
-    const std::size_t in_region =
-        region_end > pos + done ? region_end - (pos + done) : 0;
-    const std::size_t bulk =
-        std::min(seg.size() - done, in_region) & ~std::size_t{3};
-    if (bulk != 0) {
-      MutableBytes body = seg.subspan(done, bulk);
-      acc.combine(k.checksum_byteswap(body), body.size());
-      done += bulk;
-    }
-    if (done < seg.size()) {
-      MutableBytes rest = seg.subspan(done);
-      acc.add(rest);
-      cur.feed(rest, pos + done, region_end);
-    }
-    pos += seg.size();
-  });
-  return acc.finish();
-}
-
-std::uint16_t chain_decrypt_checksum_byteswap(const ChaChaKey& key,
-                                              BufChain& c) {
-  const simd::KernelTable& k = simd::kernels();
-  const std::size_t region_end = swap_region_end(c.size());
-  InternetChecksum acc;
-  SwapCursor cur;
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    std::size_t done = 0;
-    // Scalar keystream prefix to the next 64-byte block boundary (which is
-    // also a 4-byte swap boundary, so the fused kernel can take over).
-    if (pos % 64 != 0 && !seg.empty()) {
-      done = std::min<std::size_t>(64 - pos % 64, seg.size());
-      MutableBytes prefix = seg.subspan(0, done);
-      scalar_decrypt(key, pos, prefix);
-      acc.add(prefix);
-      cur.feed(prefix, pos, region_end);
-    }
-    const std::size_t in_region =
-        region_end > pos + done ? region_end - (pos + done) : 0;
-    const std::size_t bulk =
-        std::min(seg.size() - done, in_region) & ~std::size_t{3};
-    if (bulk != 0) {
-      MutableBytes body = seg.subspan(done, bulk);
-      acc.combine(k.decrypt_checksum_byteswap(
-                      key, static_cast<std::uint32_t>((pos + done) / 64), body),
-                  body.size());
-      done += bulk;
-    }
-    if (done < seg.size()) {
-      MutableBytes rest = seg.subspan(done);
-      scalar_decrypt(key, pos + done, rest);
-      acc.add(rest);
-      cur.feed(rest, pos + done, region_end);
-    }
-    pos += seg.size();
-  });
-  return acc.finish();
 }
 
 }  // namespace ngp::buf

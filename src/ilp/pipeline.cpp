@@ -57,7 +57,7 @@ bool fused_verify_internet(const ManipulationPlan& plan, MutableBytes buf,
     got = k.internet_checksum(buf);
   }
   if (acct != nullptr) acct->charge_fused(buf.size());
-  return got == static_cast<std::uint16_t>(plan.expected_checksum);
+  return got == plan.expected_checksum;
 }
 
 /// True when the plan runs as ONE fused pass: ILP mode and a checksum with
@@ -102,46 +102,29 @@ bool run_manipulation_chain(const ManipulationPlan& plan, buf::BufChain& chain,
                             obs::CostAccount* acct) {
   const std::size_t n = chain.size();
   const bool swap = swap_fused(plan);
+  const ChaChaKey* key = plan.decrypt ? &plan.key : nullptr;
+  if (acct != nullptr) acct->charge_operation(n);
   if (fuses(plan)) {
     // One fused walk over the gather view: decrypt and byteswap (when
     // asked) write back, a bare verify only reads. Same semantics as the
     // flat fused kernels: the checksum absorbs the plaintext wire bytes,
     // the swap lands unconditionally.
-    bool intact;
-    if (plan.checksum_kind == ChecksumKind::kCrc32) {
-      intact = buf::chain_fused_crc32(chain, plan.decrypt ? &plan.key : nullptr,
-                                      swap) == plan.expected_checksum;
-    } else {
-      std::uint16_t got;
-      if (plan.decrypt && swap) {
-        got = buf::chain_decrypt_checksum_byteswap(plan.key, chain);
-      } else if (plan.decrypt) {
-        got = buf::chain_decrypt_internet_checksum(plan.key, chain);
-      } else if (swap) {
-        got = buf::chain_checksum_byteswap(chain);
-      } else {
-        got = buf::chain_internet_checksum(chain);
-      }
-      intact = got == static_cast<std::uint16_t>(plan.expected_checksum);
-    }
-    if (acct != nullptr) {
-      acct->charge_operation(n);
-      acct->charge_pass(n, /*stores=*/plan.decrypt || swap);
-    }
+    const bool intact = buf::chain_pass(chain, key, plan.checksum_kind, swap) ==
+                        plan.expected_checksum;
+    if (acct != nullptr) acct->charge_pass(n, /*stores=*/plan.decrypt || swap);
     return intact;
   }
 
   // One pass per manipulation, exactly as in the flat executor.
-  if (acct != nullptr) acct->charge_operation(n);
   if (plan.decrypt) {
-    buf::chain_chacha20_xor(plan.key, chain);
+    buf::chain_pass(chain, key, ChecksumKind::kNone, false);
     if (acct != nullptr) acct->charge_pass(n, /*stores=*/true);
   }
   if (acct != nullptr) acct->charge_pass(n, /*stores=*/false);
   const bool intact =
       buf::chain_checksum(plan.checksum_kind, chain) == plan.expected_checksum;
   if (intact && swap) {
-    buf::chain_byteswap32(chain);
+    buf::chain_pass(chain, nullptr, ChecksumKind::kNone, true);
     if (acct != nullptr) acct->charge_pass(n, /*stores=*/true);
   }
   return intact;

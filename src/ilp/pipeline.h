@@ -62,11 +62,12 @@ struct ManipulationPlan {
   PresentStage present = PresentStage::kNone;
 };
 
-/// Runs `plan` over `buf` in place. Returns true when the checksum matched
-/// (the ADU is intact); the buffer then holds the decrypted (and, when
-/// requested, byte-swapped) payload. On mismatch the buffer contents are
-/// unspecified — callers discard and re-fetch, the ADU being the unit of
-/// error recovery (§5).
+/// Runs `plan` over `buf` in place. Returns true when the checksum, widened
+/// to 32 bits, equals the whole `expected_checksum` field (the ADU is
+/// intact); the buffer then holds the decrypted (and, when requested,
+/// byte-swapped) payload. On mismatch the buffer contents are unspecified —
+/// callers discard and re-fetch, the ADU being the unit of error recovery
+/// (§5).
 ///
 /// `acct` (nullable) is charged in the §4 currency exactly as the inline
 /// receive path charges it: fused plans pay one pass regardless of stage
@@ -78,9 +79,10 @@ bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
 /// executor. Every plan is supported: each ChecksumKind, decrypt on or
 /// off, every PresentStage, fused or layered; verdict and bytes are
 /// bit-identical to run_manipulation over the flattened chain, however the
-/// chain is segmented. Internet sums fold per segment with
-/// InternetChecksum::combine; CRC-32 fuses decrypt and byteswap into one
-/// walk per segment, its state carrying across boundaries; Fletcher-32 and
+/// chain is segmented. A fused plan is one buf::chain_pass (Internet sums
+/// fold per segment with InternetChecksum::combine, CRC-32 carries its
+/// state across boundaries); a layered plan is a chain_pass to decrypt,
+/// a chain_checksum, then a chain_pass to swap, and Fletcher-32 and
 /// Adler-32 take their extra read-only pass as in the flat executor.
 ///
 /// Ledger: the flat executor's charge, which depends only on the plan and

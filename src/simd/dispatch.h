@@ -57,7 +57,6 @@ struct KernelTable {
   // --- fused kernels (§6: the whole stage stack in ONE memory pass) ---
   // Byte effects and results are bit-identical to composing ilp_fused over
   // the matching stages (EncryptStage / ChecksumStage / Byteswap32Stage).
-  std::uint16_t (*copy_internet_checksum)(ConstBytes src, MutableBytes dst);
   std::uint16_t (*checksum_byteswap)(MutableBytes data);
   std::uint16_t (*decrypt_internet_checksum)(const ChaChaKey& key,
                                              std::uint32_t counter,

@@ -42,12 +42,6 @@ void k_byteswap(MutableBytes data) {
   detail::layered_pass(data, swap);
 }
 
-std::uint16_t k_copy_cksum(ConstBytes src, MutableBytes dst) {
-  ChecksumStage ck;
-  ilp_fused(src, dst, ck);
-  return ck.result();
-}
-
 std::uint16_t k_cksum_swap(MutableBytes data) {
   ChecksumStage ck;
   Byteswap32Stage swap;
@@ -85,7 +79,6 @@ const KernelTable kTable = {
     .crc32 = k_crc32,
     .chacha20_xor = k_chacha,
     .byteswap32 = k_byteswap,
-    .copy_internet_checksum = k_copy_cksum,
     .checksum_byteswap = k_cksum_swap,
     .decrypt_internet_checksum = k_decrypt_cksum,
     .decrypt_checksum_byteswap = k_decrypt_cksum_swap,

@@ -1,10 +1,12 @@
 // Tests for src/buf (DESIGN.md §12): pool refcount lifecycle and recycle,
 // cross-thread last release, chain split/trim/append invariants, all-tier
-// scatter_copy_checksum equivalence over pool-backed chains, and the chain
-// executor against the flat one over every manipulation plan.
+// chain_pass equivalence with the flat kernels over pool-backed chains, and
+// the chain executor against the flat one over every manipulation plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,7 +17,6 @@
 #include "checksum/checksum.h"
 #include "crypto/chacha20.h"
 #include "ilp/pipeline.h"
-#include "ilp/scatter.h"
 #include "simd/dispatch.h"
 #include "util/rng.h"
 
@@ -271,55 +272,6 @@ TEST(BufChain, ReadAndCopyOutMatchFlatten) {
   }
 }
 
-// The §6 final placement: chain -> scattered application variables, fused
-// with the Internet checksum, must agree with the flat scalar reference on
-// every compiled-in tier for odd segment sizes and misalignments.
-TEST(BufScatter, ChainScatterChecksumMatchesFlatAllTiers) {
-  const simd::KernelTier saved = simd::active_tier();
-  const auto data = random_bytes(7013, 99);
-
-  for (std::size_t ti = 0; ti < simd::kKernelTierCount; ++ti) {
-    const auto tier = static_cast<simd::KernelTier>(ti);
-    const simd::KernelTable* table = simd::tier_table(tier);
-    if (table == nullptr) continue;
-    ASSERT_TRUE(simd::set_active_tier(tier));
-
-    for (std::size_t misalign : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
-      BufferPool pool;
-      {
-        BufChain chain =
-            make_chain(pool, data.span(), {1, 13, 4096, 2048, 855}, misalign);
-
-        // Odd-sized destination regions, deliberately not segment-aligned.
-        ByteBuffer dst(data.size());
-        ScatterList regions;
-        regions.add(dst.span().subspan(0, 3));
-        regions.add(dst.span().subspan(3, 1024));
-        regions.add(dst.span().subspan(1027, 5));
-        regions.add(dst.span().subspan(1032, data.size() - 1032));
-
-        std::size_t moved = 0;
-        const std::uint16_t ck = scatter_copy_checksum(chain, regions, &moved);
-        EXPECT_EQ(moved, data.size()) << table->name;
-        EXPECT_EQ(dst, data) << table->name << " misalign=" << misalign;
-
-        // Scalar flat reference: same checksum, same bytes.
-        const std::uint16_t ref_ck = internet_checksum_unrolled(data.span());
-        EXPECT_EQ(ck, ref_ck) << table->name << " misalign=" << misalign;
-
-        // And the flat overload agrees with the chain overload.
-        ByteBuffer dst2(data.size());
-        ScatterList regions2;
-        regions2.add(dst2.span());
-        EXPECT_EQ(scatter_copy_checksum(data.span(), regions2), ck);
-      }
-      // All chain references died with the scope: everything recycled.
-      EXPECT_EQ(pool.stats().segments_live, 0u);
-    }
-  }
-  simd::set_active_tier(saved);
-}
-
 // run_manipulation_chain must be bit-identical to the flat executor over
 // the flattened chain (decrypt + verify), while charging a load-only
 // checksum pass — the measurable zero-copy saving.
@@ -372,8 +324,8 @@ TEST(BufChain, ChainManipulationMatchesFlat) {
   EXPECT_GT(vacct.word_loads, 0u);
 }
 
-// The chain byteswap kernels (the fused presentation stage's zero-copy
-// half) must be bit-identical to flattening and running the flat kernel —
+// chain_pass's byteswap (the fused presentation stage's zero-copy half)
+// must be bit-identical to flattening and running the flat kernel —
 // including the flat tail rule (a final partial word swaps only when
 // exactly 4 bytes remain) — at every tier, segmentation, and alignment.
 TEST(BufChain, ChainByteswapMatchesFlatKernelAllTiers) {
@@ -408,7 +360,7 @@ TEST(BufChain, ChainByteswapMatchesFlatKernelAllTiers) {
         for (std::size_t misalign : {std::size_t{0}, std::size_t{3}}) {
           BufferPool pool;
           BufChain chain = make_chain(pool, data.span(), cuts, misalign);
-          chain_byteswap32(chain);
+          EXPECT_EQ(chain_pass(chain, nullptr, ChecksumKind::kNone, true), 0u);
           ByteBuffer flat(data.span());
           simd::kernels().byteswap32(flat.span());
           EXPECT_EQ(chain.flatten(), flat)
@@ -431,7 +383,8 @@ TEST(BufChain, ChainChecksumByteswapMatchesFlatFusedKernel) {
       const auto data = random_bytes(n, 0xC0C0 + n);
       BufferPool pool;
       BufChain chain = make_chain(pool, data.span(), {n / 3, n / 3, n - 2 * (n / 3)}, 1);
-      const std::uint16_t chain_ck = chain_checksum_byteswap(chain);
+      const std::uint32_t chain_ck =
+          chain_pass(chain, nullptr, ChecksumKind::kInternet, true);
 
       ByteBuffer flat(data.span());
       const std::uint16_t flat_ck = simd::kernels().checksum_byteswap(flat.span());
@@ -466,7 +419,8 @@ TEST(BufChain, ChainDecryptChecksumByteswapMatchesFlatFusedKernel) {
       BufferPool pool;
       BufChain chain =
           make_chain(pool, wire.span(), {1, n / 2, n - 1 - n / 2}, 2);
-      const std::uint16_t chain_ck = chain_decrypt_checksum_byteswap(key, chain);
+      const std::uint32_t chain_ck =
+          chain_pass(chain, &key, ChecksumKind::kInternet, true);
 
       ByteBuffer flat(wire.span());
       const std::uint16_t flat_ck =
@@ -475,6 +429,11 @@ TEST(BufChain, ChainDecryptChecksumByteswapMatchesFlatFusedKernel) {
       EXPECT_EQ(chain.flatten(), flat) << "tier " << ti << " n=" << n;
       // Checksum covers the decrypted plaintext, pre-swap.
       EXPECT_EQ(flat_ck, internet_checksum_unrolled(plain.span()));
+      // With no sum, the same walk writes the same bytes and returns 0.
+      BufChain bare =
+          make_chain(pool, wire.span(), {1, n / 2, n - 1 - n / 2}, 2);
+      EXPECT_EQ(chain_pass(bare, &key, ChecksumKind::kNone, true), 0u);
+      EXPECT_EQ(bare.flatten(), flat) << "tier " << ti << " n=" << n;
     }
   }
   simd::set_active_tier(saved);
@@ -482,12 +441,21 @@ TEST(BufChain, ChainDecryptChecksumByteswapMatchesFlatFusedKernel) {
 
 /// Segmentations for an n-byte chain, every piece non-empty: whole, a
 /// 1-byte head, odd interior cuts that straddle 4/8-byte units and 64-byte
-/// keystream blocks, and an odd split near the middle.
+/// keystream blocks, an odd split near the middle, and pieces of 1-7 bytes
+/// only, so no segment has an aligned body and a swap unit or keystream
+/// block head spans three or more segments.
 std::vector<std::vector<std::size_t>> cuttings(std::size_t n) {
   std::vector<std::vector<std::size_t>> out{{n}};
   if (n > 1) out.push_back({1, n - 1});
   if (n > 13 + 61 + 67) out.push_back({13, 61, 67, n - 13 - 61 - 67});
   if (n > 4) out.push_back({n / 2 | 1, n - (n / 2 | 1)});
+  const std::size_t tiny[] = {1, 2, 1, 7, 3, 6, 1, 1, 5, 4};
+  std::vector<std::size_t> pieces;
+  for (std::size_t at = 0, i = 0; at < n; ++i) {
+    pieces.push_back(std::min(tiny[i % std::size(tiny)], n - at));
+    at += pieces.back();
+  }
+  out.push_back(std::move(pieces));
   return out;
 }
 
@@ -518,8 +486,9 @@ void expect_same_ledger(const obs::CostAccount& got, const obs::CostAccount& wan
 // The receive path's one executor against the flat reference, over the
 // whole plan space: every checksum kind x decrypt x present stage x
 // fused/layered x SIMD tier, on chains cut at odd offsets with misaligned
-// starts. Same verdict, same bytes (intact or after a one-bit flip), and a
-// ledger charge fixed by the plan and the byte count alone.
+// starts. Same verdict, same bytes (intact, after a one-bit flip, or
+// against an expected checksum that differs only in bit 16), and a ledger
+// charge fixed by the plan and the byte count alone.
 TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
   const simd::KernelTier saved = simd::active_tier();
   ChaChaKey key;
@@ -563,26 +532,38 @@ TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
                   std::to_string(static_cast<int>(present)) +
                   (layered ? " layered" : " fused");
 
-              for (const ByteBuffer* input : {&wire, &flipped}) {
+              // The whole 32-bit field is the verdict: a header claiming
+              // the right 16-bit sum with bit 16 set is not intact.
+              ManipulationPlan high_bit = plan;
+              high_bit.expected_checksum ^= 0x10000u;
+              const struct {
+                const ByteBuffer* input;
+                const ManipulationPlan* plan;
+                const char* label;
+              } cases[] = {{&wire, &plan, ""},
+                           {&flipped, &plan, " (bit flip)"},
+                           {&wire, &high_bit, " (expected bit 16)"}};
+              for (const auto& [input, p, label] : cases) {
                 ByteBuffer flat(input->span());
                 obs::CostAccount flat_acct;
-                const bool flat_ok = run_manipulation(plan, flat.span(), &flat_acct);
-                if (input == &wire) {
+                const bool flat_ok = run_manipulation(*p, flat.span(), &flat_acct);
+                if (p == &high_bit) {
+                  EXPECT_FALSE(flat_ok) << where << label;
+                } else if (input == &wire) {
                   EXPECT_TRUE(flat_ok) << where;
                 } else if (kind != ChecksumKind::kNone) {
-                  EXPECT_FALSE(flat_ok) << where << " (bit flip)";
+                  EXPECT_FALSE(flat_ok) << where << label;
                 }
                 const obs::CostAccount want =
-                    expected_chain_charge(plan, n, flat_acct);
+                    expected_chain_charge(*p, n, flat_acct);
                 for (const auto& cuts : cuttings(n)) {
                   for (std::size_t misalign : {std::size_t{0}, std::size_t{3}}) {
                     BufChain chain = make_chain(pool, input->span(), cuts, misalign);
                     obs::CostAccount acct;
-                    const bool ok = run_manipulation_chain(plan, chain, &acct);
+                    const bool ok = run_manipulation_chain(*p, chain, &acct);
                     const std::string at =
                         where + " segs=" + std::to_string(cuts.size()) +
-                        " misalign=" + std::to_string(misalign) +
-                        (input == &wire ? "" : " (bit flip)");
+                        " misalign=" + std::to_string(misalign) + label;
                     EXPECT_EQ(ok, flat_ok) << at;
                     EXPECT_EQ(chain.flatten(), flat) << at;
                     expect_same_ledger(acct, want, at);

@@ -53,7 +53,9 @@ TEST(ChaCha20, XorIsItsOwnInverse) {
     rng.fill(original.span());
     ByteBuffer buf(original.span());
     chacha20_xor(k, 7, buf.span());
-    if (len > 16) EXPECT_NE(buf, original) << len;
+    if (len > 16) {
+      EXPECT_NE(buf, original) << len;
+    }
     chacha20_xor(k, 7, buf.span());
     EXPECT_EQ(buf, original) << len;
   }

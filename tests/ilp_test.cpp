@@ -3,6 +3,9 @@
 // identical stage results — plus the individual stages and kernels.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "checksum/crc32.h"
 #include "checksum/internet.h"
 #include "crypto/chacha20.h"
 #include "ilp/engine.h"
@@ -117,6 +120,47 @@ TEST(AppSumStage, SumsAllWords) {
   ByteBuffer out(sizeof(vals));
   ilp_fused(bytes, out.span(), s);
   EXPECT_EQ(s.result(), 28u);
+}
+
+TEST(Crc32Stage, MatchesReferenceAllLengths) {
+  for (std::size_t len : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 100u, 1000u, 1003u}) {
+    ByteBuffer b = random_bytes(len, 10 + len);
+    Crc32Stage s;
+    ByteBuffer out(len);
+    ilp_fused(b.span(), out.span(), s);
+    EXPECT_EQ(s.result(), crc32(b.span())) << "len=" << len;
+    EXPECT_EQ(out, b);
+  }
+}
+
+TEST(Crc32Stage, WordUpdateMatchesByteUpdates) {
+  // Direct check of the exported helpers.
+  ByteBuffer b = random_bytes(8, 1);
+  std::uint32_t via_word = 0xFFFFFFFFu;
+  via_word = crc32_update_word(via_word, load_u64_le(b.data()));
+  EXPECT_EQ(via_word ^ 0xFFFFFFFFu, crc32(b.span()));
+
+  ByteBuffer c = random_bytes(5, 2);
+  std::uint32_t via_tail = 0xFFFFFFFFu;
+  std::uint64_t w = 0;
+  std::memcpy(&w, c.data(), 5);
+  via_tail = crc32_update_tail(via_tail, w, 5);
+  EXPECT_EQ(via_tail ^ 0xFFFFFFFFu, crc32(c.span()));
+}
+
+TEST(Crc32Stage, FusedWithDecryptEqualsSeparate) {
+  ChaChaKey k;
+  k.key[0] = 9;
+  ByteBuffer plain = random_bytes(777, 3);
+  ByteBuffer cipher(plain.span());
+  chacha20_xor(k, 0, cipher.span());
+
+  EncryptStage dec(k, 0);
+  Crc32Stage crc;
+  ByteBuffer out(cipher.size());
+  ilp_fused(cipher.span(), out.span(), dec, crc);
+  EXPECT_EQ(out, plain);
+  EXPECT_EQ(crc.result(), crc32(plain.span()));
 }
 
 // ---- Fused == layered (the ILP correctness property) -----------------------------

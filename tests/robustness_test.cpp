@@ -249,6 +249,26 @@ TEST(ReceiverHardening, FarFutureAduIdOutsideWindowRefused) {
   EXPECT_EQ(fx.receiver->stats().reassembly_bytes_peak, 0u);
 }
 
+TEST(ReceiverHardening, AduChecksumVerdictReadsAll32Bits) {
+  // adu_checksum is a 32-bit field and an Internet sum is 16 bits wide. A
+  // header that claims the right sum with bit 16 set does not match it,
+  // and both process modes must reject the ADU.
+  ByteBuffer payload(1000);
+  Rng rng(9);
+  rng.fill(payload.span());
+  for (ProcessMode mode : {ProcessMode::kIntegrated, ProcessMode::kLayered}) {
+    SessionConfig cfg;
+    cfg.process_mode = mode;
+    ReceiverFixture fx(cfg);
+    auto f = make_fragment(1, 1, payload.span(), 1000, 0);
+    f.adu_checksum = internet_checksum_unrolled(payload.span()) | 0x10000u;
+    fx.inject(f);
+    const int m = static_cast<int>(mode);
+    EXPECT_TRUE(fx.delivered.empty()) << "mode " << m;
+    EXPECT_EQ(fx.receiver->stats().adus_checksum_failed, 1u) << "mode " << m;
+  }
+}
+
 TEST(ReceiverHardening, MemoryPressureEvictsOldestIncomplete) {
   SessionConfig cfg;
   cfg.reassembly_bytes_limit = 10000;

@@ -11,14 +11,12 @@
 // =best via dedicated ctest entries (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <random>
 #include <vector>
 
 #include "crypto/chacha20.h"
 #include "ilp/engine.h"
 #include "ilp/pipeline.h"
-#include "ilp/scatter.h"
 #include "ilp/stages.h"
 #include "obs/cost.h"
 #include "simd/dispatch.h"
@@ -180,17 +178,9 @@ TEST(SimdKernels, FusedKernelsMatchScalar) {
     if (t == scalar) continue;
     for (const auto& [n, a] : sweep_cases()) {
       const ConstBytes src{backing.data() + a, n};
-      // copy + checksum.
-      std::vector<std::uint8_t> want(n), got(n);
-      const std::uint16_t ck_want =
-          scalar->copy_internet_checksum(src, MutableBytes{want.data(), n});
-      const std::uint16_t ck_got =
-          t->copy_internet_checksum(src, MutableBytes{got.data(), n});
-      ASSERT_EQ(want, got) << t->name << " copy_cksum n=" << n << " a=" << a;
-      ASSERT_EQ(ck_want, ck_got) << t->name << " copy_cksum n=" << n << " a=" << a;
       // checksum + byteswap, decrypt + checksum, decrypt + checksum + byteswap.
-      want.assign(src.begin(), src.end());
-      got = want;
+      std::vector<std::uint8_t> want(src.begin(), src.end());
+      std::vector<std::uint8_t> got = want;
       ASSERT_EQ(scalar->checksum_byteswap(MutableBytes{want.data(), n}),
                 t->checksum_byteswap(MutableBytes{got.data(), n}))
           << t->name << " cksum_swap n=" << n << " a=" << a;
@@ -296,75 +286,6 @@ TEST(SimdDispatch, RunManipulationOutputAndLedgerTierInvariant) {
       }
     }
   }
-}
-
-TEST(SimdScatter, ScatterCopyChecksumMatchesUnfused) {
-  TierGuard guard;
-  const auto backing = random_backing(7, 3000);
-  std::mt19937 rng(99);
-  for (const auto* t : available_tiers()) {
-    ASSERT_TRUE(simd::set_active_tier(t->tier));
-    for (int trial = 0; trial < 20; ++trial) {
-      const std::size_t n = rng() % 2500;
-      const ConstBytes src{backing.data(), n};
-      // Random (odd-sized, odd-offset) destination regions covering >= n.
-      std::vector<std::vector<std::uint8_t>> slots;
-      ScatterList dst;
-      std::size_t cap = 0;
-      while (cap < n) {
-        slots.emplace_back(1 + rng() % 600, 0xCD);
-        cap += slots.back().size();
-      }
-      for (auto& s : slots) dst.add(MutableBytes{s.data(), s.size()});
-
-      std::size_t scattered = 0;
-      const std::uint16_t ck = scatter_copy_checksum(src, dst, &scattered);
-      EXPECT_EQ(scattered, n) << t->name;
-      EXPECT_EQ(ck, simd::tier_table(simd::KernelTier::kScalar)->internet_checksum(src))
-          << t->name << " n=" << n;
-      // Region contents equal the contiguous prefix split across slots.
-      std::size_t off = 0;
-      for (const auto& s : slots) {
-        const std::size_t take = std::min(s.size(), n - off);
-        EXPECT_EQ(std::memcmp(s.data(), src.data() + off, take), 0) << t->name;
-        off += take;
-        if (off == n) break;
-      }
-    }
-    // Short destination: scatters only total_size() bytes and checksums them.
-    std::vector<std::uint8_t> small(100);
-    ScatterList dst;
-    dst.add(MutableBytes{small.data(), small.size()});
-    const ConstBytes src{backing.data(), 1000};
-    std::size_t scattered = 0;
-    const std::uint16_t ck = scatter_copy_checksum(src, dst, &scattered);
-    EXPECT_EQ(scattered, 100u);
-    EXPECT_EQ(ck, simd::tier_table(simd::KernelTier::kScalar)
-                      ->internet_checksum(src.subspan(0, 100)));
-  }
-}
-
-TEST(SimdScatter, ScatterCopyChecksumMatchesScatterFused) {
-  // Cross-check against the template executor with a ChecksumStage: same
-  // bytes land in the regions, same checksum comes out.
-  const auto backing = random_backing(8, 1500);
-  const std::size_t n = 1237;
-  const ConstBytes src{backing.data() + 3, n};
-  std::vector<std::uint8_t> a(500), b(301), c(700);
-  ScatterList fused_dst, simd_dst;
-  for (auto* v : {&a, &b, &c}) fused_dst.add(MutableBytes{v->data(), v->size()});
-  std::vector<std::uint8_t> a2(500), b2(301), c2(700);
-  for (auto* v : {&a2, &b2, &c2}) simd_dst.add(MutableBytes{v->data(), v->size()});
-
-  ChecksumStage ck;
-  const std::size_t written = scatter_fused(src, fused_dst, ck);
-  std::size_t scattered = 0;
-  const std::uint16_t got = scatter_copy_checksum(src, simd_dst, &scattered);
-  EXPECT_EQ(written, scattered);
-  EXPECT_EQ(ck.result(), got);
-  EXPECT_EQ(a, a2);
-  EXPECT_EQ(b, b2);
-  EXPECT_EQ(c, c2);
 }
 
 }  // namespace

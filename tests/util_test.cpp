@@ -408,7 +408,9 @@ TEST(EventLoop, CancelHeavyWorkloadCompactsAndStaysCorrect) {
   }
   EXPECT_EQ(loop.pending(), 100u);
   for (int i = 0; i < 100; ++i) {
-    if (i % 10 != 0) EXPECT_TRUE(loop.cancel(ids[static_cast<std::size_t>(i)]));
+    if (i % 10 != 0) {
+      EXPECT_TRUE(loop.cancel(ids[static_cast<std::size_t>(i)]));
+    }
   }
   EXPECT_EQ(loop.pending(), 10u);  // exact despite bulk compaction
   EXPECT_EQ(loop.run(), 10u);
