@@ -52,7 +52,7 @@ AlfReceiver::~AlfReceiver() {
   // Jobs still on the engine hold completion callbacks into this object:
   // settle them (on this, the control thread) before the members they
   // touch are destroyed.
-  if (eng_ != nullptr && !manip_inflight_.empty()) eng_->wait_all();
+  if (eng_ != nullptr && verifying_ > 0) eng_->wait_all();
   // A receiver destroyed mid-session (supervised restart) must leave no
   // timer that would call into freed memory — and teardown is not a
   // failure, so on_session_failed must NOT fire from here.
@@ -117,15 +117,16 @@ void AlfReceiver::fail_session() {
                      /*trace_id=*/0, /*arg=*/cfg_.session_id);
   // Release everything: a failed session must hold no memory and schedule
   // no further work. Ids are not individually reported — the session-level
-  // failure supersedes per-ADU loss reporting. Note what is NOT cleared:
-  // closed_/closed_prefix_/counts — resume_summary() reads them so a
-  // supervisor can rebuild on what already completed (DESIGN.md §10).
-  pending_.clear();
+  // failure supersedes per-ADU loss reporting. Closed entries stay:
+  // resume_summary() reads them so a supervisor can rebuild on what already
+  // completed (DESIGN.md §10). Verifying entries stay too: their engine
+  // completions are still harvested and deliver nothing, and the destructor
+  // settles any the cancelled pump leaves on the engine.
+  std::erase_if(book_, [](const auto& kv) {
+    return kv.second.state == AduState::kMissing ||
+           kv.second.state == AduState::kPartial;
+  });
   reassembly_bytes_ = 0;
-  nack_counts_.clear();
-  // In-flight engine jobs stay in their book: their completions are still
-  // harvested (the cost was genuinely paid) and deliver nothing, and the
-  // destructor settles any the cancelled pump leaves on the engine.
   cancel_timers();
   if (on_session_failed_) on_session_failed_();
 }
@@ -133,7 +134,9 @@ void AlfReceiver::fail_session() {
 ResumeSummary AlfReceiver::resume_summary() const {
   ResumeSummary s;
   s.closed_prefix = closed_prefix_;
-  s.closed_above.assign(closed_.begin(), closed_.end());
+  for (const auto& [id, e] : book_) {
+    if (e.state == AduState::kClosed) s.closed_above.push_back(id);
+  }
   s.delivered = delivered_count_;
   s.abandoned = abandoned_count_;
   s.highest_seen = highest_seen_;
@@ -143,8 +146,10 @@ ResumeSummary AlfReceiver::resume_summary() const {
 
 void AlfReceiver::restore(const ResumeSummary& s) {
   closed_prefix_ = s.closed_prefix;
-  closed_.clear();
-  closed_.insert(s.closed_above.begin(), s.closed_above.end());
+  book_.clear();
+  for (std::uint32_t id : s.closed_above) {
+    if (id > closed_prefix_) book_[id].state = AduState::kClosed;
+  }
   delivered_count_ = s.delivered;
   abandoned_count_ = s.abandoned;
   highest_seen_ = s.highest_seen;
@@ -213,25 +218,26 @@ void AlfReceiver::on_data(const DataFragment& f) {
   // Silence — not redundancy — is the failure signal.
   note_progress();
 
-  if (is_closed(f.adu_id)) {
+  if (f.adu_id <= closed_prefix_) {
     ++stats_.fragments_for_done_adus;  // late duplicate of a finished ADU
     return;
   }
-  if (manip_inflight_.contains(f.adu_id)) {
-    // Complete and being verified on the engine right now; any fragment
-    // arriving meanwhile is redundant by definition.
+  auto [it, inserted] = book_.try_emplace(f.adu_id);
+  Entry& e = it->second;
+  if (e.state == AduState::kClosed || e.state == AduState::kVerifying) {
+    // Finished, or complete and being verified right now: any fragment
+    // arriving is redundant by definition.
     ++stats_.fragments_for_done_adus;
     return;
   }
-
-  auto [it, inserted] = pending_.try_emplace(f.adu_id);
-  Reassembly& r = it->second;
-  if (inserted) {
+  Reassembly& r = e.r;
+  if (e.state == AduState::kMissing) {
     if (!reserve_bytes(f.adu_id, f.adu_len)) {
-      pending_.erase(it);
+      if (inserted) book_.erase(it);  // a known missing id stays missing
       ++stats_.fragments_dropped_mem;
       return;
     }
+    e.state = AduState::kPartial;
     r.name = f.name;
     r.syntax = f.syntax;
     r.flags = static_cast<std::uint8_t>(f.flags & ~kFlagFecParity);
@@ -270,7 +276,7 @@ void AlfReceiver::on_data(const DataFragment& f) {
     } else {
       ++stats_.fragments_duplicate;
     }
-    (void)try_fec_reconstruct(f.adu_id, r);
+    if (try_fec_reconstruct(f.adu_id, r)) complete_adu(f.adu_id, e);
     return;
   }
 
@@ -302,12 +308,8 @@ void AlfReceiver::on_data(const DataFragment& f) {
   }
   if (r.bytes_received == had) ++stats_.fragments_duplicate;
 
-  if (r.bytes_received == r.adu_len) {
-    complete_adu(f.adu_id, r);
-    shed_for_overload(0);
-    return;
-  }
-  if (try_fec_reconstruct(f.adu_id, r)) {
+  if (r.bytes_received == r.adu_len || try_fec_reconstruct(f.adu_id, r)) {
+    complete_adu(f.adu_id, e);
     shed_for_overload(0);
     return;
   }
@@ -393,12 +395,7 @@ bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
       break;  // parity map unchanged but coverage changed: rescan
     }
   }
-
-  if (r.bytes_received == r.adu_len) {
-    complete_adu(adu_id, r);
-    return true;
-  }
-  return false;
+  return r.bytes_received == r.adu_len;
 }
 
 std::uint32_t AlfReceiver::place(std::uint32_t adu_id, Reassembly& r,
@@ -551,74 +548,95 @@ ManipulationPlan AlfReceiver::make_plan(std::uint32_t adu_id,
   return p;
 }
 
-bool AlfReceiver::manipulate(std::uint32_t adu_id, const Reassembly& r,
-                             buf::BufChain& chain) {
-  // ILP stage 2 over the gather list: decrypt and integrity-check in ONE
-  // pass (kIntegrated), or one full pass per manipulation (kLayered). The
-  // shared executor charges manip_cost_ — this is where the live
-  // pipeline's fused-vs-layered pass counts come from. A bare verify only
-  // reads: no flat staging buffer exists to store into, and that missing
-  // store pass is the saving.
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipBegin,
-                     flight_id(adu_id), chain.size());
-  const ManipulationPlan plan = make_plan(adu_id, r);
-  if (plan.present != PresentStage::kNone) ++stats_.adus_presentation_fused;
-  const bool intact = run_manipulation_chain(plan, chain, &manip_cost_);
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipEnd,
-                     flight_id(adu_id), chain.size());
-  return intact;
-}
-
-void AlfReceiver::complete_adu(std::uint32_t adu_id, Reassembly& r) {
+void AlfReceiver::complete_adu(std::uint32_t adu_id, Entry& e) {
+  Reassembly& r = e.r;
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kAduComplete,
                      flight_id(adu_id), r.adu_len);
-  if (eng_ != nullptr) {
-    offload_adu(adu_id, r);
-    return;
-  }
+  const ManipulationPlan plan = make_plan(adu_id, r);
+  if (plan.present != PresentStage::kNone) ++stats_.adus_presentation_fused;
+  // The chain owns the bytes now, not the reassembly budget. The entry
+  // keeps only what delivery needs (§5: the name addresses the ADU), so
+  // the parity blocks go too.
   buf::BufChain chain = build_chain(r);
-  if (!manipulate(adu_id, r, chain)) {
-    // Whole-ADU integrity failure: discard the damaged bytes (releasing
-    // the segments) and let the recovery machinery re-fetch it — the ADU
-    // is the unit of error recovery (§5). The id stays open, so the NACK
-    // scan re-requests it.
-    ++stats_.adus_checksum_failed;
-    note_recycle(adu_id, chain.size());
-    release_pending(pending_.find(adu_id));
+  const AduName name = r.name;
+  const TransferSyntax syntax = r.syntax;
+  drop(adu_id, r);
+  r.name = name;
+  r.syntax = syntax;
+  e.state = AduState::kVerifying;
+  ++verifying_;
+
+  if (eng_ == nullptr) {
+    // ILP stage 2 over the gather list: decrypt and integrity-check in ONE
+    // pass (kIntegrated), or one full pass per manipulation (kLayered). The
+    // shared executor charges manip_cost_ — this is where the live
+    // pipeline's fused-vs-layered pass counts come from. A bare verify only
+    // reads: no flat staging buffer exists to store into, and that missing
+    // store pass is the saving.
+    obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipBegin,
+                       flight_id(adu_id), chain.size());
+    const bool intact = run_manipulation_chain(plan, chain, &manip_cost_);
+    obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipEnd,
+                       flight_id(adu_id), chain.size());
+    settle(adu_id, intact, std::move(chain));
     return;
   }
-  auto it = pending_.find(adu_id);
-  reassembly_bytes_ -= std::min(reassembly_bytes_, it->second.charged_bytes);
-  auto node = pending_.extract(it);
-  deliver(adu_id, node.mapped().name, node.mapped().syntax, std::move(chain));
-}
 
-void AlfReceiver::offload_adu(std::uint32_t adu_id, Reassembly& r) {
-  // Control keeps only what delivery needs (§5: the name addresses the
-  // ADU); the chain travels with the job. The reassembly charge is
-  // released now — the job owns the bytes, not the reassembly pool.
-  manip_inflight_.emplace(adu_id, InflightManip{r.name, r.syntax});
   ++stats_.adus_engine_offloaded;
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kEngineSubmit,
-                     flight_id(adu_id), r.adu_len);
-
+                     flight_id(adu_id), chain.size());
   engine::ManipulationJob job;
   // Flow+adu worker sharding: an engine shared across many sessions
   // (sessiond) spreads distinct flows over its workers while this flow's
   // equal-id jobs still land on one FIFO lane.
   job.id = flight_id(adu_id);
-  job.plan = make_plan(adu_id, r);
-  if (job.plan.present != PresentStage::kNone) ++stats_.adus_presentation_fused;
+  job.plan = plan;
   // The chain's last release — wherever that happens — recycles the
   // segments (the pool is thread-safe for this).
-  job.chain = build_chain(r);
-  job.on_done = [this, adu_id](bool intact, buf::BufChain&& chain,
+  job.chain = std::move(chain);
+  job.on_done = [this, adu_id](bool intact, buf::BufChain&& done,
                                 const obs::CostAccount& cost) {
-    on_manip_done(adu_id, intact, std::move(chain), cost);
+    // The worker charged its private ledger; merge is commutative, so the
+    // session ledger is identical whatever order completions arrive in.
+    manip_cost_.merge(cost);
+    obs::flight_record(flight_, flight_track_, obs::FlightStage::kHarvest,
+                       flight_id(adu_id), done.size());
+    settle(adu_id, intact, std::move(done));
   };
-  release_pending(pending_.find(adu_id));
   eng_->submit(std::move(job));
   arm_engine_pump();
+}
+
+void AlfReceiver::settle(std::uint32_t adu_id, bool intact, buf::BufChain&& chain) {
+  auto it = book_.find(adu_id);
+  if (it == book_.end() || it->second.state != AduState::kVerifying) return;
+  --verifying_;
+  if (failed_) {
+    book_.erase(it);  // the session failed meanwhile: deliver nothing
+    return;
+  }
+  Entry& e = it->second;
+  if (intact) {
+    deliver(adu_id, e.r.name, e.r.syntax, std::move(chain));
+    return;
+  }
+  // Whole-ADU integrity failure: discard the damaged bytes (the chain's
+  // segments recycle) — the ADU is the unit of error recovery (§5).
+  ++stats_.adus_checksum_failed;
+  note_recycle(adu_id, chain.size());
+  if (cfg_.retransmit == RetransmitPolicy::kNone && expected_total_ > 0 &&
+      adu_id <= expected_total_) {
+    // No recovery, and DONE has already reported every other open id: this
+    // one is lost too, once, by its name.
+    abandon(adu_id);
+    return;
+  }
+  // The id reopens as missing, so the NACK scan re-fetches the whole ADU
+  // on its never-seen pacing.
+  drop(adu_id, e.r);
+  e.state = AduState::kMissing;
+  note_progress();
+  arm_timers();
 }
 
 void AlfReceiver::arm_engine_pump() {
@@ -637,36 +655,10 @@ void AlfReceiver::engine_pump() {
   // simulated time only advances past the harvest point once real work has
   // actually finished, keeping the event loop's causality intact.
   eng_->drain();
-  if (!manip_inflight_.empty()) arm_engine_pump();
+  if (verifying_ > 0) arm_engine_pump();
 }
 
-void AlfReceiver::on_manip_done(std::uint32_t adu_id, bool intact,
-                                buf::BufChain&& chain,
-                                const obs::CostAccount& cost) {
-  // The worker charged its private ledger; merge is commutative, so the
-  // session ledger is identical whatever order completions arrive in.
-  manip_cost_.merge(cost);
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kHarvest,
-                     flight_id(adu_id), chain.size());
-  auto it = manip_inflight_.find(adu_id);
-  if (it == manip_inflight_.end()) return;  // session failed meanwhile
-  InflightManip meta = std::move(it->second);
-  manip_inflight_.erase(it);
-  if (failed_) return;
-  if (!intact) {
-    // Same outcome as the inline path: the damaged chain is discarded
-    // (segments recycle) and the id stays open, so the NACK scan
-    // re-fetches the whole ADU (§5).
-    ++stats_.adus_checksum_failed;
-    note_recycle(adu_id, chain.size());
-    note_progress();
-    arm_timers();
-    return;
-  }
-  deliver(adu_id, meta.name, meta.syntax, std::move(chain));
-}
-
-void AlfReceiver::deliver(std::uint32_t adu_id, const AduName& name,
+void AlfReceiver::deliver(std::uint32_t adu_id, AduName name,
                           TransferSyntax syntax, buf::BufChain&& chain) {
   // Out of order w.r.t. the id sequence? (Any earlier id still open.)
   // closed_prefix_ = ids 1..closed_prefix_ are all closed already.
@@ -706,61 +698,67 @@ void AlfReceiver::deliver(std::uint32_t adu_id, const AduName& name,
 }
 
 void AlfReceiver::close_id(std::uint32_t adu_id) {
-  nack_counts_.erase(adu_id);  // bookkeeping for closed ids is dead weight
-  closed_.insert(adu_id);
-  while (closed_.contains(closed_prefix_ + 1)) {
+  // Callers have already released the id's bytes. A closed entry lives
+  // only above a hole: the closed run at the front of the book becomes
+  // prefix.
+  book_[adu_id].state = AduState::kClosed;
+  for (auto it = book_.begin(); it != book_.end() &&
+                                it->first == closed_prefix_ + 1 &&
+                                it->second.state == AduState::kClosed;
+       it = book_.erase(it)) {
     ++closed_prefix_;
-    closed_.erase(closed_prefix_);  // the prefix representation covers it
   }
   note_progress();
 }
 
-void AlfReceiver::abandon(std::uint32_t adu_id, const Reassembly* r) {
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kAbandon,
-                     flight_id(adu_id), 0);
+void AlfReceiver::abandon(std::uint32_t adu_id, bool shed) {
+  auto it = book_.find(adu_id);
+  const bool name_known = it != book_.end() && it->second.state != AduState::kMissing;
+  // Take the reassembly out first: closing the id may erase its entry.
+  Reassembly r = name_known ? std::move(it->second.r) : Reassembly{};
+  if (shed) {
+    ++stats_.adus_shed;
+    obs::flight_record(flight_, flight_track_, obs::FlightStage::kShed,
+                       flight_id(adu_id), r.bytes_received);
+  } else {
+    ++stats_.adus_abandoned;
+    obs::flight_record(flight_, flight_track_, obs::FlightStage::kAbandon,
+                       flight_id(adu_id), 0);
+  }
   close_id(adu_id);
   ++abandoned_count_;
-  ++stats_.adus_abandoned;
   if (on_adu_lost_) {
-    if (r != nullptr) {
-      on_adu_lost_(adu_id, r->name, /*name_known=*/true);
-    } else {
-      on_adu_lost_(adu_id, generic_name(adu_id), /*name_known=*/false);
-    }
+    on_adu_lost_(adu_id, name_known ? r.name : generic_name(adu_id), name_known);
   }
-  release_pending(pending_.find(adu_id));
+  drop(adu_id, r);
   check_complete();
 }
 
-void AlfReceiver::release_pending(std::map<std::uint32_t, Reassembly>::iterator it) {
-  if (it == pending_.end()) return;
-  if (!it->second.frags.empty()) {
-    // The erase below drops the last references to this ADU's slices:
-    // note the recycle here, on the control thread, so flight timelines
-    // stay deterministic (the pool itself never records events).
-    std::size_t held = 0;
-    for (const auto& [off, s] : it->second.frags) held += s.len;
-    note_recycle(it->first, held);
+void AlfReceiver::drop(std::uint32_t adu_id, Reassembly& r) {
+  if (!r.frags.empty()) {
+    // Emptying `r` drops the last references to this ADU's slices: note
+    // the recycle here, on the control thread, so flight timelines stay
+    // deterministic (the pool itself never records events).
+    note_recycle(adu_id, r.bytes_received);
   }
-  reassembly_bytes_ -= std::min(reassembly_bytes_, it->second.charged_bytes);
-  pending_.erase(it);
+  reassembly_bytes_ -= std::min(reassembly_bytes_, r.charged_bytes);
+  r = Reassembly{};
 }
 
-std::map<std::uint32_t, AlfReceiver::Reassembly>::iterator
-AlfReceiver::pick_shed_victim(std::uint32_t protect_id) {
+AlfReceiver::Book::iterator AlfReceiver::pick_shed_victim(std::uint32_t protect_id) {
   // Lowest priority first (ALF: the application ranked its names); ties go
   // to the ADU with the least reassembly progress (cheapest loss), then to
   // the youngest id — all deterministic, so seeded runs shed identically.
-  auto best = pending_.end();
+  auto best = book_.end();
   int best_pri = 0;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->first == protect_id) continue;
-    if (it->second.bytes_received >= it->second.adu_len) continue;  // completing
-    const int pri = priority_ ? priority_(it->second.name) : 0;
-    if (best == pending_.end() || pri < best_pri ||
+  for (auto it = book_.begin(); it != book_.end(); ++it) {
+    if (it->second.state != AduState::kPartial || it->first == protect_id) continue;
+    const Reassembly& r = it->second.r;
+    const int pri = priority_ ? priority_(r.name) : 0;
+    if (best == book_.end() || pri < best_pri ||
         (pri == best_pri &&
-         (it->second.bytes_received < best->second.bytes_received ||
-          (it->second.bytes_received == best->second.bytes_received &&
+         (r.bytes_received < best->second.r.bytes_received ||
+          (r.bytes_received == best->second.r.bytes_received &&
            it->first > best->first)))) {
       best = it;
       best_pri = pri;
@@ -769,54 +767,40 @@ AlfReceiver::pick_shed_victim(std::uint32_t protect_id) {
   return best;
 }
 
-void AlfReceiver::shed(std::map<std::uint32_t, Reassembly>::iterator it) {
-  const std::uint32_t adu_id = it->first;
-  ++stats_.adus_shed;
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kShed,
-                     flight_id(adu_id), it->second.bytes_received);
-  close_id(adu_id);
-  ++abandoned_count_;
-  if (on_adu_lost_) on_adu_lost_(adu_id, it->second.name, /*name_known=*/true);
-  release_pending(it);
-  check_complete();
-}
-
 void AlfReceiver::shed_for_overload(std::uint32_t protect_id) {
   if (cfg_.shed_highwater == 0 || reassembly_bytes_ <= cfg_.shed_highwater) return;
   const std::size_t target =
       cfg_.shed_lowwater > 0 ? cfg_.shed_lowwater : cfg_.shed_highwater / 2;
   while (reassembly_bytes_ > target) {
     auto victim = pick_shed_victim(protect_id);
-    if (victim == pending_.end()) break;
-    shed(victim);
+    if (victim == book_.end()) break;
+    abandon(victim->first, /*shed=*/true);
   }
 }
 
-void AlfReceiver::evict(std::map<std::uint32_t, Reassembly>::iterator it) {
-  // The evicted ADU's bytes are dropped but its id stays OPEN: the nack
-  // bookkeeping inherits the per-ADU recovery state, so the id is
+void AlfReceiver::evict(std::uint32_t adu_id, Entry& e) {
+  // The evicted ADU's bytes are dropped but its id stays OPEN: the
+  // never-seen pacing takes the later of the two records, so the id is
   // re-fetched from scratch (bounded by max_nacks like any other loss).
   ++stats_.reassembly_evictions;
-  NackState& st = nack_counts_[it->first];
-  st.count = std::max(st.count, it->second.nacks);
-  st.next_at = std::max(st.next_at, it->second.next_nack_at);
-  release_pending(it);
+  e.unseen.count = std::max(e.unseen.count, e.r.nack.count);
+  e.unseen.next_at = std::max(e.unseen.next_at, e.r.nack.next_at);
+  drop(adu_id, e.r);
+  e.state = AduState::kMissing;
 }
 
 bool AlfReceiver::reserve_bytes(std::uint32_t for_id, std::size_t need) {
-  if (cfg_.reassembly_bytes_limit == 0) {
-    reassembly_bytes_ += need;
-    stats_.reassembly_bytes_peak = std::max(stats_.reassembly_bytes_peak, reassembly_bytes_);
-    return true;
-  }
-  if (need > cfg_.reassembly_bytes_limit) return false;
-  while (reassembly_bytes_ + need > cfg_.reassembly_bytes_limit) {
-    // Oldest-incomplete first: the lowest id has waited longest for its
-    // holes and is the most likely casualty of a burst long past.
-    auto victim = pending_.begin();
-    if (victim != pending_.end() && victim->first == for_id) ++victim;
-    if (victim == pending_.end()) return false;
-    evict(victim);
+  if (cfg_.reassembly_bytes_limit != 0) {
+    if (need > cfg_.reassembly_bytes_limit) return false;
+    while (reassembly_bytes_ + need > cfg_.reassembly_bytes_limit) {
+      // Oldest partial first: the lowest id has waited longest for its
+      // holes and is the most likely casualty of a burst long past.
+      auto victim = std::find_if(book_.begin(), book_.end(), [for_id](const auto& kv) {
+        return kv.second.state == AduState::kPartial && kv.first != for_id;
+      });
+      if (victim == book_.end()) return false;
+      evict(victim->first, victim->second);
+    }
   }
   reassembly_bytes_ += need;
   stats_.reassembly_bytes_peak = std::max(stats_.reassembly_bytes_peak, reassembly_bytes_);
@@ -830,7 +814,7 @@ void AlfReceiver::nack_scan() {
   }
   // Collect ids in [1, horizon] that are neither closed nor fully here.
   // The horizon is clamped to the id window so a forged DONE total cannot
-  // turn the scan into an unbounded walk or grow nack_counts_ without end.
+  // turn the scan into an unbounded walk or grow the book without end.
   std::uint32_t horizon = expected_total_ > 0 ? expected_total_ : highest_seen_;
   if (cfg_.adu_id_window > 0) {
     horizon = static_cast<std::uint32_t>(std::min<std::uint64_t>(
@@ -844,33 +828,23 @@ void AlfReceiver::nack_scan() {
   // nack_retry * 2^(n-1) before asking again — the retransmission needs
   // time to traverse the sender's queue and the network. Without this, a
   // deep sender backlog burns through max_nacks before recovery can
-  // possibly land (observed in the E5 bring-up).
+  // possibly land (observed in the E5 bring-up). The walk steps through
+  // the book with the id range; an id with no entry was never seen.
   const SimTime now = loop_.now();
+  auto it = book_.begin();
   for (std::uint32_t id = closed_prefix_ + 1;
-       id <= horizon && m.adu_ids.size() < NackMessage::kMaxIds; ++id) {
-    if (is_closed(id)) continue;
-    if (manip_inflight_.contains(id)) continue;  // verifying on the engine
-    auto it = pending_.find(id);
-    if (it != pending_.end() && it->second.bytes_received == it->second.adu_len) {
-      continue;  // completing right now
-    }
-    int* count;
-    SimTime* next_at;
-    if (it != pending_.end()) {
-      count = &it->second.nacks;
-      next_at = &it->second.next_nack_at;
-    } else {
-      NackState& st = nack_counts_[id];
-      count = &st.count;
-      next_at = &st.next_at;
-    }
-    if (now < *next_at) continue;  // give the last request time to work
-    if (*count >= cfg_.max_nacks) {
+       id <= horizon && m.adu_ids.size() < NackMessage::kMaxIds; ++id, ++it) {
+    if (it == book_.end() || it->first != id) it = book_.emplace_hint(it, id, Entry{});
+    Entry& e = it->second;
+    if (e.state == AduState::kClosed || e.state == AduState::kVerifying) continue;
+    NackState& st = e.state == AduState::kPartial ? e.r.nack : e.unseen;
+    if (now < st.next_at) continue;  // give the last request time to work
+    if (st.count >= cfg_.max_nacks) {
       to_abandon.push_back(id);
       continue;
     }
-    ++*count;
-    const int shift = std::min(*count - 1, 6);
+    ++st.count;
+    const int shift = std::min(st.count - 1, 6);
     SimDuration backoff = cfg_.nack_retry << shift;
     // Explicit ceiling (many-epoch recoveries should not wait out the full
     // doubling), then deterministic seeded jitter: sessions recovering from
@@ -881,14 +855,11 @@ void AlfReceiver::nack_scan() {
           static_cast<double>(backoff) * cfg_.nack_jitter);
       backoff += static_cast<SimDuration>(jitter_rng_.uniform(span + 1));
     }
-    *next_at = now + backoff;
+    st.next_at = now + backoff;
     m.adu_ids.push_back(id);
   }
 
-  for (std::uint32_t id : to_abandon) {
-    auto it = pending_.find(id);
-    abandon(id, it != pending_.end() ? &it->second : nullptr);
-  }
+  for (std::uint32_t id : to_abandon) abandon(id);
 
   if (!m.adu_ids.empty()) {
     ByteBuffer frame = encode_nack(m);
@@ -951,22 +922,25 @@ void AlfReceiver::on_done(const DoneMessage& d) {
   note_progress();  // learning the stream's extent is progress
   arm_timers();  // DONE may precede data (tiny streams, reordered paths)
   if (cfg_.retransmit == RetransmitPolicy::kNone) {
-    // No recovery: everything not currently complete is lost; tell the
-    // application in its own terms and finish. The walk is clamped to the
-    // id window — a forged total cannot trigger an unbounded abandon loop.
+    // No recovery: every missing or partial id is lost; tell the
+    // application in its own terms and finish. A verifying ADU settles on
+    // its own: delivered, or lost once if it fails its checksum. The walk
+    // is clamped to the id window — a forged total cannot trigger an
+    // unbounded abandon loop.
     std::uint32_t limit = expected_total_;
     if (cfg_.adu_id_window > 0) {
       limit = static_cast<std::uint32_t>(std::min<std::uint64_t>(
           limit, std::uint64_t{closed_prefix_} + cfg_.adu_id_window));
     }
-    std::vector<std::uint32_t> missing;
+    std::vector<std::uint32_t> open;
     for (std::uint32_t id = closed_prefix_ + 1; id <= limit; ++id) {
-      if (!is_closed(id)) missing.push_back(id);
+      auto it = book_.find(id);
+      if (it == book_.end() || it->second.state == AduState::kMissing ||
+          it->second.state == AduState::kPartial) {
+        open.push_back(id);
+      }
     }
-    for (std::uint32_t id : missing) {
-      auto it = pending_.find(id);
-      abandon(id, it != pending_.end() ? &it->second : nullptr);
-    }
+    for (std::uint32_t id : open) abandon(id);
   }
   check_complete();
 }

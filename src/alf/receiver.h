@@ -24,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "alf/adu.h"
@@ -127,6 +126,10 @@ struct ReceiverAttach {
 using PriorityFn = std::function<int(const AduName&)>;
 
 /// ALF receiving endpoint for one association.
+///
+/// One book records each ADU id's fate — missing, partial, verifying or
+/// closed (§5: the id is the unit of recovery) — and stage 2 ends in one
+/// settle() whether it ran inline or on the engine.
 ///
 /// Timer lifecycle: maintenance timers (NACK scan, progress reports) arm on
 /// first activity and stand down when there is nothing outstanding. A
@@ -248,9 +251,10 @@ class AlfReceiver {
   /// Overload-shedding rank (see PriorityFn); unset = all equal.
   void set_priority(PriorityFn fn) { priority_ = std::move(fn); }
 
-  /// Snapshot of the closed-ADU books for a RESUME frame / a restarted
-  /// incarnation. Valid even after fail_session(): the closed bookkeeping
-  /// deliberately survives failure so recovery can build on it.
+  /// Snapshot of the closed ids (the prefix plus the book's closed
+  /// entries) for a RESUME frame / a restarted incarnation. Valid even
+  /// after fail_session(): closed entries deliberately survive failure so
+  /// recovery can build on them.
   ResumeSummary resume_summary() const;
 
   /// Replays a predecessor's summary into this (fresh, pre-traffic)
@@ -286,6 +290,13 @@ class AlfReceiver {
   void set_flight(obs::FlightRecorder* flight);
 
  private:
+  /// NACK pacing for one id: how many NACKs have named it, and when it may
+  /// be named again (exponential backoff).
+  struct NackState {
+    int count = 0;
+    SimTime next_at = 0;
+  };
+
   struct Reassembly {
     AduName name;
     TransferSyntax syntax = TransferSyntax::kRaw;
@@ -309,26 +320,43 @@ class AlfReceiver {
     /// Counted against reassembly_bytes_limit: the larger of adu_len and
     /// pinned_bytes, plus parity.
     std::size_t charged_bytes = 0;
-    int nacks = 0;
-    SimTime next_nack_at = 0;  ///< exponential backoff per ADU
+    /// This reassembly's NACK pacing: each reassembly counts afresh.
+    NackState nack;
   };
 
-  /// NACK pacing for ADUs no fragment of which has been seen.
-  struct NackState {
-    int count = 0;
-    SimTime next_at = 0;
+  /// An id's fate above the closed prefix.
+  enum class AduState : std::uint8_t {
+    kMissing,    ///< no bytes held: never seen, evicted, or failed its checksum
+    kPartial,    ///< reassembling: the entry's Reassembly holds its bytes
+    kVerifying,  ///< complete; stage 2 runs inline or as an engine job
+    kClosed,     ///< delivered or abandoned, above a hole in the prefix
   };
+
+  /// Everything the receiver knows about one ADU id.
+  struct Entry {
+    AduState state = AduState::kMissing;
+    /// Pacing while no bytes are held, for the id's whole life: an eviction
+    /// folds the reassembly's pacing into it (max); a failed checksum
+    /// resumes it.
+    NackState unseen;
+    /// kPartial: the reassembly. kVerifying: name and syntax only.
+    Reassembly r;
+  };
+  using Book = std::map<std::uint32_t, Entry>;
 
   void on_frame(ConstBytes frame);
   void on_data(const DataFragment& f);
   void on_done(const DoneMessage& d);
   /// FEC: reconstructs any group that is one fragment short of complete.
-  /// Returns true if the ADU became complete as a result.
+  /// Returns true if the ADU is complete (the caller completes it).
   bool try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r);
   /// True when the slices cover [start,end) without a gap.
   bool range_present(const Reassembly& r, std::uint32_t start,
                      std::uint32_t end) const;
-  void complete_adu(std::uint32_t adu_id, Reassembly& r);
+  /// Stage 2 for a complete ADU: builds the plan and the chain, returns the
+  /// reassembly charge, marks the entry kVerifying, then runs the pass
+  /// inline or submits it as an engine job. Both routes end in settle().
+  void complete_adu(std::uint32_t adu_id, Entry& e);
   /// Builds the stage-2 pipeline description for one complete ADU; the one
   /// recipe both the inline path and engine workers execute, so the §4
   /// charges are identical by construction.
@@ -360,54 +388,52 @@ class AlfReceiver {
   /// Links an ADU's slices (complete, disjoint, in offset order) into one
   /// chain and clears the slice map.
   buf::BufChain build_chain(Reassembly& r);
-  /// Stage 2 over the gather list: fused or layered decrypt+verify(+swap)
-  /// in place. True if intact.
-  bool manipulate(std::uint32_t adu_id, const Reassembly& r,
-                  buf::BufChain& chain);
+  /// The end of stage 2 for a kVerifying entry, inline or harvested from
+  /// the engine (inside engine_pump's drain, at a deterministic simulated
+  /// time): delivers an intact chain, else counts the checksum failure and
+  /// sends the id back to kMissing. Other entries are ignored.
+  void settle(std::uint32_t adu_id, bool intact, buf::BufChain&& chain);
   /// Closes the id and hands up the chain (or flattens once when only a
-  /// flat consumer is registered).
-  void deliver(std::uint32_t adu_id, const AduName& name,
-               TransferSyntax syntax, buf::BufChain&& chain);
+  /// flat consumer is registered). `name` is a copy: closing the id may
+  /// erase the entry it came from.
+  void deliver(std::uint32_t adu_id, AduName name, TransferSyntax syntax,
+               buf::BufChain&& chain);
   /// Flight note for a pool release the receiver itself decided on
   /// (flatten bridge, checksum-fail discard, shed/evict of an ADU).
   void note_recycle(std::uint32_t adu_id, std::size_t bytes);
-  /// Engine path for complete_adu: moves the chain into a job, releases
-  /// the reassembly charge, and arms the harvest pump.
-  void offload_adu(std::uint32_t adu_id, Reassembly& r);
-  /// Control-thread continuation of an offloaded ADU (runs inside
-  /// engine_pump's drain, i.e. at a deterministic simulated time).
-  void on_manip_done(std::uint32_t adu_id, bool intact, buf::BufChain&& chain,
-                     const obs::CostAccount& cost);
+  /// Releases a reassembly — notes the recycle of any slices it still
+  /// holds and returns its charge — and leaves `r` empty.
+  void drop(std::uint32_t adu_id, Reassembly& r);
   void arm_engine_pump();
   void engine_pump();
-  void abandon(std::uint32_t adu_id, const Reassembly* r);
+  /// Closes an open id as lost and reports it by name when the book knows
+  /// one. `shed` = dropped by the overload policy (counted in adus_shed,
+  /// traced as kShed) rather than abandoned by recovery.
+  void abandon(std::uint32_t adu_id, bool shed = false);
   /// Overload policy (DESIGN.md §10.3): while reassembly memory sits above
-  /// shed_highwater, drop lowest-priority incomplete ADUs (never
+  /// shed_highwater, drop lowest-priority partial ADUs (never
   /// `protect_id`) down to the low-water mark. Shed ADUs are closed and
   /// reported via on_adu_lost — the application copes in its own terms.
   void shed_for_overload(std::uint32_t protect_id);
-  std::map<std::uint32_t, Reassembly>::iterator pick_shed_victim(
-      std::uint32_t protect_id);
-  void shed(std::map<std::uint32_t, Reassembly>::iterator it);
+  Book::iterator pick_shed_victim(std::uint32_t protect_id);
   void nack_scan();
   void send_progress();
   void check_complete();
-  std::size_t reassembly_bytes() const noexcept { return reassembly_bytes_; }
 
   /// Charges `need` bytes against reassembly_bytes_limit, evicting the
-  /// oldest incomplete ADUs (never `for_id`) to make room. False = no room.
+  /// oldest partial ADUs (never `for_id`) to make room. False = no room.
   bool reserve_bytes(std::uint32_t for_id, std::size_t need);
-  /// Drops an incomplete ADU's buffers; the id stays recoverable via NACK.
-  void evict(std::map<std::uint32_t, Reassembly>::iterator it);
-  /// Erases a pending entry and returns its memory charge to the pool.
-  void release_pending(std::map<std::uint32_t, Reassembly>::iterator it);
+  /// Drops a partial ADU's bytes; the id goes back to kMissing and stays
+  /// recoverable via NACK.
+  void evict(std::uint32_t adu_id, Entry& e);
   /// Records substantive forward progress (feeds the stall watchdog).
   void note_progress() { last_progress_mark_ = loop_.now(); }
   void watchdog_tick();
   /// Stall watchdog verdict: abandon everything, tell the application once.
   void fail_session();
 
-  /// Marks an id delivered-or-abandoned and advances the closed prefix.
+  /// Marks an id's entry kClosed and folds the closed run at the front of
+  /// the book into the prefix.
   void close_id(std::uint32_t adu_id);
 
   /// Arms whichever maintenance timers the current state warrants.
@@ -422,12 +448,10 @@ class AlfReceiver {
         expected_total_ > 0 ? expected_total_ : highest_seen_;
     return closed_count() < horizon;
   }
-  /// True while the session has started but not completed or failed.
+  /// True while the session has started but not completed or failed (an
+  /// accepted fragment raised highest_seen_: id 0 never enters the book).
   bool session_active() const noexcept {
-    return !complete_fired_ && !failed_ && (highest_seen_ > 0 || !pending_.empty());
-  }
-  bool is_closed(std::uint32_t adu_id) const noexcept {
-    return adu_id <= closed_prefix_ || closed_.contains(adu_id);
+    return !complete_fired_ && !failed_ && highest_seen_ > 0;
   }
 
   EventLoop& loop_;
@@ -442,34 +466,28 @@ class AlfReceiver {
   /// This ADU's flow-scoped trace id (shared with the sender's side).
   std::uint64_t flight_id(std::uint32_t adu_id) const noexcept;
 
-  std::map<std::uint32_t, Reassembly> pending_;
-  std::set<std::uint32_t> closed_;        ///< closed ids above the prefix
+  /// One book per ADU id: every id above closed_prefix_ the receiver knows
+  /// anything about — NACKed, reassembling, verifying, or closed above a
+  /// hole. adu_id_window bounds it, like the NACK scan.
+  Book book_;
   std::uint32_t closed_prefix_ = 0;       ///< ids 1..prefix are all closed
   std::uint32_t delivered_count_ = 0;
   std::uint32_t abandoned_count_ = 0;
   std::uint32_t highest_seen_ = 0;
   std::uint32_t expected_total_ = 0;  ///< 0 until DONE arrives
-  std::map<std::uint32_t, NackState> nack_counts_;  ///< ids never seen at all
+  /// kVerifying entries. They outlive fail_session(): each engine job holds
+  /// a completion into this object, which the destructor settles.
+  std::uint32_t verifying_ = 0;
   bool complete_fired_ = false;
   bool failed_ = false;  ///< stall watchdog gave up; session is inert
-  std::size_t reassembly_bytes_ = 0;  ///< bytes charged across pending_
+  std::size_t reassembly_bytes_ = 0;  ///< bytes charged across kPartial entries
 
-  // Engine offload state. An ADU in manip_inflight_ has left pending_ but
-  // is not yet closed: NACK machinery must neither re-request it nor count
-  // it complete until its job is harvested. The book outlives
-  // fail_session(): every job it lists still holds a completion into this
-  // object, and the destructor settles them by it.
-  struct InflightManip {
-    AduName name;
-    TransferSyntax syntax = TransferSyntax::kRaw;
-  };
   engine::Engine* eng_ = nullptr;
   buf::BufferPool* rx_pool_ = nullptr;  ///< copy-placement pool (null = default)
   /// Compiled presentation plan to fuse into stage 2 (null = none).
   std::shared_ptr<const presentation::PresentationPlan> present_plan_;
   SimDuration engine_harvest_delay_ = 0;
   bool engine_pump_armed_ = false;
-  std::map<std::uint32_t, InflightManip> manip_inflight_;
 
   // Maintenance timers are armed only while the session has open work, so
   // an idle or never-used association does not keep the event loop (or a

@@ -80,8 +80,10 @@ struct SessionConfig {
   /// Seed for the endpoint's private jitter stream. 0 derives one from
   /// session_id, so unconfigured endpoints remain deterministic.
   std::uint64_t recovery_seed = 0;
-  /// Receiver: give up on an ADU after this many NACKs (then report loss
-  /// to the application in application terms).
+  /// Receiver: NACKs per pacing record before an ADU is reported lost (in
+  /// application terms). Each reassembly of an id counts afresh, beside
+  /// the record for while none of its bytes are held (DESIGN.md §5), so an
+  /// id may be NACKed more than max_nacks times in all.
   int max_nacks = 10;
   /// Receiver: progress-report cadence (out-of-band feedback).
   SimDuration progress_interval = 50 * kMillisecond;

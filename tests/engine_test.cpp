@@ -6,6 +6,8 @@
 
 #include <cstring>
 #include <map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "alf/file_sink.h"
@@ -367,6 +369,71 @@ TEST(EngineTeardown, FailedReceiverSettlesItsJobsOnDestruction) {
   eng.wait_all();  // nothing is left to call into the dead receiver
   EXPECT_EQ(delivered, 0);
 }
+
+// ---- kNone DONE while stage 2 is in flight ---------------------------------------
+
+/// Workers, and whether ADU 2 carries a wrong adu_checksum.
+class EngineNoRecoveryDone
+    : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {};
+
+TEST_P(EngineNoRecoveryDone, VerifyingAdusSettleOnceAndCompletionComesLast) {
+  // Without recovery, DONE reports every open ADU lost. ADUs verifying on
+  // the engine are not open: each settles on its own when harvested —
+  // delivered, or lost once by name if it fails its checksum — and the
+  // session completes after the last of them.
+  const auto [workers, corrupt] = GetParam();
+  Engine eng(EngineConfig{.workers = workers});
+  alf::SessionConfig cfg;
+  cfg.retransmit = alf::RetransmitPolicy::kNone;
+  test::ReceiverFixture fx(cfg);
+  fx.receiver->set_engine(&eng, 5 * kMillisecond);
+  int delivered = 0, lost = 0, completions = 0;
+  bool outcome_after_complete = false;
+  std::vector<std::pair<AduName, bool>> lost_names;
+  fx.receiver->set_on_adu([&](Adu&&) {
+    ++delivered;
+    outcome_after_complete |= completions > 0;
+  });
+  fx.receiver->set_on_adu_lost([&](std::uint32_t, const AduName& name, bool known) {
+    ++lost;
+    lost_names.emplace_back(name, known);
+    outcome_after_complete |= completions > 0;
+  });
+  fx.receiver->set_on_complete([&] { ++completions; });
+
+  for (std::uint32_t id = 1; id <= 3; ++id) {
+    ByteBuffer payload(500);
+    Rng(id).fill(payload.span());
+    alf::DataFragment f = test::make_fragment(cfg.session_id, id, payload.span(), 500, 0);
+    f.adu_checksum = compute_checksum(ChecksumKind::kInternet, payload.span());
+    if (corrupt && id == 2) f.adu_checksum ^= 1;
+    fx.inject(f);
+  }
+  alf::DoneMessage done;
+  done.session = cfg.session_id;
+  done.total_adus = 3;
+  fx.data.send(alf::encode_done(done).span());
+  EXPECT_EQ(delivered + lost, 0);  // all three are still verifying
+  EXPECT_EQ(completions, 0);
+
+  fx.loop.run();
+  EXPECT_EQ(delivered, corrupt ? 2 : 3);
+  EXPECT_EQ(lost, corrupt ? 1 : 0);
+  if (corrupt) {
+    ASSERT_EQ(lost_names.size(), 1u);
+    EXPECT_EQ(lost_names[0].first, generic_name(2));
+    EXPECT_TRUE(lost_names[0].second);  // name_known
+  }
+  EXPECT_EQ(fx.receiver->stats().adus_checksum_failed, corrupt ? 1u : 0u);
+  EXPECT_EQ(fx.receiver->stats().adus_delivered + fx.receiver->stats().adus_abandoned, 3u);
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(outcome_after_complete);
+  EXPECT_TRUE(fx.receiver->complete());
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkersAndChecksum, EngineNoRecoveryDone,
+                         ::testing::Combine(::testing::Values(0u, 2u),
+                                            ::testing::Bool()));
 
 // ---- The property: schedule-invariant transfers ----------------------------------
 

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "alf/receiver.h"
 #include "alf/sender.h"
 #include "checksum/internet.h"
+#include "engine/engine.h"
 #include "ilp/engine.h"
 #include "netsim/net_path.h"
 #include "presentation/ber.h"
@@ -103,6 +105,7 @@ struct AlfGridParam {
   double loss;
   std::size_t adu_size;
   alf::RetransmitPolicy policy;
+  bool engine = false;  ///< stage 2 on an engine (workers = 0, 1 ms harvest)
 };
 
 class AlfLossGridProperty : public ::testing::TestWithParam<AlfGridParam> {};
@@ -124,18 +127,33 @@ TEST_P(AlfLossGridProperty, EveryDeliveredAduIsIntactAndAccountedFor) {
   ch.forward.set_loss_rate(param.loss);
   LinkPath data(ch.forward), fb_tx(ch.reverse), fb_rx(ch.reverse);
 
+  engine::Engine eng;
   alf::AlfSender sender(loop, data, fb_rx, scfg);
   alf::AlfReceiver receiver(loop, data, fb_tx, scfg);
+  if (param.engine) receiver.set_engine(&eng, kMillisecond);
 
+  // The §5 contract, per ADU: each id (ADU i travels as id i + 1) is
+  // delivered or reported lost exactly once, and completion comes after
+  // the last outcome.
   std::map<std::uint64_t, ByteBuffer> source;
+  std::map<std::uint32_t, int> outcomes;
   std::size_t delivered = 0, lost = 0;
-  bool complete = false;
+  int completions = 0;
+  bool outcome_after_complete = false;
+  auto record = [&](std::uint32_t adu_id) {
+    ++outcomes[adu_id];
+    outcome_after_complete |= completions > 0;
+  };
   receiver.set_on_adu([&](Adu&& a) {
     ASSERT_EQ(a.payload, source.at(a.name.a));  // integrity, always
     ++delivered;
+    record(static_cast<std::uint32_t>(a.name.a) + 1);
   });
-  receiver.set_on_adu_lost([&](std::uint32_t, const AduName&, bool) { ++lost; });
-  receiver.set_on_complete([&] { complete = true; });
+  receiver.set_on_adu_lost([&](std::uint32_t adu_id, const AduName&, bool) {
+    ++lost;
+    record(adu_id);
+  });
+  receiver.set_on_complete([&] { ++completions; });
   sender.set_recompute([&](std::uint32_t, const AduName& n) {
     return std::optional<ByteBuffer>(ByteBuffer(source.at(n.a).span()));
   });
@@ -151,8 +169,11 @@ TEST_P(AlfLossGridProperty, EveryDeliveredAduIsIntactAndAccountedFor) {
   sender.finish();
   loop.run();
 
-  EXPECT_TRUE(complete);
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(outcome_after_complete);
   EXPECT_EQ(delivered + lost, kAdus);
+  EXPECT_EQ(outcomes.size(), kAdus);
+  for (const auto& [adu_id, n] : outcomes) EXPECT_EQ(n, 1) << "adu " << adu_id;
   if (param.policy != alf::RetransmitPolicy::kNone && param.loss <= 0.2) {
     // Recovery should save everything at moderate loss.
     EXPECT_EQ(delivered, kAdus);
@@ -162,19 +183,30 @@ TEST_P(AlfLossGridProperty, EveryDeliveredAduIsIntactAndAccountedFor) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, AlfLossGridProperty,
-    ::testing::Values(
-        AlfGridParam{0.0, 500, alf::RetransmitPolicy::kTransportBuffered},
-        AlfGridParam{0.01, 500, alf::RetransmitPolicy::kTransportBuffered},
-        AlfGridParam{0.05, 4000, alf::RetransmitPolicy::kTransportBuffered},
-        AlfGridParam{0.1, 4000, alf::RetransmitPolicy::kTransportBuffered},
-        AlfGridParam{0.2, 10000, alf::RetransmitPolicy::kTransportBuffered},
-        AlfGridParam{0.05, 4000, alf::RetransmitPolicy::kApplicationRecompute},
-        AlfGridParam{0.1, 10000, alf::RetransmitPolicy::kApplicationRecompute},
-        AlfGridParam{0.0, 4000, alf::RetransmitPolicy::kNone},
-        AlfGridParam{0.1, 1200, alf::RetransmitPolicy::kNone},
-        AlfGridParam{0.3, 1200, alf::RetransmitPolicy::kNone}));
+/// Every grid row, with stage 2 inline and then on an engine.
+std::vector<AlfGridParam> alf_grid() {
+  const AlfGridParam rows[] = {
+      {0.0, 500, alf::RetransmitPolicy::kTransportBuffered},
+      {0.01, 500, alf::RetransmitPolicy::kTransportBuffered},
+      {0.05, 4000, alf::RetransmitPolicy::kTransportBuffered},
+      {0.1, 4000, alf::RetransmitPolicy::kTransportBuffered},
+      {0.2, 10000, alf::RetransmitPolicy::kTransportBuffered},
+      {0.05, 4000, alf::RetransmitPolicy::kApplicationRecompute},
+      {0.1, 10000, alf::RetransmitPolicy::kApplicationRecompute},
+      {0.0, 4000, alf::RetransmitPolicy::kNone},
+      {0.1, 1200, alf::RetransmitPolicy::kNone},
+      {0.3, 1200, alf::RetransmitPolicy::kNone}};
+  std::vector<AlfGridParam> grid;
+  for (bool engine : {false, true}) {
+    for (AlfGridParam p : rows) {
+      p.engine = engine;
+      grid.push_back(p);
+    }
+  }
+  return grid;
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, AlfLossGridProperty, ::testing::ValuesIn(alf_grid()));
 
 // ---- BER structural fuzz: random byte strings never crash the reader --------------
 

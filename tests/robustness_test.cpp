@@ -5,12 +5,16 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "alf/receiver.h"
 #include "alf/sender.h"
 #include "buf/ingress.h"
 #include "buf/pool.h"
+#include "engine/engine.h"
 #include "netsim/link.h"
 #include "netsim/net_path.h"
 #include "transport/stream_sender.h"
@@ -307,6 +311,75 @@ TEST(ReceiverHardening, MemoryPressureEvictsOldestIncomplete) {
   EXPECT_EQ(fx.delivered[0].payload, full);
   EXPECT_EQ(fx.delivered[1].payload, full);
   EXPECT_LE(fx.receiver->stats().reassembly_bytes_peak, cfg.reassembly_bytes_limit);
+}
+
+/// NACK frames recorded by `sink` (from frame index `from` on) that name
+/// `adu_id`.
+int nacks_naming(const SinkPath& sink, std::uint32_t adu_id, std::size_t from = 0) {
+  int n = 0;
+  for (std::size_t i = from; i < sink.frames.size(); ++i) {
+    const auto msg = decode_message(sink.frames[i].span());
+    if (msg && msg->type == MessageType::kNack &&
+        std::find(msg->nack.adu_ids.begin(), msg->nack.adu_ids.end(), adu_id) !=
+            msg->nack.adu_ids.end()) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(ReceiverHardening, MemoryPressureEvictsOnlyAPartialAdu) {
+  // The eviction victim is the oldest PARTIAL ADU. Older ids in every other
+  // state are passed over: a missing id (NACKed, no bytes held), a closed
+  // id above the hole, and an ADU verifying on the engine.
+  engine::Engine eng;
+  SessionConfig cfg;
+  cfg.reassembly_bytes_limit = 10000;
+  cfg.nack_delay = 10 * kMillisecond;
+  cfg.nack_retry = 10 * kMillisecond;
+  ReceiverFixture fx(cfg);
+  fx.receiver->set_engine(&eng, 50 * kMillisecond);
+  ByteBuffer full(8000);
+  Rng(8).fill(full.span());
+  auto whole = [&](std::uint32_t id) {
+    auto f = make_fragment(1, id, full.subspan(0, 500), 500, 0);
+    f.adu_checksum = internet_checksum_unrolled(full.subspan(0, 500));
+    fx.inject(f);
+  };
+  auto first_half = [&](std::uint32_t id) {
+    auto f = make_fragment(1, id, full.subspan(0, 4000), 8000, 0);
+    f.adu_checksum = internet_checksum_unrolled(full.span());
+    fx.inject(f);
+  };
+
+  // Id 2 arrives whole: the scan NACKs id 1 while id 2 verifies, and the
+  // harvest delivers id 2, closed above the hole.
+  whole(2);
+  fx.loop.run_until(60 * kMillisecond);
+  ASSERT_EQ(fx.delivered.size(), 1u);
+  EXPECT_GT(nacks_naming(fx.feedback, 1), 0);
+
+  // Id 3 completes and verifies on the engine; id 4 holds 4,000 of 8,000.
+  whole(3);
+  first_half(4);
+  EXPECT_EQ(fx.receiver->stats().adus_engine_offloaded, 2u);
+  EXPECT_EQ(fx.receiver->stats().reassembly_evictions, 0u);
+
+  // Id 5 needs 8,000 more: only id 4 may make room.
+  first_half(5);
+  EXPECT_EQ(fx.receiver->stats().reassembly_evictions, 1u);
+  EXPECT_EQ(fx.receiver->stats().fragments_dropped_mem, 0u);
+  EXPECT_LE(fx.receiver->stats().reassembly_bytes_peak, cfg.reassembly_bytes_limit);
+  const std::size_t frames_at_evict = fx.feedback.frames.size();
+
+  fx.loop.run_until(200 * kMillisecond);
+  std::map<std::uint64_t, int> delivered;
+  for (const Adu& a : fx.delivered) ++delivered[a.name.a];
+  EXPECT_EQ(delivered, (std::map<std::uint64_t, int>{{2, 1}, {3, 1}}));
+  // Ids 1 and 4 stay open: the scan keeps naming them.
+  EXPECT_GT(nacks_naming(fx.feedback, 1, frames_at_evict), 0);
+  EXPECT_GT(nacks_naming(fx.feedback, 4, frames_at_evict), 0);
+  EXPECT_EQ(fx.receiver->stats().adus_abandoned, 0u);
 }
 
 TEST(ReceiverHardening, AduLargerThanWholeBudgetDropped) {
@@ -658,6 +731,77 @@ TEST(NackBackoff, ZeroJitterReproducesClassicCadence) {
     loop2.run_until(10 * kSecond);
     return nack_times(fb2);
   }());
+}
+
+/// max_nacks 3 on a 10 ms scan with no jitter and no watchdog.
+SessionConfig pacing_config() {
+  SessionConfig cfg;
+  cfg.max_nacks = 3;
+  cfg.nack_delay = 10 * kMillisecond;
+  cfg.nack_retry = 10 * kMillisecond;
+  cfg.nack_jitter = 0;
+  cfg.stall_timeout = 0;
+  return cfg;
+}
+
+/// Id 2 arrives whole at t = 0, so the scan looks for id 1.
+void inject_id2(ReceiverFixture& fx) {
+  auto payload = ByteBuffer::from_string("the one that made it");
+  auto f = make_fragment(1, 2, payload.span(),
+                         static_cast<std::uint32_t>(payload.size()), 0);
+  f.adu_checksum = internet_checksum_unrolled(payload.span());
+  fx.inject(f);
+}
+
+using LossLog = std::vector<std::pair<std::uint32_t, bool>>;  // id, name_known
+
+TEST(NackBackoff, EachReassemblyCountsItsNacksAfresh) {
+  // max_nacks bounds one pacing record, not the id's life: never-seen id 1
+  // spends its 3 NACKs (10, 20, 40 ms), then a partial reassembly of it
+  // starts its own record and spends 3 more before the loss report.
+  ReceiverFixture fx(pacing_config());
+  LossLog lost;
+  fx.receiver->set_on_adu_lost([&](std::uint32_t id, const AduName&, bool known) {
+    lost.emplace_back(id, known);
+  });
+  inject_id2(fx);
+  fx.loop.run_until(45 * kMillisecond);
+  EXPECT_EQ(nacks_naming(fx.feedback, 1), 3);
+  EXPECT_TRUE(lost.empty());
+
+  ByteBuffer full(2000);
+  Rng(5).fill(full.span());
+  auto f = make_fragment(1, 1, full.subspan(0, 1000), 2000, 0);
+  f.adu_checksum = internet_checksum_unrolled(full.span());
+  fx.inject(f);
+  fx.loop.run_until(1 * kSecond);
+  EXPECT_EQ(nacks_naming(fx.feedback, 1), 6);
+  EXPECT_EQ(lost, (LossLog{{1, true}}));
+}
+
+TEST(NackBackoff, FailedChecksumResumesTheNeverSeenRecord) {
+  // A reassembly that fails its checksum leaves no pacing of its own: id 1
+  // resumes its never-seen record (2 NACKs spent by 25 ms), so one more
+  // NACK exhausts it, and the loss report carries no name.
+  ReceiverFixture fx(pacing_config());
+  LossLog lost;
+  fx.receiver->set_on_adu_lost([&](std::uint32_t id, const AduName&, bool known) {
+    lost.emplace_back(id, known);
+  });
+  inject_id2(fx);
+  fx.loop.run_until(25 * kMillisecond);
+  EXPECT_EQ(nacks_naming(fx.feedback, 1), 2);
+
+  ByteBuffer payload(500);
+  Rng(6).fill(payload.span());
+  auto f = make_fragment(1, 1, payload.span(), 500, 0);
+  f.adu_checksum = internet_checksum_unrolled(payload.span()) ^ 1u;
+  fx.inject(f);
+  EXPECT_EQ(fx.receiver->stats().adus_checksum_failed, 1u);
+  fx.loop.run_until(1 * kSecond);
+  EXPECT_EQ(nacks_naming(fx.feedback, 1), 3);
+  EXPECT_EQ(lost, (LossLog{{1, false}}));
+  EXPECT_EQ(fx.delivered.size(), 1u);  // id 2 only
 }
 
 TEST(RecoveryDiscipline, SenderDtorWithPendingWatchdogLeavesNoLiveTimer) {
