@@ -114,8 +114,7 @@ RunResult run_stream(double loss) {
   ch.forward.set_loss_rate(loss);
   LinkPath data(ch.forward), ack_tx(ch.reverse), ack_rx(ch.reverse);
 
-  StreamSenderConfig scfg;
-  StreamSender sender(loop, data, ack_rx, scfg);
+  StreamSender sender(loop, data, ack_rx);
   StreamReceiver receiver(loop, data, ack_tx);
 
   // The stream transport has no ADU concept — exactly the paper's point —
@@ -168,7 +167,7 @@ RunResult run_stream(double loss) {
   r.completion_s = to_seconds(app.busy_until);
   r.idle_s = to_seconds(app.idle);
   r.goodput_mbps = megabits_per_second(app.bytes, r.completion_s);
-  r.retransmit_bytes = sender.stats().retransmits * scfg.mss;
+  r.retransmit_bytes = sender.stats().retransmits * sender.mss();
   summarize_flight(rec.latency_table(), r);
   return r;
 }

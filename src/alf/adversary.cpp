@@ -21,52 +21,49 @@ ByteBuffer forge_len_fragment(std::uint16_t session, std::uint32_t adu_id,
   return encode_fragment(f);
 }
 
-AdversaryFn make_chaos_adversary(AdversaryConfig config, AdversaryStats& stats) {
+constexpr std::uint32_t kForgedAduLen = 0x80000000u;  ///< 2^31: the classic forged claim
+constexpr std::uint16_t kForeignSessionDelta = 7;     ///< added to the observed session id
+constexpr std::uint32_t kFarIdDelta = 1u << 24;       ///< added to the observed adu_id
+
+AdversaryFn make_chaos_adversary(AdversaryStats& stats) {
   // Rotation state lives in the closure so consecutive forgeries cycle
-  // through the enabled shapes deterministically.
+  // through the shapes deterministically.
   auto turn = std::make_shared<std::uint32_t>(0);
-  return [config, turn, &stats](ConstBytes observed, Rng& rng) -> ByteBuffer {
+  return [turn, &stats](ConstBytes observed, Rng& rng) -> ByteBuffer {
     auto msg = decode_message(observed);
     if (!msg || msg->type != MessageType::kData) return {};
     const DataFragment& seen = msg->data;
 
-    const bool enabled[4] = {config.forge_len, config.cross_session,
-                             config.conflicting_len, config.far_future_id};
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint32_t shape = (*turn)++ % 4;
-      if (!enabled[shape]) continue;
-      switch (shape) {
-        case 0: {
-          // Fresh id claiming a huge ADU: the unbounded-allocation probe.
-          ++stats.forged_len;
-          const auto id = seen.adu_id + static_cast<std::uint32_t>(rng.uniform_range(100, 199));
-          return forge_len_fragment(seen.session, id, config.forged_adu_len);
-        }
-        case 1: {
-          // The observed fragment verbatim, under a foreign session id.
-          ++stats.cross_session;
-          DataFragment f = seen;
-          f.session = static_cast<std::uint16_t>(seen.session + config.foreign_session_delta);
-          return encode_fragment(f);
-        }
-        case 2: {
-          // Same id, contradictory metadata: claims double the length.
-          ++stats.conflicting_len;
-          DataFragment f = seen;
-          f.adu_len = seen.adu_len * 2 + 64;
-          f.frag_off = 0;
-          return encode_fragment(f);
-        }
-        default: {
-          // An id far beyond any plausible recovery window.
-          ++stats.far_future_id;
-          DataFragment f = seen;
-          f.adu_id = seen.adu_id + config.far_id_delta;
-          return encode_fragment(f);
-        }
+    switch ((*turn)++ % 4) {
+      case 0: {
+        // Fresh id claiming a huge ADU: the unbounded-allocation probe.
+        ++stats.forged_len;
+        const auto id = seen.adu_id + static_cast<std::uint32_t>(rng.uniform_range(100, 199));
+        return forge_len_fragment(seen.session, id, kForgedAduLen);
+      }
+      case 1: {
+        // The observed fragment verbatim, under a foreign session id.
+        ++stats.cross_session;
+        DataFragment f = seen;
+        f.session = static_cast<std::uint16_t>(seen.session + kForeignSessionDelta);
+        return encode_fragment(f);
+      }
+      case 2: {
+        // Same id, contradictory metadata: claims double the length.
+        ++stats.conflicting_len;
+        DataFragment f = seen;
+        f.adu_len = seen.adu_len * 2 + 64;
+        f.frag_off = 0;
+        return encode_fragment(f);
+      }
+      default: {
+        // An id far beyond any plausible recovery window.
+        ++stats.far_future_id;
+        DataFragment f = seen;
+        f.adu_id = seen.adu_id + kFarIdDelta;
+        return encode_fragment(f);
       }
     }
-    return {};
   };
 }
 

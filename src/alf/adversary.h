@@ -25,30 +25,19 @@ class MetricsRegistry;
 
 namespace ngp::alf {
 
-/// What the forged frames claim, and how often each shape is produced
-/// (the adversary rotates deterministically through the enabled shapes).
-struct AdversaryConfig {
-  bool forge_len = true;        ///< fresh adu_id claiming `forged_adu_len` bytes
-  bool cross_session = true;    ///< same fragment under a foreign session id
-  bool conflicting_len = true;  ///< existing adu_id, contradictory adu_len
-  bool far_future_id = true;    ///< id far beyond the recovery window
-
-  std::uint32_t forged_adu_len = 0x80000000u;  ///< 2^31: the classic forged claim
-  std::uint16_t foreign_session_delta = 7;     ///< added to the observed session id
-  std::uint32_t far_id_delta = 1u << 24;       ///< added to the observed adu_id
-};
-
 /// Counts of each forged shape actually emitted (for test assertions).
 struct AdversaryStats {
-  std::uint64_t forged_len = 0;
-  std::uint64_t cross_session = 0;
-  std::uint64_t conflicting_len = 0;
-  std::uint64_t far_future_id = 0;
+  std::uint64_t forged_len = 0;       ///< fresh adu_id claiming 2^31 bytes
+  std::uint64_t cross_session = 0;    ///< same fragment, session id + 7
+  std::uint64_t conflicting_len = 0;  ///< existing adu_id, contradictory adu_len
+  std::uint64_t far_future_id = 0;    ///< adu_id + 2^24, far beyond the window
 };
 
-/// Builds an AdversaryFn for FaultyPath::set_adversary. The returned
-/// callable keeps a reference to `stats`; the caller owns both lifetimes.
-AdversaryFn make_chaos_adversary(AdversaryConfig config, AdversaryStats& stats);
+/// Builds an AdversaryFn for FaultyPath::set_adversary. Each observed DATA
+/// frame yields the next of the four shapes above, in that order. The
+/// returned callable keeps a reference to `stats`; the caller owns both
+/// lifetimes.
+AdversaryFn make_chaos_adversary(AdversaryStats& stats);
 
 /// Writes the forged-shape counters into one snapshot source.
 void emit_metrics(obs::MetricSink& sink, const AdversaryStats& stats);

@@ -110,8 +110,8 @@ struct SessionConfig {
   std::size_t reassembly_bytes_limit = 32 << 20;
 
   /// Receiver: ADU ids are only accepted within this window above the
-  /// closed prefix, bounding the nack/closed bookkeeping sets and the NACK
-  /// scan range against forged far-future ids. 0 = unlimited.
+  /// closed prefix, bounding the receiver's per-id book and the NACK scan
+  /// range against forged far-future ids. 0 = unlimited.
   std::uint32_t adu_id_window = 1 << 16;
 
   // --- Graceful degradation under overload (DESIGN.md §10.3) ---

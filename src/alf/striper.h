@@ -49,7 +49,6 @@ class AlfStriper {
   /// Finishes every lane (each emits its own DONE).
   void finish();
 
-  std::size_t lane_count() const noexcept { return lanes_.size(); }
   const StriperStats& stats() const noexcept { return stats_; }
 
   /// Writes dispatch counters (total + one per lane) into one source.

@@ -99,10 +99,10 @@ void BufferPool::unpoison(detail::Segment* seg) noexcept {
 #endif
 }
 
-BufferPool::BufferPool(PoolConfig cfg) : cfg_(std::move(cfg)) {
-  assert(!cfg_.size_classes.empty());
-  classes_.reserve(cfg_.size_classes.size());
-  for (std::size_t cap : cfg_.size_classes) {
+BufferPool::BufferPool(PoolConfig cfg) {
+  assert(!cfg.size_classes.empty());
+  classes_.reserve(cfg.size_classes.size());
+  for (std::size_t cap : cfg.size_classes) {
     auto sc = std::make_unique<SizeClass>();
     sc->capacity = cap;
     classes_.push_back(std::move(sc));
@@ -126,13 +126,15 @@ BufferPool::~BufferPool() {
   }
 }
 
+/// Segments carved per slab allocation.
+constexpr std::size_t kSlabSegments = 32;
+
 void BufferPool::carve_slab(std::size_t ci) {
   SizeClass& sc = *classes_[ci];
   const std::size_t stride = round_up(sc.capacity, kSlabAlign);
-  const std::size_t n = cfg_.slab_segments;
-  SlabStorage storage = make_slab_storage(stride * n);
-  auto hdrs = std::make_unique<std::vector<detail::Segment>>(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  SlabStorage storage = make_slab_storage(stride * kSlabSegments);
+  auto hdrs = std::make_unique<std::vector<detail::Segment>>(kSlabSegments);
+  for (std::size_t i = 0; i < kSlabSegments; ++i) {
     detail::Segment& s = (*hdrs)[i];
     s.pool = this;
     s.class_index = static_cast<std::uint32_t>(ci);
@@ -145,8 +147,8 @@ void BufferPool::carve_slab(std::size_t ci) {
   sc.slabs.push_back(std::move(storage));
   sc.headers.push_back(std::move(hdrs));
   slab_allocs_.fetch_add(1, std::memory_order_relaxed);
-  segments_total_.fetch_add(n, std::memory_order_relaxed);
-  bytes_reserved_.fetch_add(stride * n, std::memory_order_relaxed);
+  segments_total_.fetch_add(kSlabSegments, std::memory_order_relaxed);
+  bytes_reserved_.fetch_add(stride * kSlabSegments, std::memory_order_relaxed);
 }
 
 detail::Segment* BufferPool::pop_central(std::size_t ci) {
@@ -215,6 +217,9 @@ BufRef BufferPool::alloc(std::size_t bytes) {
   return BufRef{s};
 }
 
+/// Per-thread free-cache capacity (segments per class per thread).
+constexpr std::size_t kThreadCacheSegments = 16;
+
 void BufferPool::recycle(detail::Segment* seg) noexcept {
   live_.fetch_sub(1, std::memory_order_relaxed);
   recycles_.fetch_add(1, std::memory_order_relaxed);
@@ -227,7 +232,7 @@ void BufferPool::recycle(detail::Segment* seg) noexcept {
   const std::size_t ci = seg->class_index;
   ThreadCache* tc = cache_for_this_thread();
   auto& local = tc->free[ci];
-  if (local.size() < cfg_.thread_cache_segments) {
+  if (local.size() < kThreadCacheSegments) {
     local.push_back(seg);
     return;
   }

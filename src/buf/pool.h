@@ -126,16 +126,12 @@ class BufRef {
   detail::Segment* seg_ = nullptr;
 };
 
-/// Pool sizing knobs. Defaults fit the ALF datapath: small control frames,
+/// Pool sizing. Defaults fit the ALF datapath: small control frames,
 /// mid-size fragments, large reassembled ADUs.
 struct PoolConfig {
   /// Segment capacities, ascending. A request is served from the first
   /// class that fits; larger requests get a one-off heap segment.
   std::vector<std::size_t> size_classes{512, 2048, 8192, 65536};
-  /// Segments carved per slab allocation.
-  std::size_t slab_segments = 32;
-  /// Per-thread free-cache capacity (segments per class per thread).
-  std::size_t thread_cache_segments = 16;
 };
 
 /// Monotonic counters + point-in-time gauges. Counter reads are relaxed;
@@ -186,7 +182,6 @@ class BufferPool {
   static void poison(detail::Segment* seg) noexcept;
   static void unpoison(detail::Segment* seg) noexcept;
 
-  PoolConfig cfg_;
   std::vector<std::unique_ptr<SizeClass>> classes_;
 
   /// Caches registered by threads that touched this pool; guarded by the

@@ -146,8 +146,7 @@ void Engine::worker_loop(unsigned idx) {
   }
 }
 
-std::uint64_t Engine::submit(ManipulationJob job) {
-  const std::uint64_t ticket = ++last_ticket_;
+void Engine::submit(ManipulationJob job) {
   const std::size_t job_bytes = job.chain.size();
   ++stats_.jobs_submitted;
   stats_.bytes_submitted += job_bytes;
@@ -164,7 +163,7 @@ std::uint64_t Engine::submit(ManipulationJob job) {
   if (workers_.empty()) {
     ++stats_.inline_executions;
     push_completion(execute_job(0, submitted_at, std::move(job)));
-    return ticket;
+    return;
   }
 
   const unsigned idx = static_cast<unsigned>(job.id % workers_.size());
@@ -181,7 +180,6 @@ std::uint64_t Engine::submit(ManipulationJob job) {
     } while (!w.ring.try_push(std::move(t)));
   }
   w.cv.notify_one();
-  return ticket;
 }
 
 std::size_t Engine::drain_ready(bool block) {

@@ -120,8 +120,8 @@ class Engine {
 
   /// Dispatches one job (inline mode executes it immediately). The
   /// completion is delivered by a later poll()/drain()/wait_all() on the
-  /// control thread. Returns a monotonically increasing ticket.
-  std::uint64_t submit(ManipulationJob job);
+  /// control thread.
+  void submit(ManipulationJob job);
 
   /// Delivers every completion that is ready, without blocking.
   std::size_t poll() { return drain_ready(false); }
@@ -170,7 +170,6 @@ class Engine {
   std::vector<std::uint16_t> flight_worker_tracks_;
 
   // Control-thread state (never touched by workers).
-  std::uint64_t last_ticket_ = 0;
   std::size_t outstanding_ = 0;
   std::uint64_t reorder_draws_ = 0;
   EngineStats stats_;

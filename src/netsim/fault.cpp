@@ -64,6 +64,9 @@ void FaultyPath::deliver(ConstBytes frame) {
   if (handler_) handler_(frame);
 }
 
+constexpr std::size_t kHeaderBytes = 8;  ///< prefix length treated as "header"
+constexpr std::uint64_t kExtendMax = 64;  ///< max junk bytes appended
+
 void FaultyPath::on_inner_delivery(ConstBytes frame) {
   ++stats_.frames_seen;
   if (in_outage()) {
@@ -109,8 +112,8 @@ void FaultyPath::on_inner_delivery(ConstBytes frame) {
 
   ByteBuffer mangled(frame);
   if (!mangled.empty() && rng_.bernoulli(plan_.header_byte_rate)) {
-    const std::size_t prefix = std::min(plan_.header_bytes, mangled.size());
-    const auto idx = static_cast<std::size_t>(rng_.uniform(std::max<std::size_t>(prefix, 1)));
+    const std::size_t prefix = std::min(kHeaderBytes, mangled.size());
+    const auto idx = static_cast<std::size_t>(rng_.uniform(prefix));
     mangled[idx] ^= static_cast<std::uint8_t>(rng_.uniform_range(1, 255));
     ++stats_.header_mutations;
   }
@@ -124,8 +127,7 @@ void FaultyPath::on_inner_delivery(ConstBytes frame) {
     ++stats_.truncations;
   }
   if (rng_.bernoulli(plan_.extend_rate)) {
-    const auto extra = static_cast<std::size_t>(
-        rng_.uniform_range(1, std::max<std::uint64_t>(plan_.extend_max, 1)));
+    const auto extra = static_cast<std::size_t>(rng_.uniform_range(1, kExtendMax));
     ByteBuffer junk(extra);
     rng_.fill(junk.span());
     mangled.append(junk.span());

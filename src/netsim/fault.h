@@ -41,11 +41,9 @@ struct FaultPlan {
   std::uint64_t seed = 1;
 
   double payload_bitflip_rate = 0;  ///< P(one random bit flipped)
-  double header_byte_rate = 0;      ///< P(one byte in the header prefix mutated)
-  std::size_t header_bytes = 8;     ///< prefix length treated as "header"
+  double header_byte_rate = 0;      ///< P(one byte in the first 8 mutated)
   double truncate_rate = 0;         ///< P(frame cut to a random shorter length)
-  double extend_rate = 0;           ///< P(random junk appended)
-  std::size_t extend_max = 64;      ///< max junk bytes appended
+  double extend_rate = 0;           ///< P(1..64 random junk bytes appended)
   double blackhole_rate = 0;        ///< P(silent drop beyond the link's own loss)
   double replay_rate = 0;           ///< P(a recent frame is delivered again)
   SimDuration replay_delay = kMillisecond;  ///< how much later the replay lands

@@ -96,8 +96,6 @@ class Link {
   /// §4 "moving to/from the net" ledger: every accepted frame costs one
   /// full memory pass (the copy onto the wire).
   const obs::CostAccount& transfer_cost() const noexcept { return transfer_cost_; }
-  /// Accepted-frame size distribution (the mtu determines the range).
-  const Histogram& frame_sizes() const noexcept { return frame_sizes_; }
   /// Writes all counters (stats + cost + size histogram) into one source.
   void emit_metrics(obs::MetricSink& sink) const;
   /// Registers emit_metrics under `prefix` (e.g. "netsim.link0").
@@ -128,7 +126,7 @@ class Link {
   std::uint16_t flight_track_ = 0;
   FlightTagFn flight_tag_ = nullptr;
   obs::CostAccount transfer_cost_;
-  Histogram frame_sizes_;
+  Histogram frame_sizes_;     ///< accepted-frame sizes (range set by the mtu)
   SimTime tx_free_at_ = 0;    ///< when the serializer becomes idle
   std::size_t queued_ = 0;    ///< frames waiting in / on the serializer
 };

@@ -26,6 +26,9 @@
 
 namespace ngp::perf {
 
+/// Engine harvest pump delay for both workloads' receivers.
+constexpr SimDuration kEngineHarvestDelay = 200 * kMicrosecond;
+
 namespace {
 
 /// Decodes which single operator a registry name perturbs.
@@ -242,7 +245,7 @@ RunMeasurement DatapathWorkload::run(std::size_t offered,
     engine::EngineConfig ecfg;
     ecfg.workers = workers;
     eng = std::make_unique<engine::Engine>(ecfg);
-    receiver.set_engine(eng.get(), opt_.engine_harvest_delay);
+    receiver.set_engine(eng.get(), kEngineHarvestDelay);
   }
 
   const bool fused = !p.unfuse;
@@ -430,7 +433,7 @@ RunMeasurement SessiondPlaneWorkload::run(std::size_t offered,
   sessiond::ReceiverFactoryOptions fopts;
   if (eng) {
     fopts.engine = eng.get();
-    fopts.engine_harvest_delay = opt_.engine_harvest_delay;
+    fopts.engine_harvest_delay = kEngineHarvestDelay;
   }
   fopts.rx_pool = &pool;
   if (fused) fopts.presentation = plan;

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "perf/harness.h"
-#include "util/sim_clock.h"
 
 namespace ngp::perf {
 
@@ -56,7 +55,6 @@ struct DatapathOptions {
   std::size_t total_adus = 192;      ///< ADU budget per run
   std::size_t ints_per_adu = 4096;   ///< record payload: 16 KiB + prefix
   unsigned engine_workers = 2;       ///< 0 = engine off (drops the shrink op)
-  SimDuration engine_harvest_delay = 200 * kMicrosecond;
   /// Collect a FlightRecorder per-stage latency breakdown on the baseline
   /// run (NGP_OBS builds; empty JSON otherwise).
   bool collect_flight = false;
@@ -103,7 +101,6 @@ struct SessiondPlaneOptions {
   std::size_t total_adus = 256;     ///< ADU budget spread across sessions
   std::size_t ints_per_adu = 1024;
   unsigned engine_workers = 2;
-  SimDuration engine_harvest_delay = 200 * kMicrosecond;
 
   static SessiondPlaneOptions smoke(std::uint64_t seed) {
     SessiondPlaneOptions o;

@@ -53,6 +53,11 @@ std::map<std::string, double> ledger_diff(
 
 }  // namespace
 
+/// Offered load grows by this factor per step.
+constexpr std::size_t kStepFactor = 2;
+/// Marginal throughput gain below this fraction means saturated.
+constexpr double kPlateauFrac = 0.05;
+
 SaturationResult find_saturation(Workload& w, const SaturationOptions& opt,
                                  const std::string& perturbation) {
   SaturationResult r;
@@ -68,13 +73,10 @@ SaturationResult find_saturation(Workload& w, const SaturationOptions& opt,
       r.at_saturation = std::move(m);
     }
     // Saturated once one more step stops paying: marginal gain over the
-    // previous step under plateau_frac (or throughput actually fell).
-    if (prev_mbps > 0.0 && mbps < prev_mbps * (1.0 + opt.plateau_frac)) break;
+    // previous step under kPlateauFrac (or throughput actually fell).
+    if (prev_mbps > 0.0 && mbps < prev_mbps * (1.0 + kPlateauFrac)) break;
     prev_mbps = mbps;
-    const double next = static_cast<double>(offered) * opt.step_factor;
-    const auto stepped = static_cast<std::size_t>(next);
-    if (stepped <= offered) break;  // step_factor <= 1 guard
-    offered = stepped;
+    offered *= kStepFactor;
   }
   return r;
 }

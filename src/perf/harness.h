@@ -87,8 +87,6 @@ class Workload {
 struct SaturationOptions {
   std::size_t offered_start = 4;    ///< first step's offered load
   std::size_t offered_max = 256;    ///< hard stop for the step search
-  double step_factor = 2.0;         ///< geometric step
-  double plateau_frac = 0.05;       ///< marginal gain below this = saturated
   int repeats = 1;                  ///< best-of repeats per step (wall noise)
 };
 
@@ -104,8 +102,8 @@ struct SaturationResult {
   RunMeasurement at_saturation;         ///< measurement at the chosen knee
 };
 
-/// Step-search on offered load: geometric steps until the marginal
-/// throughput gain drops below plateau_frac (or offered_max). Returns the
+/// Step-search on offered load: doubling steps until the marginal
+/// throughput gain drops below 5% (or offered_max). Returns the
 /// best point seen — saturation throughput is a max, not a last-step.
 SaturationResult find_saturation(Workload& w, const SaturationOptions& opt,
                                  const std::string& perturbation = "");

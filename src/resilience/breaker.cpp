@@ -74,6 +74,9 @@ std::size_t SwitchingPath::max_frame_size() const {
   return members_.empty() ? 0 : mtu;
 }
 
+/// EWMA weight of the newest poll's delivery ratio.
+constexpr double kEwmaAlpha = 0.3;
+
 void SwitchingPath::poll() {
   for (std::size_t i = 0; i < members_.size(); ++i) {
     Member& m = members_[i];
@@ -88,7 +91,7 @@ void SwitchingPath::poll() {
         if (d_off == 0) break;  // no traffic, no evidence either way
         const double ratio =
             std::min(1.0, static_cast<double>(d_del) / static_cast<double>(d_off));
-        m.ewma = cfg_.ewma_alpha * ratio + (1.0 - cfg_.ewma_alpha) * m.ewma;
+        m.ewma = kEwmaAlpha * ratio + (1.0 - kEwmaAlpha) * m.ewma;
         ++m.evidence_polls;
         ++stats_.polls;
         if (m.evidence_polls >= cfg_.min_polls && m.ewma < cfg_.trip_below) {
@@ -162,6 +165,9 @@ void SwitchingPath::begin_half_open(std::size_t idx) {
   }
 }
 
+/// Ceiling of the open-state backoff, which doubles per failed trial.
+constexpr SimDuration kOpenBackoffCap = 8 * kSecond;
+
 void SwitchingPath::settle_half_open(std::size_t idx) {
   Member& m = members_[idx];
   const std::uint64_t d_off = m.last.offered - m.probe_offered_base;
@@ -181,7 +187,7 @@ void SwitchingPath::settle_half_open(std::size_t idx) {
   } else {
     m.state = BreakerState::kOpen;
     ++stats_.reopens;
-    m.backoff = std::min<SimDuration>(m.backoff * 2, cfg_.open_backoff_cap);
+    m.backoff = std::min<SimDuration>(m.backoff * 2, kOpenBackoffCap);
     m.retry_at = loop_.now() + m.backoff;
   }
 }

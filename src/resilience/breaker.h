@@ -58,9 +58,8 @@ using ProbeFn = std::function<ByteBuffer(std::uint32_t seq)>;
 
 struct BreakerConfig {
   SimDuration poll_interval = 50 * kMillisecond;
-  /// EWMA smoothing for the delivery ratio (weight of the newest poll).
-  double ewma_alpha = 0.3;
-  /// Trip the breaker once the EWMA sinks below this (after min_polls).
+  /// Trip the breaker once the delivery ratio's EWMA (weight 0.3 on the
+  /// newest poll) sinks below this (after min_polls).
   double trip_below = 0.5;
   /// Close a half-open breaker once the probe delivery ratio reaches this.
   double close_above = 0.8;
@@ -68,9 +67,8 @@ struct BreakerConfig {
   /// (a single unlucky burst must not fail a healthy path over).
   int min_polls = 3;
   /// Open-state backoff before the first half-open trial; doubles per
-  /// failed trial, capped.
+  /// failed trial, capped at 8 s.
   SimDuration open_backoff = 500 * kMillisecond;
-  SimDuration open_backoff_cap = 8 * kSecond;
   /// PROBE frames per half-open trial.
   std::uint32_t probe_count = 4;
 };
@@ -118,7 +116,6 @@ class SwitchingPath final : public NetPath {
   /// The tightest member MTU: a frame accepted here survives a failover.
   std::size_t max_frame_size() const override;
 
-  std::size_t path_count() const noexcept { return members_.size(); }
   std::size_t active() const noexcept { return active_; }
   BreakerState state(std::size_t idx) const { return members_.at(idx).state; }
   double ewma(std::size_t idx) const { return members_.at(idx).ewma; }

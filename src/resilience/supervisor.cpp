@@ -164,6 +164,11 @@ void SessionSupervisor::on_endpoint_failed() {
   schedule_restart();
 }
 
+/// Ceiling of the restart backoff, before jitter.
+constexpr SimDuration kRestartBackoffCap = 2 * kSecond;
+/// Jitter span as a fraction of the backoff.
+constexpr double kRestartJitter = 0.25;
+
 void SessionSupervisor::schedule_restart() {
   if (restarts_done_ >= cfg_.max_restarts) {
     fail_permanently();
@@ -171,15 +176,9 @@ void SessionSupervisor::schedule_restart() {
   }
   state_ = SupervisorState::kBackoff;
   const int shift = std::min(restarts_done_, 6);
-  SimDuration backoff = cfg_.restart_backoff << shift;
-  if (cfg_.restart_backoff_cap > 0) {
-    backoff = std::min(backoff, cfg_.restart_backoff_cap);
-  }
-  if (cfg_.restart_jitter > 0) {
-    const auto span = static_cast<std::uint64_t>(
-        static_cast<double>(backoff) * cfg_.restart_jitter);
-    backoff += static_cast<SimDuration>(jitter_rng_.uniform(span + 1));
-  }
+  SimDuration backoff = std::min(cfg_.restart_backoff << shift, kRestartBackoffCap);
+  const auto span = static_cast<std::uint64_t>(static_cast<double>(backoff) * kRestartJitter);
+  backoff += static_cast<SimDuration>(jitter_rng_.uniform(span + 1));
   restart_timer_ = loop_.schedule_after(backoff, [this] {
     restart_timer_ = 0;
     do_restart();
@@ -207,6 +206,9 @@ void SessionSupervisor::do_restart() {
   send_resume();
 }
 
+/// RESUME retransmit interval while the sender has not resumed.
+constexpr SimDuration kResumeRetry = 40 * kMillisecond;
+
 void SessionSupervisor::send_resume() {
   alf::ResumeMessage m;
   m.session = cfg_.session.session_id;
@@ -226,7 +228,7 @@ void SessionSupervisor::send_resume() {
     flight_->record(flight_track_, obs::FlightStage::kEpochResume,
                     /*trace_id=*/0, /*arg=*/epoch_);
   }
-  resume_timer_ = loop_.schedule_after(cfg_.resume_retry, [this] {
+  resume_timer_ = loop_.schedule_after(kResumeRetry, [this] {
     resume_timer_ = 0;
     if (state_ != SupervisorState::kResuming) return;
     if (resume_retries_left_-- <= 0) {

@@ -67,14 +67,11 @@ struct SupervisorConfig {
   std::uint64_t seed = 0;
   /// Restarts allowed before the supervisor declares permanent failure.
   int max_restarts = 5;
-  /// Restart backoff: base << consecutive-attempt, capped, plus seeded
-  /// jitter in [0, backoff * restart_jitter).
+  /// Restart backoff: base << consecutive-attempt, capped at 2 s, plus
+  /// seeded jitter of up to a quarter of the backoff.
   SimDuration restart_backoff = 50 * kMillisecond;
-  SimDuration restart_backoff_cap = 2 * kSecond;
-  double restart_jitter = 0.25;
-  /// RESUME retransmit interval while the sender has not resumed, and the
-  /// retries allowed before the attempt itself counts as a failure.
-  SimDuration resume_retry = 40 * kMillisecond;
+  /// RESUME retransmits (one every 40 ms while the sender has not resumed)
+  /// allowed before the attempt itself counts as a failure.
   int max_resume_retries = 10;
   /// Engine, pool and plan applied to every receiver incarnation: a
   /// restart rebuilds the receiver with the same attach set (the dead

@@ -9,14 +9,24 @@ namespace ngp {
 
 StreamReceiver::StreamReceiver(EventLoop& loop, NetPath& data_in, NetPath& ack_out,
                                StreamReceiverConfig config)
-    : loop_(loop), ack_out_(ack_out), cfg_(config) {
-  data_in.set_handler([this](ConstBytes frame) { on_frame(frame); });
+    : loop_(loop), data_in_(data_in), ack_out_(ack_out), cfg_(config) {
+  data_in_.set_handler([this](ConstBytes frame) { on_frame(frame); });
 }
+
+StreamReceiver::~StreamReceiver() {
+  // The DATA handler and the delayed-ACK event close over `this`: left
+  // behind, a frame or a loop run after teardown calls into freed memory.
+  data_in_.set_handler(nullptr);
+  if (ack_timer_ != 0) loop_.cancel(ack_timer_);
+}
+
+/// Advertised window ceiling; out-of-order bytes parked beyond it drop.
+constexpr std::size_t kReceiveBufferLimit = 1 << 20;
 
 std::uint32_t StreamReceiver::advertised_window() const noexcept {
   const std::size_t used = ooo_bytes_;
   const std::size_t free_bytes =
-      cfg_.receive_buffer_limit > used ? cfg_.receive_buffer_limit - used : 0;
+      kReceiveBufferLimit > used ? kReceiveBufferLimit - used : 0;
   return static_cast<std::uint32_t>(std::min<std::size_t>(free_bytes, UINT32_MAX));
 }
 
@@ -47,7 +57,7 @@ void StreamReceiver::on_frame(ConstBytes frame) {
   if (start > rcv_nxt_) {
     // Gap: park the segment (classic TCP reassembly queue).
     ++stats_.segments_out_of_order;
-    if (ooo_bytes_ + seg->payload.size() <= cfg_.receive_buffer_limit &&
+    if (ooo_bytes_ + seg->payload.size() <= kReceiveBufferLimit &&
         !ooo_.contains(start)) {
       ooo_.emplace(start, ByteBuffer(seg->payload));
       ooo_bytes_ += seg->payload.size();
@@ -85,7 +95,6 @@ void StreamReceiver::on_frame(ConstBytes frame) {
 
   if (fin_seen_ && !close_delivered_ && rcv_nxt_ >= fin_offset_) {
     close_delivered_ = true;
-    if (on_close_) on_close_();
     send_ack();  // the FIN's ACK should not wait on the delay timer
     return;
   }

@@ -24,8 +24,6 @@ class MetricsRegistry;
 namespace ngp {
 
 struct StreamReceiverConfig {
-  std::size_t receive_buffer_limit = 1 << 20;  ///< advertised window ceiling
-
   /// Delayed-ACK timer (0 = acknowledge every segment immediately).
   /// When set, in-order segments are acknowledged every second segment or
   /// when the timer fires, whichever is first; out-of-order and duplicate
@@ -47,11 +45,12 @@ struct StreamReceiverStats {
 /// Receiver half of the reliable in-order byte stream.
 class StreamReceiver {
  public:
-  /// `data_in` delivers DATA segments (handler registered here);
-  /// `ack_out` carries our ACKs back.
+  /// `data_in` delivers DATA segments (handler registered here, cleared
+  /// by the destructor); `ack_out` carries our ACKs back.
   StreamReceiver(EventLoop& loop, NetPath& data_in, NetPath& ack_out,
                  StreamReceiverConfig config = {});
 
+  ~StreamReceiver();
   StreamReceiver(const StreamReceiver&) = delete;
   StreamReceiver& operator=(const StreamReceiver&) = delete;
 
@@ -59,10 +58,7 @@ class StreamReceiver {
   /// a retransmission fills a gap and releases parked segments.
   void set_on_data(std::function<void(ConstBytes)> fn) { on_data_ = std::move(fn); }
 
-  /// Invoked once, after the FIN's predecessors have all been delivered.
-  void set_on_close(std::function<void()> fn) { on_close_ = std::move(fn); }
-
-  std::uint64_t delivered_offset() const noexcept { return rcv_nxt_; }
+  /// True once the FIN's predecessors have all been delivered.
   bool closed() const noexcept { return close_delivered_; }
   const StreamReceiverStats& stats() const noexcept { return stats_; }
 
@@ -79,6 +75,7 @@ class StreamReceiver {
   std::uint32_t advertised_window() const noexcept;
 
   EventLoop& loop_;
+  NetPath& data_in_;
   NetPath& ack_out_;
   StreamReceiverConfig cfg_;
   StreamReceiverStats stats_;
@@ -96,7 +93,6 @@ class StreamReceiver {
   int segments_since_ack_ = 0;
 
   std::function<void(ConstBytes)> on_data_;
-  std::function<void()> on_close_;
 };
 
 }  // namespace ngp

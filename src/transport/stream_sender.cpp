@@ -8,13 +8,27 @@
 
 namespace ngp {
 
+constexpr std::size_t kMss = 1400;  ///< max payload per segment, before the path's clamp
+constexpr std::uint32_t kInitialCwndSegments = 4;  ///< initial window, in segments
+constexpr SimDuration kInitialRto = 200 * kMillisecond;
+constexpr SimDuration kMinRto = 10 * kMillisecond;
+constexpr SimDuration kMaxRto = 10 * kSecond;
+
 StreamSender::StreamSender(EventLoop& loop, NetPath& data_out, NetPath& ack_in,
                            StreamSenderConfig config)
-    : loop_(loop), out_(data_out), cfg_(config), rto_(config.initial_rto) {
-  cfg_.mss = std::min(cfg_.mss, out_.max_frame_size() - Segment::kHeaderSize);
-  cwnd_ = static_cast<double>(cfg_.initial_cwnd_segments) * static_cast<double>(cfg_.mss);
-  ssthresh_ = 64.0 * static_cast<double>(cfg_.mss);
-  ack_in.set_handler([this](ConstBytes frame) { on_frame(frame); });
+    : loop_(loop), out_(data_out), ack_in_(ack_in), cfg_(config),
+      mss_(std::min(kMss, out_.max_frame_size() - Segment::kHeaderSize)),
+      rto_(kInitialRto) {
+  cwnd_ = static_cast<double>(kInitialCwndSegments) * static_cast<double>(mss_);
+  ssthresh_ = 64.0 * static_cast<double>(mss_);
+  ack_in_.set_handler([this](ConstBytes frame) { on_frame(frame); });
+}
+
+StreamSender::~StreamSender() {
+  // The ACK handler and the RTO event close over `this`: left behind, a
+  // frame or a loop run after teardown calls into freed memory.
+  ack_in_.set_handler(nullptr);
+  if (rto_timer_ != 0) loop_.cancel(rto_timer_);
 }
 
 std::size_t StreamSender::send(ConstBytes data) {
@@ -71,16 +85,13 @@ void StreamSender::transmit(std::uint64_t seq, std::size_t len, bool retransmiss
 }
 
 void StreamSender::try_send() {
-  const double wnd =
-      cfg_.enable_congestion_control
-          ? std::min(cwnd_, static_cast<double>(peer_window_))
-          : static_cast<double>(peer_window_);
+  const double wnd = std::min(cwnd_, static_cast<double>(peer_window_));
   const auto window_end = snd_una_ + static_cast<std::uint64_t>(std::max(wnd, 0.0));
 
   bool sent_any = false;
   while (snd_nxt_ < write_next_ && snd_nxt_ < window_end) {
     const std::size_t len = static_cast<std::size_t>(
-        std::min<std::uint64_t>({cfg_.mss, write_next_ - snd_nxt_, window_end - snd_nxt_}));
+        std::min<std::uint64_t>({mss_, write_next_ - snd_nxt_, window_end - snd_nxt_}));
     if (len == 0) break;
     transmit(snd_nxt_, len, /*retransmission=*/false);
     snd_nxt_ += len;
@@ -111,16 +122,14 @@ void StreamSender::on_rto() {
 
   ++stats_.rto_fires;
   // Back off and collapse the window (TCP Tahoe-style on timeout).
-  rto_ = std::min(rto_ * 2, cfg_.max_rto);
-  if (cfg_.enable_congestion_control) {
-    ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(cfg_.mss));
-    cwnd_ = static_cast<double>(cfg_.mss);
-  }
+  rto_ = std::min(rto_ * 2, kMaxRto);
+  ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(mss_));
+  cwnd_ = static_cast<double>(mss_);
   sample_seq_ = 0;  // Karn: invalidate the timing sample
 
   // Retransmit the first unacked segment.
   const std::size_t len = static_cast<std::size_t>(
-      std::min<std::uint64_t>(cfg_.mss, write_next_ - snd_una_));
+      std::min<std::uint64_t>(mss_, write_next_ - snd_una_));
   transmit(snd_una_, len, /*retransmission=*/true);
   arm_rto();
 }
@@ -161,17 +170,15 @@ void StreamSender::on_ack(std::uint64_t ack, std::uint32_t window) {
         rttvar_ = 0.75 * rttvar_ + 0.25 * std::abs(srtt_ - rtt);
         srtt_ = 0.875 * srtt_ + 0.125 * rtt;
       }
-      rto_ = std::clamp(from_seconds(srtt_ + 4 * rttvar_), cfg_.min_rto, cfg_.max_rto);
+      rto_ = std::clamp(from_seconds(srtt_ + 4 * rttvar_), kMinRto, kMaxRto);
       sample_seq_ = 0;
     }
 
-    if (cfg_.enable_congestion_control) {
-      if (cwnd_ < ssthresh_) {
-        cwnd_ += acked_bytes;  // slow start
-      } else {
-        cwnd_ += static_cast<double>(cfg_.mss) * static_cast<double>(cfg_.mss) /
-                 std::max(cwnd_, 1.0);  // congestion avoidance
-      }
+    if (cwnd_ < ssthresh_) {
+      cwnd_ += acked_bytes;  // slow start
+    } else {
+      cwnd_ += static_cast<double>(mss_) * static_cast<double>(mss_) /
+               std::max(cwnd_, 1.0);  // congestion avoidance
     }
 
     // Reset the retransmission timer for remaining in-flight data.
@@ -195,15 +202,13 @@ void StreamSender::on_ack(std::uint64_t ack, std::uint32_t window) {
   if (ack == last_ack_ && ack == snd_una_ && snd_nxt_ > snd_una_) {
     ++stats_.dup_acks;
     ++dup_ack_count_;
-    if (cfg_.enable_fast_retransmit && dup_ack_count_ == 3) {
+    if (dup_ack_count_ == 3) {
       ++stats_.fast_retransmits;
-      if (cfg_.enable_congestion_control) {
-        ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(cfg_.mss));
-        cwnd_ = ssthresh_;
-      }
+      ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(mss_));
+      cwnd_ = ssthresh_;
       sample_seq_ = 0;
       const std::size_t len = static_cast<std::size_t>(
-          std::min<std::uint64_t>(cfg_.mss, write_next_ - snd_una_));
+          std::min<std::uint64_t>(mss_, write_next_ - snd_una_));
       transmit(snd_una_, len, /*retransmission=*/true);
     }
   }

@@ -32,13 +32,6 @@ class MetricsRegistry;
 namespace ngp {
 
 struct StreamSenderConfig {
-  std::size_t mss = 1400;                    ///< max payload per segment
-  std::uint32_t initial_cwnd_segments = 4;   ///< IW in segments
-  SimDuration initial_rto = 200 * kMillisecond;
-  SimDuration min_rto = 10 * kMillisecond;
-  SimDuration max_rto = 10 * kSecond;
-  bool enable_fast_retransmit = true;
-  bool enable_congestion_control = true;     ///< off = window-limited only
   std::size_t send_buffer_limit = 4 << 20;   ///< bytes app may have queued
 };
 
@@ -56,10 +49,11 @@ struct StreamSenderStats {
 class StreamSender {
  public:
   /// `data_out` carries DATA segments; `ack_in` delivers the peer's ACKs
-  /// (the constructor registers the handler on it).
+  /// (the constructor registers the handler on it, the destructor clears it).
   StreamSender(EventLoop& loop, NetPath& data_out, NetPath& ack_in,
                StreamSenderConfig config = {});
 
+  ~StreamSender();
   StreamSender(const StreamSender&) = delete;
   StreamSender& operator=(const StreamSender&) = delete;
 
@@ -73,12 +67,9 @@ class StreamSender {
   /// True once every byte (and the FIN) has been cumulatively acked.
   bool finished() const noexcept;
 
-  /// Stream offset of the next new byte the app would write.
-  std::uint64_t write_offset() const noexcept { return write_next_; }
-  /// Oldest unacknowledged offset.
-  std::uint64_t acked_offset() const noexcept { return snd_una_; }
-
   const StreamSenderStats& stats() const noexcept { return stats_; }
+  /// Max payload per segment, clamped to the data path's frame size.
+  std::size_t mss() const noexcept { return mss_; }
   SimDuration current_rto() const noexcept { return rto_; }
   double current_cwnd() const noexcept { return cwnd_; }
 
@@ -98,7 +89,9 @@ class StreamSender {
 
   EventLoop& loop_;
   NetPath& out_;
+  NetPath& ack_in_;
   StreamSenderConfig cfg_;
+  const std::size_t mss_;
   StreamSenderStats stats_;
 
   // Scratch for buffered(): the deque is not contiguous, so reads are

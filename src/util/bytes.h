@@ -51,7 +51,6 @@ class ByteBuffer {
 
   MutableBytes span() noexcept { return {data_.data(), data_.size()}; }
   ConstBytes span() const noexcept { return {data_.data(), data_.size()}; }
-  ConstBytes cspan() const noexcept { return span(); }
 
   /// Subview [offset, offset+len); clamps to the buffer end.
   ConstBytes subspan(std::size_t offset, std::size_t len) const;

@@ -65,7 +65,7 @@ struct ChaosPair {
         feedback_rx(channel.reverse),
         sender(loop, data, feedback_rx, scfg),
         receiver(loop, data, feedback_tx, scfg) {
-    data.set_adversary(make_chaos_adversary(AdversaryConfig{}, adv_stats));
+    data.set_adversary(make_chaos_adversary(adv_stats));
     receiver.set_on_adu([this](Adu&& a) { delivered.push_back(std::move(a)); });
     receiver.set_on_complete([this] { completed = true; });
     receiver.set_on_session_failed([this] { receiver_failed = true; });
@@ -539,6 +539,55 @@ TEST(FuzzWire, ForgedLenProbeViaAdversaryHelpers) {
   EXPECT_TRUE(fx.delivered.empty());
   EXPECT_EQ(fx.receiver->stats().fragments_oversized, 1u);
   EXPECT_EQ(fx.receiver->stats().reassembly_bytes_peak, 0u);
+}
+
+TEST(ChaosAdversary, RotatesTheFourShapesInTurn) {
+  // Eight observed DATA frames: each shape twice, in order, each forged
+  // from the fragment it observed (session 3, 40 of 100 bytes at 40).
+  AdversaryStats stats;
+  AdversaryFn forge = make_chaos_adversary(stats);
+  Rng rng(5);
+  ByteBuffer payload = payload_of(40, 6);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    const std::uint32_t id = 10 + i;
+    ByteBuffer observed = encode_fragment(make_fragment(3, id, payload.span(), 100, 40));
+    ByteBuffer forged = forge(observed.span(), rng);
+    auto msg = decode_message(forged.span());
+    ASSERT_TRUE(msg.has_value()) << "frame " << i;
+    ASSERT_EQ(msg->type, MessageType::kData);
+    const DataFragment& f = msg->data;
+    switch (i % 4) {
+      case 0:  // fresh id claiming 2^31 bytes
+        EXPECT_EQ(f.session, 3u);
+        EXPECT_GE(f.adu_id, id + 100);
+        EXPECT_LE(f.adu_id, id + 199);
+        EXPECT_EQ(f.adu_len, 0x80000000u);
+        EXPECT_EQ(f.frag_off, 0u);
+        break;
+      case 1:  // the observed fragment under session + 7
+        EXPECT_EQ(f.session, 10u);
+        EXPECT_EQ(f.adu_id, id);
+        EXPECT_EQ(f.adu_len, 100u);
+        EXPECT_EQ(f.frag_off, 40u);
+        break;
+      case 2:  // same id, contradictory length 2 * 100 + 64 at offset 0
+        EXPECT_EQ(f.session, 3u);
+        EXPECT_EQ(f.adu_id, id);
+        EXPECT_EQ(f.adu_len, 264u);
+        EXPECT_EQ(f.frag_off, 0u);
+        break;
+      default:  // adu_id + 2^24
+        EXPECT_EQ(f.session, 3u);
+        EXPECT_EQ(f.adu_id, id + (1u << 24));
+        EXPECT_EQ(f.adu_len, 100u);
+        EXPECT_EQ(f.frag_off, 40u);
+        break;
+    }
+  }
+  EXPECT_EQ(stats.forged_len, 2u);
+  EXPECT_EQ(stats.cross_session, 2u);
+  EXPECT_EQ(stats.conflicting_len, 2u);
+  EXPECT_EQ(stats.far_future_id, 2u);
 }
 
 }  // namespace

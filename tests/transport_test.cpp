@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "netsim/net_path.h"
 #include "transport/segment.h"
@@ -279,7 +281,7 @@ TEST(StreamTransfer, RttEstimatorConverges) {
   p.loop.run();
   // RTO should have adapted well below the 200ms initial value.
   EXPECT_LT(p.sender.current_rto(), 100 * kMillisecond);
-  EXPECT_GE(p.sender.current_rto(), 10 * kMillisecond);  // min_rto
+  EXPECT_GE(p.sender.current_rto(), 10 * kMillisecond);  // the RTO floor
 }
 
 TEST(StreamTransfer, CongestionWindowGrows) {
@@ -365,6 +367,80 @@ TEST(StreamTransfer, HeadOfLineBlockingObservable) {
   EXPECT_EQ(p.received, data);
   EXPECT_GT(p.receiver.stats().ooo_buffered_peak, 0u);
   EXPECT_GT(p.receiver.stats().segments_out_of_order, 0u);
+}
+
+// ---- Timers and teardown ----------------------------------------------------------
+
+/// Black-hole NetPath: swallows every frame, stamping when it was sent, and
+/// exposes the handler an endpoint registered on it.
+class ProbePath final : public NetPath {
+ public:
+  explicit ProbePath(const EventLoop& loop) : loop_(loop) {}
+  bool send(ConstBytes) override {
+    sent_at.push_back(loop_.now());
+    return true;
+  }
+  void set_handler(FrameHandler h) override { handler = std::move(h); }
+  std::size_t max_frame_size() const override { return 1500; }
+
+  FrameHandler handler;
+  std::vector<SimTime> sent_at;
+
+ private:
+  const EventLoop& loop_;
+};
+
+TEST(StreamTimers, RtoBacksOffToTheTenSecondCeiling) {
+  EventLoop loop;
+  ProbePath data(loop), acks(loop);
+  StreamSender sender(loop, data, acks);
+  ByteBuffer bytes = pattern_bytes(100, 40);
+  sender.send(bytes.span());
+  loop.run_until(60 * kSecond);
+
+  // 200 ms doubling per fire until the 10 s ceiling, then every 10 s.
+  EXPECT_EQ(sender.stats().rto_fires, 10u);
+  EXPECT_EQ(sender.current_rto(), 10 * kSecond);
+  const std::vector<SimTime> want_ms = {0,    200,   600,   1400,  3000, 6200,
+                                        12600, 22600, 32600, 42600, 52600};
+  ASSERT_EQ(data.sent_at.size(), want_ms.size());
+  for (std::size_t i = 0; i < want_ms.size(); ++i) {
+    EXPECT_EQ(data.sent_at[i], want_ms[i] * kMillisecond) << "send " << i;
+  }
+}
+
+TEST(StreamTeardown, SenderCancelsRtoAndClearsAckHandler) {
+  EventLoop loop;
+  ProbePath data(loop), acks(loop);
+  auto sender = std::make_unique<StreamSender>(loop, data, acks);
+  ByteBuffer bytes = pattern_bytes(100, 41);
+  sender->send(bytes.span());
+  ASSERT_EQ(loop.pending(), 1u);  // the RTO
+  ASSERT_TRUE(acks.handler);
+
+  sender.reset();
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_FALSE(acks.handler);
+}
+
+TEST(StreamTeardown, ReceiverCancelsDelayedAckAndClearsDataHandler) {
+  EventLoop loop;
+  ProbePath data(loop), acks(loop);
+  StreamReceiverConfig rcfg;
+  rcfg.delayed_ack = 40 * kMillisecond;
+  auto receiver = std::make_unique<StreamReceiver>(loop, data, acks, rcfg);
+  ByteBuffer bytes = pattern_bytes(100, 42);
+  Segment s;
+  s.type = SegmentType::kData;
+  s.payload = bytes.span();
+  ASSERT_TRUE(data.handler);
+  data.handler(encode_segment(s).span());
+  ASSERT_EQ(loop.pending(), 1u);  // the delayed ACK
+  ASSERT_TRUE(acks.sent_at.empty());
+
+  receiver.reset();
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_FALSE(data.handler);
 }
 
 }  // namespace
