@@ -215,8 +215,14 @@ bool is_handshake_frame(ConstBytes frame) noexcept {
 HandshakeInitiator::HandshakeInitiator(EventLoop& loop, NetPath& tx, NetPath& rx,
                                        SessionConfig offer, SimDuration retry,
                                        int max_retries)
-    : loop_(loop), tx_(tx), offer_(offer), retry_(retry), retries_left_(max_retries) {
-  rx.set_handler([this](ConstBytes frame) { on_frame(frame); });
+    : loop_(loop), tx_(tx), rx_(rx), offer_(offer), retry_(retry),
+      retries_left_(max_retries) {
+  rx_.set_handler([this](ConstBytes frame) { on_frame(frame); });
+}
+
+HandshakeInitiator::~HandshakeInitiator() {
+  rx_.set_handler(nullptr);
+  if (retry_timer_ != 0) loop_.cancel(retry_timer_);
 }
 
 void HandshakeInitiator::start() {
@@ -235,11 +241,13 @@ void HandshakeInitiator::send_offer() {
   ByteBuffer frame = encode_offer(offer_);
   tx_.send(frame.span());
   if (retries_left_-- > 0) {
-    loop_.schedule_after(retry_, [this] {
+    retry_timer_ = loop_.schedule_after(retry_, [this] {
+      retry_timer_ = 0;
       if (!done_) send_offer();
     });
   } else {
-    loop_.schedule_after(retry_, [this] {
+    retry_timer_ = loop_.schedule_after(retry_, [this] {
+      retry_timer_ = 0;
       if (done_) return;
       done_ = true;
       if (on_done_) {
@@ -264,10 +272,12 @@ void HandshakeInitiator::on_frame(ConstBytes frame) {
 
 HandshakeResponder::HandshakeResponder(EventLoop& loop, NetPath& rx, NetPath& tx,
                                        Capabilities caps)
-    : tx_(tx), caps_(std::move(caps)) {
+    : rx_(rx), tx_(tx), caps_(std::move(caps)) {
   (void)loop;
-  rx.set_handler([this](ConstBytes frame) { on_frame(frame); });
+  rx_.set_handler([this](ConstBytes frame) { on_frame(frame); });
 }
+
+HandshakeResponder::~HandshakeResponder() { rx_.set_handler(nullptr); }
 
 void HandshakeResponder::on_frame(ConstBytes frame) {
   auto offer = decode_offer(frame);

@@ -86,6 +86,13 @@ class HandshakeInitiator {
   /// registered here — release it before constructing data endpoints).
   HandshakeInitiator(EventLoop& loop, NetPath& tx, NetPath& rx, SessionConfig offer,
                      SimDuration retry = 50 * kMillisecond, int max_retries = 5);
+  /// Clears the handler on `rx` and cancels the pending retry: both close
+  /// over `this`, so an answer or a timer after teardown would call into
+  /// freed memory.
+  ~HandshakeInitiator();
+
+  HandshakeInitiator(const HandshakeInitiator&) = delete;
+  HandshakeInitiator& operator=(const HandshakeInitiator&) = delete;
 
   /// Completion callback: the agreed config, or an error (refused /
   /// timed out).
@@ -102,9 +109,11 @@ class HandshakeInitiator {
 
   EventLoop& loop_;
   NetPath& tx_;
+  NetPath& rx_;
   SessionConfig offer_;
   SimDuration retry_;
   int retries_left_;
+  EventId retry_timer_ = 0;  ///< the pending retry or timeout, if any
   bool done_ = false;
   std::function<void(Result<SessionConfig>)> on_done_;
 };
@@ -114,6 +123,12 @@ class HandshakeInitiator {
 class HandshakeResponder {
  public:
   HandshakeResponder(EventLoop& loop, NetPath& rx, NetPath& tx, Capabilities caps);
+  /// Clears the handler on `rx`, which closes over `this`: an offer
+  /// delivered after teardown then drops instead of calling freed memory.
+  ~HandshakeResponder();
+
+  HandshakeResponder(const HandshakeResponder&) = delete;
+  HandshakeResponder& operator=(const HandshakeResponder&) = delete;
 
   /// Fires (once) when the first offer has been answered affirmatively.
   void set_on_session(std::function<void(const SessionConfig&)> fn) {
@@ -126,6 +141,7 @@ class HandshakeResponder {
  private:
   void on_frame(ConstBytes frame);
 
+  NetPath& rx_;
   NetPath& tx_;
   Capabilities caps_;
   bool have_session_ = false;

@@ -9,6 +9,8 @@ FrameRouter::FrameRouter(NetPath& path) : path_(path) {
   path_.set_handler([this](ConstBytes frame) { on_frame(frame); });
 }
 
+FrameRouter::~FrameRouter() { path_.set_handler(nullptr); }
+
 FrameRouter::PlanePath& FrameRouter::plane(Plane p, std::uint16_t session) {
   const auto key = std::make_pair(static_cast<std::uint8_t>(p), session);
   auto it = planes_.find(key);

@@ -47,6 +47,10 @@ class FrameRouter {
  public:
   /// Takes ownership of `path`'s delivery handler.
   explicit FrameRouter(NetPath& path);
+  /// Clears the handler the constructor installed on `path`: it closes
+  /// over `this`, so a frame delivered after teardown would call into
+  /// freed memory. Frames arriving afterwards drop on a handlerless path.
+  ~FrameRouter();
 
   FrameRouter(const FrameRouter&) = delete;
   FrameRouter& operator=(const FrameRouter&) = delete;

@@ -1,5 +1,7 @@
 #include "alf/wire.h"
 
+#include <algorithm>
+
 #include "simd/dispatch.h"
 
 namespace ngp::alf {
@@ -13,11 +15,9 @@ void write_prologue(WireWriter& w, MessageType type, std::uint16_t session) {
   w.u16(session);
 }
 
-/// Appends the header checksum over everything written so far.
-void seal_header(ByteBuffer& buf) {
-  const std::uint16_t ck = simd::kernels().internet_checksum(buf.span());
-  buf.append(static_cast<std::uint8_t>(ck >> 8));
-  buf.append(static_cast<std::uint8_t>(ck));
+/// Writes the checksum of everything written so far into `frame`.
+void seal_header(WireWriter& w, MutableBytes frame) {
+  w.u16(simd::kernels().internet_checksum(frame.first(w.written())));
 }
 
 /// Verifies a sealed header region [0, len); len includes the checksum.
@@ -31,8 +31,9 @@ bool header_ok(ConstBytes frame, std::size_t len) {
 
 }  // namespace
 
-ByteBuffer encode_fragment(const DataFragment& f) {
-  ByteBuffer out;
+std::size_t encode_fragment_into(const DataFragment& f, MutableBytes out) {
+  const std::size_t len = DataFragment::kHeaderSize + f.payload.size();
+  if (out.size() < len) return 0;
   WireWriter w(out);
   write_prologue(w, MessageType::kData, f.session);
   w.u32(f.adu_id);
@@ -49,69 +50,74 @@ ByteBuffer encode_fragment(const DataFragment& f) {
   w.u32(f.frag_off);
   w.u16(static_cast<std::uint16_t>(f.payload.size()));
   w.u32(f.adu_checksum);
-  seal_header(out);
-  out.append(f.payload);
+  seal_header(w, out);  // one checksum call over bytes 0-51
+  w.bytes(f.payload);
+  return len;
+}
+
+ByteBuffer encode_fragment(const DataFragment& f) {
+  ByteBuffer out(DataFragment::kHeaderSize + f.payload.size());
+  encode_fragment_into(f, out.span());
   return out;
 }
 
 ByteBuffer encode_nack(const NackMessage& m) {
-  ByteBuffer out;
-  WireWriter w(out);
+  ByteBuffer out(4 + 2 + 4 * m.adu_ids.size() + 2);
+  WireWriter w(out.span());
   write_prologue(w, MessageType::kNack, m.session);
   w.u16(static_cast<std::uint16_t>(m.adu_ids.size()));
   for (std::uint32_t id : m.adu_ids) w.u32(id);
-  seal_header(out);
+  seal_header(w, out.span());
   return out;
 }
 
 ByteBuffer encode_progress(const ProgressMessage& m) {
-  ByteBuffer out;
-  WireWriter w(out);
+  ByteBuffer out(4 + 14 + 2);
+  WireWriter w(out.span());
   write_prologue(w, MessageType::kProgress, m.session);
   w.u32(m.complete_adus);
   w.u32(m.highest_adu_seen);
   w.u32(m.consume_rate_kbps);
   w.u16(m.session_complete ? 1 : 0);
-  seal_header(out);
+  seal_header(w, out.span());
   return out;
 }
 
 ByteBuffer encode_done(const DoneMessage& m) {
-  ByteBuffer out;
-  WireWriter w(out);
+  ByteBuffer out(4 + 4 + 2);
+  WireWriter w(out.span());
   write_prologue(w, MessageType::kDone, m.session);
   w.u32(m.total_adus);
-  seal_header(out);
+  seal_header(w, out.span());
   return out;
 }
 
 ByteBuffer encode_resume(const ResumeMessage& m) {
-  ByteBuffer out;
-  WireWriter w(out);
+  // The bitmap travels inside the sealed (checksummed) region, so it is
+  // padded to an even length; trailing pad bits read as "not closed".
+  const std::size_t held = std::min(m.bitmap.size(), ResumeMessage::kMaxBitmapBytes);
+  const std::size_t n = held + (held & 1);
+  ByteBuffer out(4 + 8 + n + 2);
+  WireWriter w(out.span());
   write_prologue(w, MessageType::kResume, m.session);
   w.u8(m.epoch);
   w.u8(0);  // pad: keeps the sealed region even with an even bitmap
   w.u32(m.closed_prefix);
-  // The bitmap travels inside the sealed (checksummed) region, so it is
-  // padded to an even length; trailing pad bits read as "not closed".
-  std::size_t n = std::min(m.bitmap.size(), ResumeMessage::kMaxBitmapBytes);
-  n += n & 1;
   w.u16(static_cast<std::uint16_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    w.u8(i < m.bitmap.size() ? m.bitmap[i] : 0);
-  }
-  seal_header(out);
+  w.bytes({m.bitmap.data(), held});
+  if (held & 1) w.u8(0);
+  seal_header(w, out.span());
   return out;
 }
 
 ByteBuffer encode_probe(const ProbeMessage& m) {
-  ByteBuffer out;
-  WireWriter w(out);
+  ByteBuffer out(4 + 6 + 2);
+  WireWriter w(out.span());
   write_prologue(w, MessageType::kProbe, m.session);
   w.u8(m.epoch);
   w.u8(0);  // pad (even sealed region)
   w.u32(m.seq);
-  seal_header(out);
+  seal_header(w, out.span());
   return out;
 }
 

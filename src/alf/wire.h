@@ -13,9 +13,10 @@
 // DATA fragment layout (big-endian), header 54 bytes:
 //   magic(1) type(1) session(2) adu_id(4)
 //   ns(1) name.a(8) name.b(8) name.c(8)
-//   syntax(1) flags(1) checksum_kind(1) reserved(2)
+//   syntax(1) flags(1) checksum_kind(1) fec_k(1) epoch(1)
 //   adu_len(4) frag_off(4) frag_len(2)
 //   adu_checksum(4) header_checksum(2)
+// Every field sits at a fixed offset, and header_checksum seals bytes 0-51.
 #pragma once
 
 #include <cstdint>
@@ -138,7 +139,15 @@ struct ProbeMessage {
 };
 
 // ---- Encoding --------------------------------------------------------------
+//
+// Each encoder sizes its frame exactly before writing it: one allocation
+// per frame, and none for encode_fragment_into.
 
+/// Writes `f` as a DATA frame into the front of `out`: the 54-byte header
+/// at its fixed offsets, sealed by one checksum call, then the payload.
+/// Returns the frame length (kHeaderSize + payload size), or 0 without
+/// writing anything when `out` is shorter than that.
+std::size_t encode_fragment_into(const DataFragment& f, MutableBytes out);
 ByteBuffer encode_fragment(const DataFragment& f);
 ByteBuffer encode_nack(const NackMessage& m);
 ByteBuffer encode_progress(const ProgressMessage& m);

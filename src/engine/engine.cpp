@@ -48,12 +48,16 @@ struct Engine::Worker {
   std::mutex m;
   std::condition_variable cv;
   std::atomic<bool> stop{false};
+  /// Control thread only: jobs were pushed since this worker's last wake.
+  /// submit() leaves them unsignalled; the next harvest wakes the worker
+  /// once for all of them.
+  bool unsignalled = false;
   std::thread thread;
 };
 
 /// MPSC completion channel: any worker produces, only the control thread
-/// consumes. One lock per completed job — negligible next to the per-byte
-/// manipulation the job just paid for.
+/// consumes. A worker publishes everything it popped under one lock with
+/// one notify.
 struct Engine::DoneQueue {
   std::mutex m;
   std::condition_variable cv;
@@ -79,6 +83,7 @@ Engine::~Engine() {
   for (auto& w : workers_) {
     // Queued jobs still run (their chains and callbacks may anchor
     // caller state); only then is the worker told to exit.
+    if (w->unsignalled) wake(*w);
     while (!w->ring.empty()) std::this_thread::yield();
     w->stop.store(true, std::memory_order_relaxed);
     w->cv.notify_all();
@@ -121,20 +126,35 @@ Engine::Completion Engine::execute_job(unsigned worker, SimTime submitted_at,
   return c;
 }
 
-void Engine::push_completion(Completion&& c) {
-  {
-    std::lock_guard lk(done_->m);
-    done_->ready.push_back(std::move(c));
+void Engine::wake(Worker& w) {
+  w.unsignalled = false;
+  // A worker holds its mutex from the empty-ring check until it waits, so
+  // taking the mutex here orders this notify after that wait: never lost.
+  { std::lock_guard lk(w.m); }
+  w.cv.notify_one();
+}
+
+void Engine::wake_unsignalled() {
+  for (auto& w : workers_) {
+    if (w->unsignalled) wake(*w);
   }
-  done_->cv.notify_all();
 }
 
 void Engine::worker_loop(unsigned idx) {
   Worker& w = *workers_[idx];
   Task t;
+  std::vector<Completion> done;  // keeps its capacity from batch to batch
   for (;;) {
-    if (w.ring.try_pop(t)) {
-      push_completion(execute_job(idx, t.submitted_at, std::move(t.job)));
+    while (done.size() < kQueueCapacity && w.ring.try_pop(t)) {
+      done.push_back(execute_job(idx, t.submitted_at, std::move(t.job)));
+    }
+    if (!done.empty()) {
+      {
+        std::lock_guard lk(done_->m);
+        for (auto& c : done) done_->ready.push_back(std::move(c));
+      }
+      done_->cv.notify_one();
+      done.clear();
       continue;
     }
     std::unique_lock lk(w.m);
@@ -161,8 +181,12 @@ void Engine::submit(ManipulationJob job) {
   }
 
   if (workers_.empty()) {
+    // Inline: the completion waits for the harvest like a worker's. The
+    // only thread that could wait for it is this one, so no notify.
     ++stats_.inline_executions;
-    push_completion(execute_job(0, submitted_at, std::move(job)));
+    Completion c = execute_job(0, submitted_at, std::move(job));
+    std::lock_guard lk(done_->m);
+    done_->ready.push_back(std::move(c));
     return;
   }
 
@@ -171,19 +195,29 @@ void Engine::submit(ManipulationJob job) {
   queue_depth_.add(static_cast<double>(w.ring.size()));
   Task t{submitted_at, std::move(job)};
   if (!w.ring.try_push(std::move(t))) {
-    // Ring full: the worker is the only consumer and needs no help from
-    // this thread, so spinning here is safe (and rare — it means control
+    // Ring full: wake the worker (its jobs were left unsignalled) and spin
+    // until it frees a slot. It is the only consumer and needs no help
+    // from this thread, so spinning is safe (and rare — it means control
     // is outrunning the pool by a whole ring).
     ++stats_.submit_backpressure;
+    wake(w);
     do {
       std::this_thread::yield();
     } while (!w.ring.try_push(std::move(t)));
   }
-  w.cv.notify_one();
+  // No notify: a wake per job would let the worker preempt the control
+  // thread once per ADU on a shared core. The next harvest wakes it.
+  w.unsignalled = true;
 }
 
 std::size_t Engine::drain_ready(bool block) {
+  wake_unsignalled();
+  // The batch takes the spare vector's capacity and the completion queue
+  // takes the batch's, so the two buffers alternate and a harvest
+  // allocates nothing once both have grown. A callback that re-enters
+  // drain_ready finds the spare empty and simply allocates its own.
   std::vector<Completion> batch;
+  batch.swap(spare_);
   {
     std::unique_lock lk(done_->m);
     if (block && done_->ready.empty() && outstanding_ > 0) {
@@ -191,7 +225,10 @@ std::size_t Engine::drain_ready(bool block) {
     }
     batch.swap(done_->ready);
   }
-  if (batch.empty()) return 0;
+  if (batch.empty()) {
+    spare_.swap(batch);
+    return 0;
+  }
 
   if (cfg_.reorder_seed != 0 && batch.size() > 1) {
     // Seeded Fisher-Yates per batch: an adversarial but reproducible
@@ -220,7 +257,10 @@ std::size_t Engine::drain_ready(bool block) {
     }
     if (c.on_done) c.on_done(c.intact, std::move(c.chain), c.cost);
   }
-  return batch.size();
+  const std::size_t n = batch.size();
+  batch.clear();
+  spare_.swap(batch);
+  return n;
 }
 
 void Engine::wait_all() {

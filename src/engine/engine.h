@@ -120,10 +120,13 @@ class Engine {
 
   /// Dispatches one job (inline mode executes it immediately). The
   /// completion is delivered by a later poll()/drain()/wait_all() on the
-  /// control thread.
+  /// control thread. A worker is not woken for the job: the next harvest
+  /// wakes it, as does a submit that finds its ring full, and a worker's
+  /// bounded wait finds it within about a millisecond regardless.
   void submit(ManipulationJob job);
 
-  /// Delivers every completion that is ready, without blocking.
+  /// Wakes every worker holding jobs submitted since its last wake, then
+  /// delivers every completion that is ready, without blocking.
   std::size_t poll() { return drain_ready(false); }
   /// Like poll(), but if nothing is ready and jobs are outstanding, blocks
   /// until at least one completion arrives.
@@ -158,7 +161,10 @@ class Engine {
   Completion execute_job(unsigned worker, SimTime submitted_at, ManipulationJob&& job);
   void worker_loop(unsigned idx);
   std::size_t drain_ready(bool block);
-  void push_completion(Completion&& c);
+  /// Notifies one worker of the jobs it holds unsignalled.
+  void wake(Worker& w);
+  /// The harvest's wake: every worker holding unsignalled jobs, once.
+  void wake_unsignalled();
 
   EngineConfig cfg_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -183,6 +189,8 @@ class Engine {
   // Completion channel (workers produce, control consumes).
   struct DoneQueue;
   std::unique_ptr<DoneQueue> done_;
+  /// Control thread only: the harvest vector's capacity between harvests.
+  std::vector<Completion> spare_;
 };
 
 }  // namespace ngp::engine

@@ -9,12 +9,23 @@ namespace ngp {
 
 FaultyPath::FaultyPath(EventLoop& loop, NetPath& inner, FaultPlan plan)
     : loop_(loop), inner_(inner), plan_(std::move(plan)), rng_(plan_.seed) {
+  planted_.reserve(plan_.scheduled_frames.size());
   for (const auto& [when, frame] : plan_.scheduled_frames) {
-    loop_.schedule_at(when, [this, f = ByteBuffer(frame.span())] {
+    const std::size_t i = planted_.size();
+    planted_.push_back(loop_.schedule_at(when, [this, i, f = ByteBuffer(frame.span())] {
+      planted_[i] = 0;
       ++stats_.scheduled_injected;
       deliver(f.span());
-    });
+    }));
   }
+}
+
+FaultyPath::~FaultyPath() {
+  if (registered_) inner_.set_handler(nullptr);
+  for (EventId id : planted_) {
+    if (id != 0) loop_.cancel(id);
+  }
+  for (EventId id : replays_) loop_.cancel(id);
 }
 
 bool FaultyPath::in_outage() const noexcept {
@@ -56,6 +67,7 @@ void FaultyPath::flight_note(obs::FlightStage stage, ConstBytes frame,
 
 void FaultyPath::set_handler(FrameHandler handler) {
   handler_ = std::move(handler);
+  registered_ = true;
   inner_.set_handler([this](ConstBytes frame) { on_inner_delivery(frame); });
 }
 
@@ -89,10 +101,12 @@ void FaultyPath::on_inner_delivery(ConstBytes frame) {
   if (rng_.bernoulli(plan_.replay_rate)) {
     const auto pick = static_cast<std::size_t>(rng_.uniform(history_.size()));
     ++stats_.replays;
-    loop_.schedule_after(std::max<SimDuration>(plan_.replay_delay, 0),
-                         [this, f = ByteBuffer(history_[pick].span())] {
-                           deliver(f.span());
-                         });
+    replays_.push_back(loop_.schedule_after(
+        std::max<SimDuration>(plan_.replay_delay, 0),
+        [this, f = ByteBuffer(history_[pick].span())] {
+          replays_.pop_front();  // the oldest pending replay is this one
+          deliver(f.span());
+        }));
   }
 
   ByteBuffer forged;

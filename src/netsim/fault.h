@@ -95,6 +95,11 @@ using AdversaryFn = std::function<ByteBuffer(ConstBytes observed, Rng& rng)>;
 class FaultyPath final : public NetPath {
  public:
   FaultyPath(EventLoop& loop, NetPath& inner, FaultPlan plan);
+  /// Clears the handler set_handler() installed on the inner path and
+  /// cancels the injections still scheduled (planted frames, replays).
+  /// Each closes over `this`, so a frame delivered after teardown would
+  /// call into freed memory; now it drops on a handlerless path.
+  ~FaultyPath();
 
   FaultyPath(const FaultyPath&) = delete;
   FaultyPath& operator=(const FaultyPath&) = delete;
@@ -144,6 +149,12 @@ class FaultyPath final : public NetPath {
   std::uint16_t flight_track_ = 0;
   FlightTagFn flight_tag_ = nullptr;
   std::deque<ByteBuffer> history_;  ///< recent frames, replay source
+  bool registered_ = false;  ///< set_handler() installed ours on inner_
+  /// Planted-frame events by plan index; 0 once fired.
+  std::vector<EventId> planted_;
+  /// Pending replay events in firing order: every replay waits the same
+  /// replay_delay, so they fire in the order they were scheduled.
+  std::deque<EventId> replays_;
 };
 
 }  // namespace ngp

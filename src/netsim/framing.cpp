@@ -11,8 +11,8 @@ FramedBytePath::FramedBytePath(ByteStreamLink& pipe, std::size_t max_payload)
 }
 
 ByteBuffer FramedBytePath::encode_frame(ConstBytes payload) {
-  ByteBuffer out;
-  WireWriter w(out);
+  ByteBuffer out(kHeaderSize + payload.size() + kTrailerSize);
+  WireWriter w(out.span());
   w.u16(kMagic);
   w.u16(static_cast<std::uint16_t>(payload.size()));
   // Header checksum over magic+len (4 bytes, even).

@@ -22,6 +22,14 @@ class NetPath {
 
   /// Offers one frame for transmission. False = rejected at the sender
   /// (oversize/backpressure); silent loss in flight is still possible.
+  ///
+  /// The frame is borrowed for the call only. An implementation that needs
+  /// the bytes afterwards (a link's serializer, a replay history) copies
+  /// them before it returns, so the caller may reuse the buffer as soon as
+  /// send() returns: AlfSender encodes every fragment into one frame
+  /// buffer. A synchronous path runs the far end's handler inside send();
+  /// if that handler calls back into the caller, the caller must not
+  /// overwrite the frame it lent (AlfSender asserts it does not).
   virtual bool send(ConstBytes frame) = 0;
 
   /// Registers the delivery callback.

@@ -30,9 +30,13 @@ struct RelayStats {
 /// Forwards every frame delivered by `ingress` into `egress`.
 class Relay {
  public:
-  Relay(Link& ingress, Link& egress) : egress_(egress) {
+  Relay(Link& ingress, Link& egress) : ingress_(ingress), egress_(egress) {
     ingress.set_handler([this](ConstBytes frame) { forward(frame); });
   }
+  /// Clears the ingress handler, which closes over `this`: a frame the
+  /// ingress link delivers after teardown then drops instead of calling
+  /// into freed memory.
+  ~Relay() { ingress_.set_handler(nullptr); }
 
   Relay(const Relay&) = delete;
   Relay& operator=(const Relay&) = delete;
@@ -53,6 +57,7 @@ class Relay {
     }
   }
 
+  Link& ingress_;
   Link& egress_;
   RelayStats stats_;
 };

@@ -7,8 +7,8 @@
 namespace ngp {
 
 ByteBuffer encode_segment(const Segment& s) {
-  ByteBuffer out;
-  WireWriter w(out);
+  ByteBuffer out(Segment::kHeaderSize + s.payload.size());
+  WireWriter w(out.span());
   w.u8(static_cast<std::uint8_t>(s.type));
   w.u8(s.flags);
   w.u16(static_cast<std::uint16_t>(s.payload.size()));

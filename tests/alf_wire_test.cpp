@@ -1,8 +1,12 @@
-// Tests for src/alf/wire: fragment/NACK/PROGRESS/DONE codecs, header
-// integrity, and the self-describing-fragment invariants.
+// Tests for src/alf/wire: fragment/NACK/PROGRESS/DONE/RESUME/PROBE codecs,
+// header integrity, the self-describing-fragment invariants, and the sized
+// encoders' byte-identity with the byte-at-a-time ones they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "alf/wire.h"
+#include "checksum/internet.h"
 #include "util/rng.h"
 
 namespace ngp::alf {
@@ -148,11 +152,14 @@ TEST(AlfWire, EmptyNackRoundTrip) {
 
 TEST(AlfWire, MaxSizeNackRoundTrip) {
   NackMessage m;
-  m.session = 1;
-  for (std::uint32_t i = 0; i < NackMessage::kMaxIds; ++i) m.adu_ids.push_back(i);
+  m.session = 0xFFFF;
+  for (std::uint32_t i = 0; i < NackMessage::kMaxIds; ++i) {
+    m.adu_ids.push_back(0xFFFFFFFFu - i * 977);
+  }
   auto msg = decode_message(encode_nack(m).span());
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->nack.adu_ids.size(), NackMessage::kMaxIds);
+  EXPECT_EQ(msg->nack.session, 0xFFFF);
+  EXPECT_EQ(msg->nack.adu_ids, m.adu_ids);
 }
 
 TEST(AlfWire, NackCorruptionRejected) {
@@ -240,6 +247,281 @@ TEST(AlfWire, DoneRoundTrip) {
   ASSERT_EQ(msg->type, MessageType::kDone);
   EXPECT_EQ(msg->done.session, 2);
   EXPECT_EQ(msg->done.total_adus, 77u);
+}
+
+// ---- Reference encoders --------------------------------------------------------
+//
+// The byte-at-a-time encoders that the sized ones replaced, kept as the
+// oracle: every frame must stay byte-identical. They append through their
+// own writer, so they share no code with the encoders under test.
+
+/// Appends big-endian fields to a growing buffer, one byte at a time.
+struct Appender {
+  ByteBuffer& out;
+  void u8(std::uint8_t v) { out.append(v); }
+  void u16(std::uint16_t v) {
+    u8(static_cast<std::uint8_t>(v >> 8));
+    u8(static_cast<std::uint8_t>(v));
+  }
+  void u32(std::uint32_t v) {
+    u16(static_cast<std::uint16_t>(v >> 16));
+    u16(static_cast<std::uint16_t>(v));
+  }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v >> 32));
+    u32(static_cast<std::uint32_t>(v));
+  }
+};
+
+void ref_prologue(Appender& w, MessageType type, std::uint16_t session) {
+  w.u8(kMagic);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u16(session);
+}
+
+void ref_seal(ByteBuffer& out) {
+  const std::uint16_t ck = internet_checksum_unrolled(out.span());
+  out.append(static_cast<std::uint8_t>(ck >> 8));
+  out.append(static_cast<std::uint8_t>(ck));
+}
+
+ByteBuffer ref_fragment(const DataFragment& f) {
+  ByteBuffer out;
+  Appender w{out};
+  ref_prologue(w, MessageType::kData, f.session);
+  w.u32(f.adu_id);
+  w.u8(static_cast<std::uint8_t>(f.name.ns));
+  w.u64(f.name.a);
+  w.u64(f.name.b);
+  w.u64(f.name.c);
+  w.u8(static_cast<std::uint8_t>(f.syntax));
+  w.u8(f.flags);
+  w.u8(static_cast<std::uint8_t>(f.checksum_kind));
+  w.u8(f.fec_k);
+  w.u8(f.epoch);
+  w.u32(f.adu_len);
+  w.u32(f.frag_off);
+  w.u16(static_cast<std::uint16_t>(f.payload.size()));
+  w.u32(f.adu_checksum);
+  ref_seal(out);
+  out.append(f.payload);
+  return out;
+}
+
+ByteBuffer ref_nack(const NackMessage& m) {
+  ByteBuffer out;
+  Appender w{out};
+  ref_prologue(w, MessageType::kNack, m.session);
+  w.u16(static_cast<std::uint16_t>(m.adu_ids.size()));
+  for (std::uint32_t id : m.adu_ids) w.u32(id);
+  ref_seal(out);
+  return out;
+}
+
+ByteBuffer ref_progress(const ProgressMessage& m) {
+  ByteBuffer out;
+  Appender w{out};
+  ref_prologue(w, MessageType::kProgress, m.session);
+  w.u32(m.complete_adus);
+  w.u32(m.highest_adu_seen);
+  w.u32(m.consume_rate_kbps);
+  w.u16(m.session_complete ? 1 : 0);
+  ref_seal(out);
+  return out;
+}
+
+ByteBuffer ref_done(const DoneMessage& m) {
+  ByteBuffer out;
+  Appender w{out};
+  ref_prologue(w, MessageType::kDone, m.session);
+  w.u32(m.total_adus);
+  ref_seal(out);
+  return out;
+}
+
+ByteBuffer ref_resume(const ResumeMessage& m) {
+  ByteBuffer out;
+  Appender w{out};
+  ref_prologue(w, MessageType::kResume, m.session);
+  w.u8(m.epoch);
+  w.u8(0);
+  w.u32(m.closed_prefix);
+  std::size_t n = std::min(m.bitmap.size(), ResumeMessage::kMaxBitmapBytes);
+  n += n & 1;
+  w.u16(static_cast<std::uint16_t>(n));
+  for (std::size_t i = 0; i < n; ++i) w.u8(i < m.bitmap.size() ? m.bitmap[i] : 0);
+  ref_seal(out);
+  return out;
+}
+
+ByteBuffer ref_probe(const ProbeMessage& m) {
+  ByteBuffer out;
+  Appender w{out};
+  ref_prologue(w, MessageType::kProbe, m.session);
+  w.u8(m.epoch);
+  w.u8(0);
+  w.u32(m.seq);
+  ref_seal(out);
+  return out;
+}
+
+/// One of a field's extremes, or a random value, with equal odds.
+template <typename T>
+T extreme_or_random(Rng& rng) {
+  switch (rng.uniform(3)) {
+    case 0:
+      return T{0};
+    case 1:
+      return static_cast<T>(~T{0});
+    default:
+      return static_cast<T>(rng.next());
+  }
+}
+
+DataFragment random_fragment(Rng& rng, ByteBuffer& payload) {
+  constexpr std::size_t kMaxPayload = 1446;  // a 1500-byte MTU's capacity
+  const std::size_t sizes[] = {0, kMaxPayload,
+                               static_cast<std::size_t>(rng.uniform(kMaxPayload + 1))};
+  payload.resize(sizes[rng.uniform(3)]);
+  rng.fill(payload.span());
+  DataFragment f;
+  f.session = extreme_or_random<std::uint16_t>(rng);
+  f.epoch = extreme_or_random<std::uint8_t>(rng);
+  f.adu_id = extreme_or_random<std::uint32_t>(rng);
+  f.name.ns = static_cast<NameSpace>(
+      rng.uniform(static_cast<std::uint64_t>(NameSpace::kRpcArg) + 1));
+  f.name.a = extreme_or_random<std::uint64_t>(rng);
+  f.name.b = extreme_or_random<std::uint64_t>(rng);
+  f.name.c = extreme_or_random<std::uint64_t>(rng);
+  f.syntax = static_cast<TransferSyntax>(
+      rng.uniform(static_cast<std::uint64_t>(TransferSyntax::kBerToolkit) + 1));
+  f.flags = static_cast<std::uint8_t>(
+      (extreme_or_random<std::uint8_t>(rng) & ~kFlagFecParity) |
+      (rng.uniform(2) != 0 ? kFlagFecParity : 0));
+  f.checksum_kind = static_cast<ChecksumKind>(
+      rng.uniform(static_cast<std::uint64_t>(ChecksumKind::kCrc32) + 1));
+  f.fec_k = extreme_or_random<std::uint8_t>(rng);
+  f.adu_len = extreme_or_random<std::uint32_t>(rng);
+  f.frag_off = extreme_or_random<std::uint32_t>(rng);
+  f.adu_checksum = extreme_or_random<std::uint32_t>(rng);
+  f.payload = payload.span();
+  return f;
+}
+
+TEST(AlfWireInPlace, FragmentIntoMatchesTheReferenceEncoder) {
+  // Every field at its extremes or random, payloads of 0-1,446 bytes, the
+  // parity flag set and clear: the frame written in place is the
+  // reference encoder's, and nothing past its end is touched.
+  Rng rng(2026);
+  ByteBuffer payload;
+  int parity = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const DataFragment f = random_fragment(rng, payload);
+    parity += f.is_parity();
+    const ByteBuffer want = ref_fragment(f);
+    ByteBuffer out(DataFragment::kHeaderSize + 1446 + 8);
+    std::fill(out.data(), out.data() + out.size(), std::uint8_t{0xA5});
+    const std::size_t n = encode_fragment_into(f, out.span());
+    ASSERT_EQ(n, want.size()) << i;
+    ASSERT_EQ(ByteBuffer(out.subspan(0, n)), want) << i;
+    ASSERT_TRUE(std::all_of(out.data() + n, out.data() + out.size(),
+                            [](std::uint8_t b) { return b == 0xA5; }))
+        << i;
+    ASSERT_EQ(encode_fragment(f), want) << i;
+  }
+  EXPECT_GT(parity, 1000);
+  EXPECT_LT(parity, 2000);
+}
+
+TEST(AlfWireInPlace, FragmentIntoRejectsAShortSpan) {
+  for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{1446}}) {
+    SCOPED_TRACE(len);
+    ByteBuffer payload(len);
+    DataFragment f = sample_fragment(payload.span());
+    const std::size_t need = DataFragment::kHeaderSize + len;
+    ByteBuffer out(need);
+    std::fill(out.data(), out.data() + out.size(), std::uint8_t{0xA5});
+    EXPECT_EQ(encode_fragment_into(f, out.span().subspan(0, need - 1)), 0u);
+    EXPECT_TRUE(std::all_of(out.data(), out.data() + out.size(),
+                            [](std::uint8_t b) { return b == 0xA5; }));
+    EXPECT_EQ(encode_fragment_into(f, MutableBytes{}), 0u);
+    EXPECT_EQ(encode_fragment_into(f, out.span()), need);
+    EXPECT_EQ(out, ref_fragment(f));
+  }
+}
+
+TEST(AlfWireInPlace, ControlFramesMatchTheReferenceEncoders) {
+  Rng rng(77);
+  for (int i = 0; i < 300; ++i) {
+    SCOPED_TRACE(i);
+    NackMessage nack;
+    nack.session = extreme_or_random<std::uint16_t>(rng);
+    nack.adu_ids.resize(i == 0 ? NackMessage::kMaxIds
+                               : rng.uniform(NackMessage::kMaxIds + 1));
+    for (auto& id : nack.adu_ids) id = extreme_or_random<std::uint32_t>(rng);
+    ASSERT_EQ(encode_nack(nack), ref_nack(nack));
+
+    ProgressMessage progress;
+    progress.session = extreme_or_random<std::uint16_t>(rng);
+    progress.complete_adus = extreme_or_random<std::uint32_t>(rng);
+    progress.highest_adu_seen = extreme_or_random<std::uint32_t>(rng);
+    progress.consume_rate_kbps = extreme_or_random<std::uint32_t>(rng);
+    progress.session_complete = rng.uniform(2) != 0;
+    ASSERT_EQ(encode_progress(progress), ref_progress(progress));
+
+    DoneMessage done;
+    done.session = extreme_or_random<std::uint16_t>(rng);
+    done.total_adus = extreme_or_random<std::uint32_t>(rng);
+    ASSERT_EQ(encode_done(done), ref_done(done));
+
+    // Bitmaps past the 1,024-byte cap are clamped; odd lengths are padded.
+    ResumeMessage resume;
+    resume.session = extreme_or_random<std::uint16_t>(rng);
+    resume.epoch = extreme_or_random<std::uint8_t>(rng);
+    resume.closed_prefix = extreme_or_random<std::uint32_t>(rng);
+    const std::size_t sizes[] = {0, 1, ResumeMessage::kMaxBitmapBytes - 1,
+                                 ResumeMessage::kMaxBitmapBytes,
+                                 ResumeMessage::kMaxBitmapBytes + 1,
+                                 static_cast<std::size_t>(rng.uniform(1400))};
+    resume.bitmap.resize(sizes[i % 6]);
+    for (auto& b : resume.bitmap) b = static_cast<std::uint8_t>(rng.next());
+    ASSERT_EQ(encode_resume(resume), ref_resume(resume));
+
+    ProbeMessage probe;
+    probe.session = extreme_or_random<std::uint16_t>(rng);
+    probe.epoch = extreme_or_random<std::uint8_t>(rng);
+    probe.seq = extreme_or_random<std::uint32_t>(rng);
+    ASSERT_EQ(encode_probe(probe), ref_probe(probe));
+  }
+}
+
+TEST(AlfWireInPlace, LargestResumeAndProbeRoundTrip) {
+  // The largest NACK round-trips in MaxSizeNackRoundTrip.
+  ResumeMessage resume;
+  resume.session = 0xFFFF;
+  resume.epoch = 0xFF;
+  resume.closed_prefix = 0xFFFFFFFF;
+  resume.bitmap.resize(ResumeMessage::kMaxBitmapBytes);
+  Rng rng(5);
+  for (auto& b : resume.bitmap) b = static_cast<std::uint8_t>(rng.next());
+  auto msg = decode_message(encode_resume(resume).span());
+  ASSERT_TRUE(msg.has_value());
+  ASSERT_EQ(msg->type, MessageType::kResume);
+  EXPECT_EQ(msg->resume.session, 0xFFFF);
+  EXPECT_EQ(msg->resume.epoch, 0xFF);
+  EXPECT_EQ(msg->resume.closed_prefix, 0xFFFFFFFFu);
+  EXPECT_EQ(msg->resume.bitmap, resume.bitmap);
+
+  ProbeMessage probe;
+  probe.session = 0xFFFF;
+  probe.epoch = 0xFF;
+  probe.seq = 0xFFFFFFFF;
+  msg = decode_message(encode_probe(probe).span());
+  ASSERT_TRUE(msg.has_value());
+  ASSERT_EQ(msg->type, MessageType::kProbe);
+  EXPECT_EQ(msg->probe.session, 0xFFFF);
+  EXPECT_EQ(msg->probe.epoch, 0xFF);
+  EXPECT_EQ(msg->probe.seq, 0xFFFFFFFFu);
 }
 
 TEST(AlfWire, PayloadCapacity) {

@@ -4,8 +4,11 @@
 // sink bytes and §4 cost ledgers are invariant across execution schedules.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -240,6 +243,102 @@ TEST(EngineParallel, DistinctIdsSpreadAcrossWorkers) {
   }
   EXPECT_EQ(workers_used, 4);
   EXPECT_EQ(total_jobs, 32u);
+}
+
+// ---- Wake policy: submit never notifies; a harvest wakes each worker once ------
+
+/// `n` small intact jobs with distinct ids whose app stage counts its run
+/// on the worker and whose completion counts its delivery on control.
+std::vector<ManipulationJob> counted_jobs(int n, std::atomic<int>& ran,
+                                          int& delivered) {
+  std::vector<ManipulationJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(n));
+  for (int i = 1; i <= n; ++i) {
+    const auto id = static_cast<std::uint32_t>(i);
+    ManipulationJob j = to_job(id, make_encrypted(id, 64, id),
+                               [&delivered](bool intact, buf::BufChain&&,
+                                            const obs::CostAccount&) {
+                                 EXPECT_TRUE(intact);
+                                 ++delivered;
+                               });
+    j.app_stage = [&ran](buf::BufChain&, obs::CostAccount&) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    };
+    jobs.push_back(std::move(j));
+  }
+  return jobs;
+}
+
+TEST(EngineWake, JobsSubmittedWithNoHarvestStillComplete) {
+  // submit() wakes nobody. A worker's bounded wait still finds its jobs,
+  // so they run although no harvest comes; wait_all then delivers every
+  // completion, and the destructor returns.
+  constexpr int kJobs = 64;
+  std::atomic<int> ran{0};
+  int delivered = 0;
+  {
+    Engine eng(EngineConfig{.workers = 2});
+    for (auto& j : counted_jobs(kJobs, ran, delivered)) eng.submit(std::move(j));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (ran.load() < kJobs && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(ran.load(), kJobs);
+    EXPECT_EQ(delivered, 0);  // completions wait for the control thread
+    eng.wait_all();
+    EXPECT_EQ(delivered, kJobs);
+    EXPECT_EQ(eng.outstanding(), 0u);
+  }
+}
+
+TEST(EngineWake, DestructorRunsUnharvestedJobsAndReturns) {
+  // Jobs still unsignalled at teardown: the destructor wakes their
+  // workers, lets every queued job run, joins, and drops the completions
+  // undelivered (its documented contract).
+  constexpr int kJobs = 64;
+  std::atomic<int> ran{0};
+  int delivered = 0;
+  {
+    Engine eng(EngineConfig{.workers = 2});
+    for (auto& j : counted_jobs(kJobs, ran, delivered)) eng.submit(std::move(j));
+  }
+  EXPECT_EQ(ran.load(), kJobs);
+  EXPECT_EQ(delivered, 0);
+}
+
+TEST(EngineWake, OverfullRingFinishesThroughTheFullRingWake) {
+  // More jobs than one worker's ring holds, submitted back to back with
+  // no harvest: the submit that finds the ring full wakes the worker and
+  // waits for room, so every job is accepted and completes.
+  constexpr int kJobs = 1500;
+  std::atomic<int> ran{0};
+  int delivered = 0;
+  Engine eng(EngineConfig{.workers = 1});
+  for (auto& j : counted_jobs(kJobs, ran, delivered)) eng.submit(std::move(j));
+  EXPECT_EQ(eng.stats().jobs_submitted, static_cast<std::uint64_t>(kJobs));
+  eng.wait_all();
+  EXPECT_EQ(ran.load(), kJobs);
+  EXPECT_EQ(delivered, kJobs);
+  EXPECT_EQ(eng.stats().jobs_completed, static_cast<std::uint64_t>(kJobs));
+}
+
+TEST(EngineWake, PollAfterABurstDeliversEveryCompletion) {
+  // poll() is a harvest too: the first wakes the workers holding the
+  // burst, and polling on delivers every completion without blocking.
+  constexpr int kJobs = 200;
+  std::atomic<int> ran{0};
+  int delivered = 0;
+  Engine eng(EngineConfig{.workers = 2});
+  for (auto& j : counted_jobs(kJobs, ran, delivered)) eng.submit(std::move(j));
+  std::size_t polled = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (eng.outstanding() > 0 && std::chrono::steady_clock::now() < deadline) {
+    polled += eng.poll();
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(polled, static_cast<std::size_t>(kJobs));
+  EXPECT_EQ(delivered, kJobs);
+  EXPECT_EQ(ran.load(), kJobs);
 }
 
 // ---- Kernel-tier invariance ------------------------------------------------------

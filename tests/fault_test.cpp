@@ -30,6 +30,35 @@ std::vector<ByteBuffer> drive(FaultyPath& path, EventLoop& loop, int n,
   return out;
 }
 
+TEST(FaultyPath, TeardownClearsItsHandlerAndPendingInjections) {
+  // The handler on the inner path, the planted frames and the pending
+  // replays all close over the FaultyPath. After teardown a frame the
+  // inner path delivers finds no handler, and no injection fires.
+  EventLoop loop;
+  LoopbackPath inner;
+  int delivered = 0;
+  {
+    FaultPlan plan;
+    plan.replay_rate = 1.0;
+    plan.replay_delay = 2 * kMillisecond;
+    plan.scheduled_frames.emplace_back(5 * kMillisecond, ByteBuffer(16));
+    plan.scheduled_frames.emplace_back(kMillisecond, ByteBuffer(16));
+    FaultyPath path(loop, inner, plan);
+    path.set_handler([&](ConstBytes) { ++delivered; });
+    const ByteBuffer frame(64);
+    path.send(frame.span());  // delivered now, its replay 2 ms later
+    EXPECT_EQ(delivered, 1);
+    loop.run_until(kMillisecond + 1);  // the 1 ms plant fires
+    EXPECT_EQ(delivered, 2);
+  }
+  EXPECT_FALSE(inner.has_handler());
+  EXPECT_EQ(loop.pending(), 0u);
+  const ByteBuffer frame(64);
+  inner.send(frame.span());
+  loop.run();
+  EXPECT_EQ(delivered, 2);
+}
+
 TEST(FaultyPath, CleanPlanIsTransparent) {
   EventLoop loop;
   LoopbackPath inner;

@@ -8,6 +8,7 @@
 #include "alf/negotiate.h"
 #include "alf/receiver.h"
 #include "alf/sender.h"
+#include "test_paths.h"
 #include "util/rng.h"
 
 namespace ngp::alf {
@@ -266,6 +267,43 @@ struct HandshakeHarness {
     channel.reverse.set_loss_rate(loss);
   }
 };
+
+TEST(Handshake, InitiatorTeardownClearsItsHandlerAndRetry) {
+  // The answer handler and the retry timer both close over the initiator:
+  // after teardown an answer on the path below finds no handler, and no
+  // retry fires to send another offer.
+  EventLoop loop;
+  test::LoopbackPath rx;
+  test::SinkPath tx;
+  bool done = false;
+  {
+    HandshakeInitiator initiator(loop, tx, rx, fancy_offer());
+    initiator.set_on_done([&](Result<SessionConfig>) { done = true; });
+    initiator.start();
+    ASSERT_EQ(tx.frames.size(), 1u);
+    EXPECT_EQ(loop.pending(), 1u);
+  }
+  EXPECT_FALSE(rx.has_handler());
+  EXPECT_EQ(loop.pending(), 0u);
+  rx.send(encode_answer(fancy_offer(), /*accepted=*/true).span());
+  loop.run();
+  EXPECT_FALSE(done);
+  EXPECT_EQ(tx.frames.size(), 1u);
+}
+
+TEST(Handshake, ResponderTeardownClearsItsHandler) {
+  EventLoop loop;
+  test::LoopbackPath rx;
+  test::SinkPath tx;
+  {
+    HandshakeResponder responder(loop, rx, tx, Capabilities{});
+    rx.send(encode_offer(fancy_offer()).span());
+    EXPECT_EQ(tx.frames.size(), 1u);  // answered while alive
+  }
+  EXPECT_FALSE(rx.has_handler());
+  rx.send(encode_offer(fancy_offer()).span());
+  EXPECT_EQ(tx.frames.size(), 1u);
+}
 
 TEST(Handshake, CleanPathAgrees) {
   HandshakeHarness h(0.0);

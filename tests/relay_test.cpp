@@ -22,6 +22,29 @@ LinkConfig hop(double bps, SimDuration delay, std::size_t queue = 128,
   return cfg;
 }
 
+TEST(Relay, TeardownClearsItsIngressHandler) {
+  // The relay's handler on the ingress link closes over the relay: after
+  // teardown a frame the ingress delivers must not reach the freed relay
+  // (nor, through it, the egress link).
+  EventLoop loop;
+  Link a(loop, hop(100e6, kMillisecond));
+  Link b(loop, hop(100e6, kMillisecond));
+  int got = 0;
+  b.set_handler([&](ConstBytes) { ++got; });
+  const ByteBuffer frame(100);
+  {
+    Relay relay(a, b);
+    a.send(frame.span());
+    loop.run();
+    EXPECT_EQ(got, 1);
+  }
+  a.send(frame.span());
+  loop.run();
+  EXPECT_EQ(a.stats().frames_delivered, 2u);
+  EXPECT_EQ(b.stats().frames_offered, 1u);
+  EXPECT_EQ(got, 1);
+}
+
 TEST(Relay, ForwardsFramesIntact) {
   EventLoop loop;
   Link a(loop, hop(100e6, kMillisecond));

@@ -9,6 +9,7 @@
 #include "alf/router.h"
 #include "alf/sender.h"
 #include "netsim/net_path.h"
+#include "test_paths.h"
 #include "util/rng.h"
 
 namespace ngp::alf {
@@ -28,6 +29,27 @@ ByteBuffer payload_of(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   rng.fill(b.span());
   return b;
+}
+
+TEST(FrameRouter, TeardownClearsItsHandlerOnThePathBelow) {
+  // The router's handler closes over the router: after teardown a frame
+  // the path below delivers must find no handler, not the freed router.
+  EventLoop loop;
+  test::LoopbackPath below;
+  int delivered = 0;
+  {
+    FrameRouter router(below);
+    router.data_plane(1).set_handler([&](ConstBytes) { ++delivered; });
+    DoneMessage d;
+    d.session = 1;
+    below.send(encode_done(d).span());
+    EXPECT_EQ(delivered, 1);
+  }
+  EXPECT_FALSE(below.has_handler());
+  DoneMessage d;
+  d.session = 1;
+  below.send(encode_done(d).span());
+  EXPECT_EQ(delivered, 1);
 }
 
 TEST(FrameRouter, RoutesDataAndFeedbackBySession) {

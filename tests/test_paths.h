@@ -26,6 +26,9 @@ class LoopbackPath final : public NetPath {
   }
   void set_handler(FrameHandler handler) override { handler_ = std::move(handler); }
   std::size_t max_frame_size() const override { return 65535; }
+  /// Whether a handler is registered: teardown tests check that a
+  /// destroyed component left none behind.
+  bool has_handler() const noexcept { return static_cast<bool>(handler_); }
 
  private:
   FrameHandler handler_;

@@ -90,8 +90,8 @@ TEST(Hex, AcceptsUppercase) {
 // ---- WireWriter / WireReader -----------------------------------------------
 
 TEST(Wire, WriteReadRoundTripAllWidths) {
-  ByteBuffer buf;
-  WireWriter w(buf);
+  ByteBuffer buf(15);
+  WireWriter w(buf.span());
   w.u8(0xAB);
   w.u16(0x1234);
   w.u32(0xDEADBEEF);
@@ -114,17 +114,17 @@ TEST(Wire, WriteReadRoundTripAllWidths) {
 }
 
 TEST(Wire, BigEndianOnTheWire) {
-  ByteBuffer buf;
-  WireWriter w(buf);
+  ByteBuffer buf(4);
+  WireWriter w(buf.span());
   w.u32(0x01020304);
-  ASSERT_EQ(buf.size(), 4u);
+  ASSERT_EQ(w.written(), 4u);
   EXPECT_EQ(buf[0], 0x01);
   EXPECT_EQ(buf[3], 0x04);
 }
 
 TEST(Wire, ShortReadFailsWithoutAdvancing) {
-  ByteBuffer buf;
-  WireWriter w(buf);
+  ByteBuffer buf(2);
+  WireWriter w(buf.span());
   w.u16(7);
   WireReader r(buf.span());
   std::uint32_t v = 0;
