@@ -179,13 +179,11 @@ RunResult run_alf(double loss, bool want_exports) {
   LinkPath data(ch.forward), fb_tx(ch.reverse), fb_rx(ch.reverse);
 
   sessiond::Sessiond daemon(loop);
-  auto scfg = alf::SessionConfig::builder()
-                  .nack_delay(15 * kMillisecond)
-                  .nack_retry(30 * kMillisecond)
-                  .build();
-  auto handle = daemon.open(scfg.value(), {&data, &fb_tx, &fb_rx});
+  const alf::SessionConfig scfg{.nack_delay = 15 * kMillisecond,
+                                .nack_retry = 30 * kMillisecond};
+  auto handle = daemon.open(scfg, {&data, &fb_tx, &fb_rx});
   if (!handle.ok()) std::abort();
-  sessiond::SessionHandle& sess = handle.value();
+  sessiond::AlfSession& sess = *handle.value();
 
   // End-to-end flight recording: sender staging/framing, every data-link
   // event (tagged from the wire header — the link itself learns no ALF),
@@ -202,9 +200,9 @@ RunResult run_alf(double loss, bool want_exports) {
   // Telemetry: sample the whole stack's registry on the sim clock; watch
   // the reassembly buffer (holes pinning memory) and the NACK volume.
   obs::MetricsRegistry reg;
-  sess.sender().register_metrics(reg, "alf.tx");
-  sess.receiver().register_metrics(reg, "alf.rx");
-  ch.forward.register_metrics(reg, "link.fwd");
+  reg.add("alf.tx", sess.sender());
+  reg.add("alf.rx", sess.receiver());
+  reg.add("link.fwd", ch.forward);
   obs::TelemetryConfig tcfg;
   tcfg.interval = 20 * kMillisecond;
   obs::TelemetryHub hub(&loop, reg, tcfg);

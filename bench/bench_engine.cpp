@@ -131,7 +131,7 @@ RunResult run_session(const std::vector<WireAdu>& adus, unsigned workers) {
   eng.set_flight(&flight);
   flight.set_enabled(true);
   obs::MetricsRegistry reg;
-  eng.register_metrics(reg, "engine");
+  reg.add("engine", eng);
   obs::TelemetryHub hub(nullptr, reg);
   obs::SloWatch depth_watch;
   depth_watch.metric = "engine.queue_depth";
@@ -226,11 +226,9 @@ PlaneResult run_session_plane(const std::vector<ByteBuffer>& plain,
   engine::Engine eng(engine::EngineConfig{.workers = workers});
   sessiond::Sessiond daemon(loop);
 
-  const auto base = alf::SessionConfig::builder()
-                        .checksum(ChecksumKind::kInternet)
-                        .encrypt(session_key())
-                        .build();
-  if (!base.ok()) std::abort();
+  const alf::SessionConfig base{.checksum = ChecksumKind::kInternet,
+                                .encrypt = true,
+                                .key = session_key()};
 
   LinkConfig link;
   link.bandwidth_bps = 10e9;
@@ -250,7 +248,7 @@ PlaneResult run_session_plane(const std::vector<ByteBuffer>& plain,
   for (std::size_t s = 0; s < kPlaneSessions; ++s) {
     lanes.push_back(std::make_unique<Lane>(loop, link));
     Lane& lane = *lanes.back();
-    alf::SessionConfig cfg = base.value();
+    alf::SessionConfig cfg = base;
     cfg.session_id = static_cast<std::uint16_t>(s + 1);
     sessiond::OpenOptions opts;
     opts.attach.engine = &eng;
@@ -258,7 +256,7 @@ PlaneResult run_session_plane(const std::vector<ByteBuffer>& plain,
     auto opened = daemon.open(cfg, {&lane.data, &lane.fb_tx, &lane.fb_rx}, opts);
     if (!opened.ok()) std::abort();
     lane.sess = std::move(opened.value());
-    lane.sess.set_on_adu([&r](Adu&& a) {
+    lane.sess->set_on_adu([&r](Adu&& a) {
       auto ints = decode_int_array(TransferSyntax::kBer, a.payload.span());
       if (!ints.ok()) std::abort();
       ByteBuffer raw(ints->size() * sizeof(std::int32_t));
@@ -274,16 +272,16 @@ PlaneResult run_session_plane(const std::vector<ByteBuffer>& plain,
     for (std::size_t a = 0; a < plain.size(); ++a) {
       Lane& lane = *lanes[a % kPlaneSessions];
       wire_bytes += plain[a].size();
-      if (!lane.sess.send_adu(generic_name(a + 1), plain[a].span()).ok()) {
+      if (!lane.sess->send_adu(generic_name(a + 1), plain[a].span()).ok()) {
         std::abort();
       }
     }
-    for (auto& lane : lanes) lane->sess.finish();
+    for (auto& lane : lanes) lane->sess->finish();
     loop.run();
   });
   r.mbps = megabits_per_second(wire_bytes, secs);
   for (auto& lane : lanes) {
-    r.offloaded += lane->sess.receiver().stats().adus_engine_offloaded;
+    r.offloaded += lane->sess->receiver().stats().adus_engine_offloaded;
   }
   return r;
 }

@@ -65,20 +65,15 @@ LinkConfig data_link() {
 // paces the wire (the idiom every bench here uses — sender-side pacing
 // would entangle the measurement with the PROGRESS rate-adaptation loop).
 alf::SessionConfig session_config() {
-  auto cfg = alf::SessionConfig::builder()
-                 .nack_delay(10 * kMillisecond)
-                 .nack_retry(20 * kMillisecond)
-                 .max_nacks(30)
-                 .stall_timeout(300 * kMillisecond)
-                 .adu_id_window(8192)
-                 .build();
-  if (!cfg.ok()) std::abort();
-  return cfg.value();
+  return {.nack_delay = 10 * kMillisecond,
+          .nack_retry = 20 * kMillisecond,
+          .max_nacks = 30,
+          .adu_id_window = 8192,
+          .stall_timeout = 300 * kMillisecond};
 }
 
 resilience::SupervisorConfig supervisor_config(std::uint64_t seed) {
   resilience::SupervisorConfig cfg;
-  cfg.session = session_config();
   cfg.seed = seed;
   cfg.max_restarts = 8;
   // Long enough that the first restart's re-stage burst goes out after the
@@ -172,7 +167,7 @@ RunResult run_unsupervised(std::size_t bytes, FaultPlan plan) {
   sessiond::Sessiond daemon(loop);
   auto opened = daemon.open(session_config(), {&data, &fb_tx, &fb_rx});
   if (!opened.ok()) std::abort();
-  sessiond::SessionHandle& sess = opened.value();
+  sessiond::AlfSession& sess = *opened.value();
 
   RunResult r;
   SimTime done_at = kRunCap;
@@ -207,16 +202,14 @@ RunResult run_supervised(std::size_t bytes, EventLoop& loop, NetPath& data,
                          resilience::SupervisorConfig scfg,
                          SimTime outage_end = -1,
                          resilience::SwitchingPath* breaker = nullptr) {
-  // Supervision is an open()-time opt-in: the handle's callbacks forward to
-  // the supervisor, so they survive restarts; supervisor-only probes (state,
-  // restart stats) go through handle.supervisor().
+  // Supervision is an open()-time opt-in: the session's callbacks forward
+  // to the supervisor, so they survive restarts; supervisor-only probes
+  // (state, restart stats) go through supervisor().
   sessiond::Sessiond daemon(loop);
-  sessiond::OpenOptions oopts;
-  oopts.supervised = true;
-  oopts.supervisor = scfg;
-  auto opened = daemon.open(scfg.session, {&data, &fb_tx, &fb_rx}, oopts);
+  auto opened = daemon.open(session_config(), {&data, &fb_tx, &fb_rx},
+                            {.supervisor = scfg});
   if (!opened.ok()) std::abort();
-  sessiond::SessionHandle& sess = opened.value();
+  sessiond::AlfSession& sess = *opened.value();
   resilience::SessionSupervisor& sup = *sess.supervisor();
 
   RunResult r;
@@ -370,15 +363,13 @@ RunResult run_overload(std::size_t bytes, std::uint64_t seed) {
   // in eight is high-priority; their combined footprint (bytes/8) sits
   // safely below the low-water mark, so a correct lowest-priority-first
   // policy never needs to touch them.
-  scfg.session.shed_highwater = bytes / 3;
-  scfg.session.shed_lowwater = bytes / 5;
+  alf::SessionConfig session = session_config();
+  session.shed_highwater = bytes / 3;
+  session.shed_lowwater = bytes / 5;
   sessiond::Sessiond daemon(loop);
-  sessiond::OpenOptions oopts;
-  oopts.supervised = true;
-  oopts.supervisor = scfg;
-  auto opened = daemon.open(scfg.session, {&data, &fb_tx, &fb_rx}, oopts);
+  auto opened = daemon.open(session, {&data, &fb_tx, &fb_rx}, {.supervisor = scfg});
   if (!opened.ok()) std::abort();
-  sessiond::SessionHandle& sess = opened.value();
+  sessiond::AlfSession& sess = *opened.value();
   sess.set_priority(
       [](const AduName& n) { return (n.a % 8 == 0) ? 5 : 1; });
 

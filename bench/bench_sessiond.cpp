@@ -202,13 +202,8 @@ int main(int argc, char** argv) {
   const std::size_t n_peers = (sh.sessions + kFlowsPerPeer - 1) / kFlowsPerPeer;
   std::vector<std::unique_ptr<DuplexChannel>> channels;
   std::vector<std::uint32_t> peers;
-  sessiond::Sessiond::Config dcfg;
-  dcfg.table.shards = sh.shards;
-  dcfg.table.max_sessions = 2 * sh.sessions;
-  dcfg.table.idle_timeout = kIdleTimeout;
-  dcfg.table.initial_shard_capacity = 64;
-  sessiond::Sessiond daemon(loop, dcfg);
-
+  // The paths are declared before the daemon that binds them, so they
+  // outlive it: its dispatcher clears their handlers when it goes.
   std::vector<LinkPath> ingress;
   ingress.reserve(n_peers);
   for (std::size_t p = 0; p < n_peers; ++p) {
@@ -216,6 +211,13 @@ int main(int argc, char** argv) {
     ingress.emplace_back(channels[p]->forward);
   }
   LinkPath feedback(channels[0]->reverse);
+
+  sessiond::Sessiond::Config dcfg;
+  dcfg.table.shards = sh.shards;
+  dcfg.table.max_sessions = 2 * sh.sessions;
+  dcfg.table.idle_timeout = kIdleTimeout;
+  dcfg.table.initial_shard_capacity = 64;
+  sessiond::Sessiond daemon(loop, dcfg);
   for (std::size_t p = 0; p < n_peers; ++p) peers.push_back(daemon.bind(ingress[p]));
 
   // Receive-only sessions, tuned for population scale: the progress
@@ -233,7 +235,7 @@ int main(int argc, char** argv) {
   daemon.set_factory(sessiond::alf_receiver_factory(loop, feedback, base, fopts));
 
   obs::MetricsRegistry registry;
-  daemon.register_metrics(registry, "sessiond");
+  registry.add("sessiond", daemon);
 
   auto storm = [&](std::size_t from, std::size_t to, std::uint32_t adu_id) {
     // Batched against the link queue: send a queue's worth, drain the sim.

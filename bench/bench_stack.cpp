@@ -62,19 +62,11 @@ struct StackCosts {
   obs::CostAccount transport_rx;
   obs::CostAccount presentation_rx;
 
-  void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const {
-    reg.add_source(prefix + ".presentation.tx", [this](obs::MetricSink& s) {
-      obs::emit_cost(s, "cost", presentation_tx);
-    });
-    reg.add_source(prefix + ".transport.tx", [this](obs::MetricSink& s) {
-      obs::emit_cost(s, "cost", transport_tx);
-    });
-    reg.add_source(prefix + ".transport.rx", [this](obs::MetricSink& s) {
-      obs::emit_cost(s, "cost", transport_rx);
-    });
-    reg.add_source(prefix + ".presentation.rx", [this](obs::MetricSink& s) {
-      obs::emit_cost(s, "cost", presentation_rx);
-    });
+  void emit_metrics(obs::MetricSink& s) const {
+    obs::emit_cost(s, "presentation.tx.cost", presentation_tx);
+    obs::emit_cost(s, "transport.tx.cost", transport_tx);
+    obs::emit_cost(s, "transport.rx.cost", transport_rx);
+    obs::emit_cost(s, "presentation.rx.cost", presentation_rx);
   }
 };
 
@@ -176,8 +168,8 @@ void run_e3(ngp::bench::BenchReport& rep) {
   StackCosts base_costs;
   StackCosts toolkit_costs;
   obs::MetricsRegistry reg;
-  base_costs.register_metrics(reg, "stack.octets_raw");
-  toolkit_costs.register_metrics(reg, "stack.ints_ber_toolkit");
+  reg.add("stack.octets_raw", base_costs);
+  reg.add("stack.ints_ber_toolkit", toolkit_costs);
   obs::TelemetryHub hub(nullptr, reg);
   obs::SloWatch passes_watch;
   passes_watch.metric = "stack.ints_ber_toolkit.presentation.tx.cost.bytes_touched";

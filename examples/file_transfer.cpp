@@ -100,15 +100,13 @@ void run_alf(const ByteBuffer& file, double loss) {
   LinkPath data(ch.forward), fb_tx(ch.reverse), fb_rx(ch.reverse);
 
   sessiond::Sessiond daemon(loop);
-  auto session = alf::SessionConfig::builder()
-                     .nack_delay(15 * kMillisecond)
-                     .build();
-  auto handle = daemon.open(session.value(), {&data, &fb_tx, &fb_rx});
+  const alf::SessionConfig session{.nack_delay = 15 * kMillisecond};
+  auto handle = daemon.open(session, {&data, &fb_tx, &fb_rx});
   if (!handle.ok()) {
     std::printf("  open failed: %s\n", handle.error().to_string().c_str());
     return;
   }
-  sessiond::SessionHandle& s = handle.value();
+  sessiond::AlfSession& s = *handle.value();
 
   alf::FileSink sink(kFileSize);
   std::size_t next_report = kFileSize / 4;

@@ -31,20 +31,14 @@ int main() {
   //    validates the config at build() — a malformed session fails here,
   //    not as a misbehaving endpoint.
   sessiond::Sessiond daemon(loop);
-  auto session = alf::SessionConfig::builder()
-                     .retransmit(alf::RetransmitPolicy::kTransportBuffered)
-                     .build();
-  if (!session.ok()) {
-    std::printf("bad config: %s\n", session.error().to_string().c_str());
-    return 1;
-  }
-  auto handle = daemon.open(session.value(),
-                            {&data, &feedback_tx, &feedback_rx});
+  const alf::SessionConfig session{
+      .retransmit = alf::RetransmitPolicy::kTransportBuffered};
+  auto handle = daemon.open(session, {&data, &feedback_tx, &feedback_rx});
   if (!handle.ok()) {
     std::printf("open failed: %s\n", handle.error().to_string().c_str());
     return 1;
   }
-  sessiond::SessionHandle& s = handle.value();
+  sessiond::AlfSession& s = *handle.value();
 
   // 3. The receiver gets COMPLETE ADUs the moment they finish, in whatever
   //    order the network permits.

@@ -134,7 +134,7 @@ int main() {
     }
     reply_sess = std::move(reply.value());
 
-    call_sess.set_on_adu([&](Adu&& adu) {
+    call_sess->set_on_adu([&](Adu&& adu) {
       const auto arg = RpcArgName::from_name(adu.name);
       auto call = decode_record(adu.syntax, kCallSchema, adu.payload.span());
       if (!call.ok()) {
@@ -151,9 +151,9 @@ int main() {
       Record reply{res.count, res.sum, res.min, res.max};
       auto wire = encode_record(adu.syntax, kReplySchema, reply);
       if (!wire.ok()) return;
-      (void)reply_sess.send_adu(RpcArgName{arg.call_id, 0}.to_name(),
+      (void)reply_sess->send_adu(RpcArgName{arg.call_id, 0}.to_name(),
                                 wire->span());
-      reply_sess.finish();
+      reply_sess->finish();
     });
   });
 
@@ -165,7 +165,7 @@ int main() {
     agreed_syntax = agreed->syntax;
     std::printf("t=%-9s client: session agreed, issuing call\n",
                 format_sim_time(loop.now()).c_str());
-    reply_sess.set_on_adu([&](Adu&& adu) {
+    reply_sess->set_on_adu([&](Adu&& adu) {
       auto reply = decode_record(adu.syntax, kReplySchema, adu.payload.span());
       if (!reply.ok()) {
         std::printf("client: bad reply: %s\n", reply.error().to_string().c_str());
@@ -189,8 +189,8 @@ int main() {
       std::printf("client: encode failed\n");
       return;
     }
-    (void)call_sess.send_adu(RpcArgName{1, 0}.to_name(), wire->span());
-    call_sess.finish();
+    (void)call_sess->send_adu(RpcArgName{1, 0}.to_name(), wire->span());
+    call_sess->finish();
   });
 
   initiator.start();

@@ -63,19 +63,18 @@ int main(int argc, char** argv) {
 
     // One association per lane, each its own session id — every lane is an
     // independent flow in the session plane.
-    auto session = alf::SessionConfig::builder()
-                       .session_id(static_cast<std::uint16_t>(i + 1))
-                       .nack_delay(15 * kMillisecond)
-                       .build();
-    auto handle = daemon.open(session.value(), {data, fb_tx, fb_rx});
+    const alf::SessionConfig session{
+        .session_id = static_cast<std::uint16_t>(i + 1),
+        .nack_delay = 15 * kMillisecond};
+    auto handle = daemon.open(session, {data, fb_tx, fb_rx});
     if (!handle.ok()) {
       std::printf("lane %zu: open failed: %s\n", i,
                   handle.error().to_string().c_str());
       return 1;
     }
     lanes_open.push_back(std::move(handle.value()));
-    tx.push_back(&lanes_open.back().sender());
-    rx.push_back(&lanes_open.back().receiver());
+    tx.push_back(&lanes_open.back()->sender());
+    rx.push_back(&lanes_open.back()->receiver());
   }
 
   alf::AlfStriper striper(tx);

@@ -64,11 +64,8 @@ int main() {
                                                 alf::Capabilities{});
   // The association negotiates its own session in-band, so the offer is
   // built (and validated) with the same builder Sessiond::open users use.
-  auto offer = alf::SessionConfig::builder()
-                   .nack_delay(15 * kMillisecond)
-                   .build();
-  auto sender_side =
-      alf::Association::initiate(loop, a_to_b, b_to_a, offer.value());
+  const alf::SessionConfig offer{.nack_delay = 15 * kMillisecond};
+  auto sender_side = alf::Association::initiate(loop, a_to_b, b_to_a, offer);
 
   // The document and its network form. Conversion changes the size, so
   // region names are computed in CONVERTED (receiver) coordinates — the

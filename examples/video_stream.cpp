@@ -47,16 +47,15 @@ int main(int argc, char** argv) {
   LinkPath data(ch.forward), fb_tx(ch.reverse), fb_rx(ch.reverse);
 
   sessiond::Sessiond daemon(loop);
-  auto session = alf::SessionConfig::builder()
-                     .retransmit(alf::RetransmitPolicy::kNone)  // never wait
-                     .checksum(ChecksumKind::kInternet)
-                     .build();
-  auto handle = daemon.open(session.value(), {&data, &fb_tx, &fb_rx});
+  const alf::SessionConfig session{
+      .checksum = ChecksumKind::kInternet,
+      .retransmit = alf::RetransmitPolicy::kNone};  // never wait
+  auto handle = daemon.open(session, {&data, &fb_tx, &fb_rx});
   if (!handle.ok()) {
     std::printf("open failed: %s\n", handle.error().to_string().c_str());
     return 1;
   }
-  sessiond::SessionHandle& sess = handle.value();
+  sessiond::AlfSession& sess = *handle.value();
 
   alf::VideoSink sink(kTilesX, kTilesY, kTileBytes, kPlayoutDelay, kFrameInterval);
   // Regenerate inter-packet timing from the carried timestamps (§3's

@@ -67,18 +67,11 @@ AdversaryFn make_chaos_adversary(AdversaryStats& stats) {
   };
 }
 
-void emit_metrics(obs::MetricSink& sink, const AdversaryStats& stats) {
-  sink.counter("forged_len", stats.forged_len);
-  sink.counter("cross_session", stats.cross_session);
-  sink.counter("conflicting_len", stats.conflicting_len);
-  sink.counter("far_future_id", stats.far_future_id);
-}
-
-void register_metrics(obs::MetricsRegistry& reg, std::string prefix,
-                      const AdversaryStats& stats) {
-  reg.add_source(std::move(prefix), [&stats](obs::MetricSink& sink) {
-    emit_metrics(sink, stats);
-  });
+void AdversaryStats::emit_metrics(obs::MetricSink& sink) const {
+  sink.counter("forged_len", forged_len);
+  sink.counter("cross_session", cross_session);
+  sink.counter("conflicting_len", conflicting_len);
+  sink.counter("far_future_id", far_future_id);
 }
 
 }  // namespace ngp::alf

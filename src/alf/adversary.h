@@ -20,7 +20,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 }  // namespace ngp::obs
 
 namespace ngp::alf {
@@ -31,6 +30,9 @@ struct AdversaryStats {
   std::uint64_t cross_session = 0;    ///< same fragment, session id + 7
   std::uint64_t conflicting_len = 0;  ///< existing adu_id, contradictory adu_len
   std::uint64_t far_future_id = 0;    ///< adu_id + 2^24, far beyond the window
+
+  /// Writes the forged-shape counters (register with MetricsRegistry::add).
+  void emit_metrics(obs::MetricSink& sink) const;
 };
 
 /// Builds an AdversaryFn for FaultyPath::set_adversary. Each observed DATA
@@ -38,13 +40,6 @@ struct AdversaryStats {
 /// returned callable keeps a reference to `stats`; the caller owns both
 /// lifetimes.
 AdversaryFn make_chaos_adversary(AdversaryStats& stats);
-
-/// Writes the forged-shape counters into one snapshot source.
-void emit_metrics(obs::MetricSink& sink, const AdversaryStats& stats);
-/// Registers the adversary counters under `prefix` (e.g. "chaos.adversary").
-/// `stats` must outlive the registry or the source must be removed first.
-void register_metrics(obs::MetricsRegistry& reg, std::string prefix,
-                      const AdversaryStats& stats);
 
 /// Forges a single fragment claiming `claimed_len` total ADU bytes with a
 /// tiny payload — the minimal "unbounded allocation" probe, usable without

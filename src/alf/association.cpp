@@ -82,18 +82,17 @@ void Association::finish() {
   if (tx_) tx_->finish();
 }
 
-void Association::register_metrics(obs::MetricsRegistry& reg,
-                                   const std::string& prefix) const {
-  // The endpoints are created at establishment, possibly after
-  // registration; a source for a not-yet-established direction simply
-  // contributes no samples.
-  reg.add_source(prefix + ".tx", [this](obs::MetricSink& sink) {
-    if (tx_) tx_->emit_metrics(sink);
-  });
-  reg.add_source(prefix + ".rx", [this](obs::MetricSink& sink) {
-    if (rx_) rx_->emit_metrics(sink);
-  });
-  in_router_.register_metrics(reg, prefix + ".router");
+void Association::emit_metrics(obs::MetricSink& sink) const {
+  if (tx_) {
+    obs::PrefixedSink tx(sink, "tx.");
+    tx_->emit_metrics(tx);
+  }
+  if (rx_) {
+    obs::PrefixedSink rx(sink, "rx.");
+    rx_->emit_metrics(rx);
+  }
+  obs::PrefixedSink router(sink, "router.");
+  in_router_.emit_metrics(router);
 }
 
 void Association::set_recompute(RecomputeFn fn) {

@@ -73,11 +73,10 @@ class Association {
   const AlfSender& sender() const { return *tx_; }
   const AlfReceiver& receiver() const { return *rx_; }
 
-  /// Registers the association's snapshot sources under `prefix`:
-  /// prefix.tx (sender), prefix.rx (receiver), prefix.router (demux).
-  /// Sources registered before establishment emit nothing until the
-  /// endpoints exist; the association must outlive the registry.
-  void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
+  /// Writes the sender's counters under "tx.", the receiver's under "rx."
+  /// and the demux's under "router.". Before establishment only the
+  /// router reports: the endpoints do not exist yet.
+  void emit_metrics(obs::MetricSink& sink) const;
 
  private:
   Association(EventLoop& loop, NetPath& out_link, NetPath& in_link);

@@ -1,8 +1,5 @@
 #include "alf/fec.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace ngp::alf {
 
 void xor_into(MutableBytes dst, ConstBytes src) noexcept {
@@ -22,29 +19,6 @@ ByteBuffer compute_parity(ConstBytes adu_payload, const FecGroup& group) {
              adu_payload.subspan(group.fragment_offset(i), group.fragment_length(i)));
   }
   return parity;
-}
-
-ByteBuffer reconstruct_fragment(ConstBytes adu_buf, ConstBytes parity_block,
-                                const FecGroup& group, std::size_t missing_index) {
-  ByteBuffer out(group.fragment_length(missing_index));
-  reconstruct_fragment_into(adu_buf, parity_block, group, missing_index, out.span());
-  return out;
-}
-
-void reconstruct_fragment_into(ConstBytes adu_buf, ConstBytes parity_block,
-                               const FecGroup& group, std::size_t missing_index,
-                               MutableBytes dst) {
-  // The parity block spans the group's LARGEST fragment; when the missing
-  // fragment is the short final one, only its prefix of the parity (and of
-  // each surviving fragment) matters — XOR is byte-independent, so the
-  // clipped reconstruction equals the truncated full-width one.
-  std::memcpy(dst.data(), parity_block.data(), dst.size());
-  const std::size_t n = group.fragment_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == missing_index) continue;
-    const std::size_t take = std::min(group.fragment_length(i), dst.size());
-    xor_into(dst, adu_buf.subspan(group.fragment_offset(i), take));
-  }
 }
 
 }  // namespace ngp::alf

@@ -61,20 +61,4 @@ void xor_into(MutableBytes dst, ConstBytes src) noexcept;
 /// payload.
 ByteBuffer compute_parity(ConstBytes adu_payload, const FecGroup& group);
 
-/// Attempts to reconstruct fragment `missing_index` of `group` from the
-/// parity block and the other fragments (which must be present in
-/// `adu_buf`). Returns the reconstructed fragment bytes.
-ByteBuffer reconstruct_fragment(ConstBytes adu_buf, ConstBytes parity_block,
-                                const FecGroup& group, std::size_t missing_index);
-
-/// Reconstructs fragment `missing_index` of `group` directly into `dst` —
-/// the fragment's own slot in the reassembly buffer, eliminating the
-/// staging allocation and second copy of reconstruct_fragment. `dst` must
-/// be exactly group.fragment_length(missing_index) bytes and may alias
-/// `adu_buf` at the missing fragment's offset (the other fragments' slots
-/// are disjoint from it by construction).
-void reconstruct_fragment_into(ConstBytes adu_buf, ConstBytes parity_block,
-                               const FecGroup& group, std::size_t missing_index,
-                               MutableBytes dst);
-
 }  // namespace ngp::alf

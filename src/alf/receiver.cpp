@@ -1001,9 +1001,4 @@ void AlfReceiver::emit_metrics(obs::MetricSink& sink) const {
   obs::emit_cost(sink, "reassembly", reassembly_cost_);
 }
 
-void AlfReceiver::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 }  // namespace ngp::alf

@@ -37,7 +37,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 class FlightRecorder;
 }  // namespace ngp::obs
 
@@ -104,9 +103,9 @@ struct ResumeSummary {
 };
 
 /// The per-flow options one receiver incarnation is attached to, declared
-/// once: sessiond::OpenOptions, sessiond::ReceiverFactoryOptions and
-/// resilience::SupervisorConfig each carry one, and AlfReceiver::attach
-/// applies it whole. Everything it points at must outlive the receivers it
+/// once: sessiond::OpenOptions and sessiond::ReceiverFactoryOptions each
+/// carry one, resilience::SessionSupervisor is constructed with one, and
+/// AlfReceiver::attach applies it whole. Everything it points at must outlive the receivers it
 /// is attached to (and, for the pool, every chain they delivered).
 struct ReceiverAttach {
   /// Stage-2 engine offload (AlfReceiver::set_engine); null = inline.
@@ -281,9 +280,6 @@ class AlfReceiver {
   const obs::CostAccount& reassembly_cost() const noexcept { return reassembly_cost_; }
   /// Writes all counters (stats + cost) into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "alf.rx"). The receiver
-  /// must outlive the registry or be removed first.
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
   /// Attaches the per-ADU flight recorder on a new "alf.rx" track:
   /// fragment-placed / complete / manipulation / engine-submit / harvest /
   /// deliver / abandon events (null = untraced).

@@ -90,9 +90,4 @@ void FrameRouter::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("frames_undecodable", stats_.frames_undecodable);
 }
 
-void FrameRouter::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 }  // namespace ngp::alf

@@ -31,7 +31,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 }  // namespace ngp::obs
 
 namespace ngp::alf {
@@ -66,8 +65,6 @@ class FrameRouter {
 
   /// Writes the demux counters into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "alf.router").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
  private:
   enum class Plane : std::uint8_t { kData, kFeedback, kHandshake };

@@ -58,11 +58,6 @@ void AlfSender::emit_metrics(obs::MetricSink& sink) const {
   obs::emit_cost(sink, "cost", manip_cost_);
 }
 
-void AlfSender::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 Result<std::uint32_t> AlfSender::send_adu(const AduName& name, ConstBytes payload) {
   if (finished_) return Error{ErrorCode::kClosed, "finish() already called"};
   if (Status s = admit(payload.size()); !s) return s.error();

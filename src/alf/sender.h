@@ -35,7 +35,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 class FlightRecorder;
 }  // namespace ngp::obs
 
@@ -169,9 +168,6 @@ class AlfSender {
   const obs::CostAccount& manipulation_cost() const noexcept { return manip_cost_; }
   /// Writes all counters (stats + cost) into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "alf.tx"). The sender
-  /// must outlive the registry or be removed first.
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
   /// Attaches the per-ADU flight recorder on a new "alf.tx" track:
   /// staged / fragment-tx / retransmit-tx events (null = untraced).
   void set_flight(obs::FlightRecorder* flight);

@@ -6,6 +6,14 @@
 // from one SessionConfig, which plays the role of the negotiated agreement:
 // the transfer syntax, integrity algorithm, encryption keying, and the
 // loss-recovery policy the application selected.
+//
+// A config is written by designated initialisation, naming only the fields
+// that differ from the defaults:
+//
+//   alf::SessionConfig cfg{.session_id = 7, .checksum = ChecksumKind::kCrc32,
+//                          .fec_k = 4};
+//
+// validate() is the one check; Sessiond::open and the handshake run it.
 #pragma once
 
 #include <cstdint>
@@ -137,64 +145,10 @@ struct SessionConfig {
 
   /// Single bounds-check path for a whole config (the checks the endpoint
   /// constructors used to scatter): every rejectable combination is named
-  /// here, and negotiate.cpp runs it so a malformed offer dies at
-  /// handshake time rather than as a misbehaving endpoint. Endpoints
-  /// assume a validated config.
+  /// here. negotiate.cpp runs it so a malformed offer dies at handshake
+  /// time, and Sessiond::open runs it before building any endpoint.
+  /// Endpoints assume a validated config.
   Status validate() const;
-
-  /// Fluent construction that cannot hand out a malformed config: the
-  /// builder's build() runs validate(), so errors surface at construction
-  /// instead of at first use. Aggregate init stays supported for call
-  /// sites that prefer it.
-  static class SessionConfigBuilder builder();
 };
-
-/// Fluent builder over SessionConfig. Each setter names the field it sets;
-/// build() is the only exit that yields a config, and it validates.
-class SessionConfigBuilder {
- public:
-  SessionConfigBuilder& session_id(std::uint16_t v) { cfg_.session_id = v; return *this; }
-  SessionConfigBuilder& syntax(TransferSyntax v) { cfg_.syntax = v; return *this; }
-  SessionConfigBuilder& checksum(ChecksumKind v) { cfg_.checksum = v; return *this; }
-  SessionConfigBuilder& retransmit(RetransmitPolicy v) { cfg_.retransmit = v; return *this; }
-  SessionConfigBuilder& process_mode(ProcessMode v) { cfg_.process_mode = v; return *this; }
-  /// Enables encryption with the shared key in one step (an encrypting
-  /// config without a key is not expressible through the builder).
-  SessionConfigBuilder& encrypt(const ChaChaKey& key) {
-    cfg_.encrypt = true;
-    cfg_.key = key;
-    return *this;
-  }
-  SessionConfigBuilder& fec_k(std::uint8_t v) { cfg_.fec_k = v; return *this; }
-  SessionConfigBuilder& pace_bps(double v) { cfg_.pace_bps = v; return *this; }
-  SessionConfigBuilder& epoch(std::uint8_t v) { cfg_.epoch = v; return *this; }
-  SessionConfigBuilder& first_adu_id(std::uint32_t v) { cfg_.first_adu_id = v; return *this; }
-  SessionConfigBuilder& nack_delay(SimDuration v) { cfg_.nack_delay = v; return *this; }
-  SessionConfigBuilder& nack_retry(SimDuration v) { cfg_.nack_retry = v; return *this; }
-  SessionConfigBuilder& nack_backoff_cap(SimDuration v) { cfg_.nack_backoff_cap = v; return *this; }
-  SessionConfigBuilder& nack_jitter(double v) { cfg_.nack_jitter = v; return *this; }
-  SessionConfigBuilder& recovery_seed(std::uint64_t v) { cfg_.recovery_seed = v; return *this; }
-  SessionConfigBuilder& max_nacks(int v) { cfg_.max_nacks = v; return *this; }
-  SessionConfigBuilder& progress_interval(SimDuration v) { cfg_.progress_interval = v; return *this; }
-  SessionConfigBuilder& retransmit_buffer_limit(std::size_t v) { cfg_.retransmit_buffer_limit = v; return *this; }
-  SessionConfigBuilder& max_adu_len(std::uint32_t v) { cfg_.max_adu_len = v; return *this; }
-  SessionConfigBuilder& reassembly_bytes_limit(std::size_t v) { cfg_.reassembly_bytes_limit = v; return *this; }
-  SessionConfigBuilder& adu_id_window(std::uint32_t v) { cfg_.adu_id_window = v; return *this; }
-  SessionConfigBuilder& shed_highwater(std::size_t v) { cfg_.shed_highwater = v; return *this; }
-  SessionConfigBuilder& shed_lowwater(std::size_t v) { cfg_.shed_lowwater = v; return *this; }
-  SessionConfigBuilder& stall_timeout(SimDuration v) { cfg_.stall_timeout = v; return *this; }
-
-  /// Validates and yields the config; a malformed combination fails here,
-  /// at construction, with validate()'s diagnostic.
-  Result<SessionConfig> build() const {
-    if (Status s = cfg_.validate(); !s.is_ok()) return s.error();
-    return cfg_;
-  }
-
- private:
-  SessionConfig cfg_;
-};
-
-inline SessionConfigBuilder SessionConfig::builder() { return {}; }
 
 }  // namespace ngp::alf

@@ -71,9 +71,4 @@ void AlfStriper::emit_metrics(obs::MetricSink& sink) const {
   }
 }
 
-void AlfStriper::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 }  // namespace ngp::alf

@@ -53,8 +53,6 @@ class AlfStriper {
 
   /// Writes dispatch counters (total + one per lane) into one source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "alf.striper").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
  private:
   std::size_t pick_lane(const AduName& name) noexcept;

@@ -139,9 +139,4 @@ void VideoSink::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("tiles_concealed", stats_.tiles_concealed);
 }
 
-void VideoSink::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 }  // namespace ngp::alf

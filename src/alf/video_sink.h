@@ -21,7 +21,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 }  // namespace ngp::obs
 
 namespace ngp::alf {
@@ -67,8 +66,6 @@ class VideoSink {
 
   /// Writes playout counters into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "app.video").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
   /// The most recently rendered frame image (tiles row-major).
   ConstBytes screen() const noexcept { return {screen_.data(), screen_.size()}; }

@@ -14,7 +14,7 @@
 //     reference exists (the ingress frame guard during the handler call):
 //     the residual holder never reads the span again, so in-place
 //     manipulation by the chain is safe;
-//   * headroom/trailroom (expand_front / expand_back) may only grow into
+//   * headroom (expand_front) may only grow into
 //     segment capacity the slice's creator reserved for it — the pool
 //     never zeroes recycled segments, so fresh room holds stale bytes.
 #pragma once
@@ -61,10 +61,6 @@ struct Slice {
   /// without a copy). Requires n <= headroom().
   void expand_front(std::size_t n) noexcept {
     off -= static_cast<std::uint32_t>(n);
-    len += static_cast<std::uint32_t>(n);
-  }
-  /// Grows the slice backward into its trailroom.
-  void expand_back(std::size_t n) noexcept {
     len += static_cast<std::uint32_t>(n);
   }
 

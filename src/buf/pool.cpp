@@ -268,19 +268,6 @@ PoolStats BufferPool::stats() const noexcept {
   return s;
 }
 
-void BufferPool::export_metrics(obs::MetricSink& sink) const {
-  const PoolStats s = stats();
-  sink.counter("allocs", s.allocs);
-  sink.counter("heap_fallbacks", s.heap_fallbacks);
-  sink.counter("recycles", s.recycles);
-  sink.counter("cross_thread_recycles", s.cross_thread_recycles);
-  sink.counter("slab_allocs", s.slab_allocs);
-  sink.counter("cache_hits", s.cache_hits);
-  sink.gauge("segments_live", static_cast<double>(s.segments_live));
-  sink.gauge("segments_total", static_cast<double>(s.segments_total));
-  sink.gauge("bytes_reserved", static_cast<double>(s.bytes_reserved));
-}
-
 BufferPool& default_pool() {
   // Deliberately leaked: segments released during static destruction or
   // by late thread exits still find their pool.

@@ -24,7 +24,7 @@
 //     silent corruption.
 //
 // Thread safety: alloc/release are safe from any thread. Everything else
-// (stats snapshot, export_metrics) is control-thread-only by convention,
+// (the stats snapshot) is control-thread-only by convention,
 // reading relaxed atomics (monotonic counters, so a snapshot is always
 // consistent-enough for gauges).
 #pragma once
@@ -34,7 +34,6 @@
 #include <memory>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/bytes.h"
 
 namespace ngp::buf {
@@ -164,10 +163,6 @@ class BufferPool {
   BufRef alloc(std::size_t bytes);
 
   PoolStats stats() const noexcept;
-
-  /// Registered-source body: pool gauges/counters for a MetricsRegistry
-  /// (`registry.add_source("buf.pool", [&](auto& s){ pool.export_metrics(s); })`).
-  void export_metrics(obs::MetricSink& sink) const;
 
  private:
   friend class BufRef;

@@ -287,9 +287,9 @@ void Engine::emit_metrics(obs::MetricSink& sink) const {
   }
 }
 
-void Engine::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
+std::size_t Engine::register_metrics(obs::MetricsRegistry& reg,
+                                     std::string prefix) const {
+  return reg.add(std::move(prefix), *this);
 }
 
 void Engine::set_flight(obs::FlightRecorder* flight) {

@@ -143,9 +143,9 @@ class Engine {
   /// Writes engine counters, per-worker jobs/bytes, and the queue-depth and
   /// job-latency histograms into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "engine"). The engine
-  /// must outlive the registry or be removed first.
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
+  /// Same as `reg.add(prefix, engine)`, which perfbench spells this way.
+  /// Returns the source id.
+  std::size_t register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
   /// Attaches the per-ADU flight recorder: an "engine" control track
   /// (submit / harvest) plus one "engine.worker<i>" track per worker
   /// (begin / end, stamped with the job's submit-time sim clock — workers

@@ -169,20 +169,10 @@ class Crc32Stage {
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
 
-/// Identity stage; useful to give the layered executor an explicit "copy
-/// layer" cost and in tests.
-class IdentityStage {
- public:
-  static constexpr bool kMutates = true;  // forces a store pass when layered
-  std::uint64_t word(std::uint64_t w) noexcept { return w; }
-  std::uint64_t tail(std::uint64_t w, std::size_t) noexcept { return w; }
-};
-
 static_assert(WordStage<ChecksumStage>);
 static_assert(WordStage<EncryptStage>);
 static_assert(WordStage<Byteswap32Stage>);
 static_assert(WordStage<AppSumStage>);
 static_assert(WordStage<Crc32Stage>);
-static_assert(WordStage<IdentityStage>);
 
 }  // namespace ngp

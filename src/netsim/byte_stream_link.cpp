@@ -16,7 +16,7 @@ std::size_t ByteStreamLink::write(ConstBytes data) {
   stats_.bytes_written += n;
   if (!pump_scheduled_ && n > 0) {
     pump_scheduled_ = true;
-    loop_.schedule_at(std::max(loop_.now(), tx_free_at_), [this] { pump(); });
+    events_.schedule_at(std::max(loop_.now(), tx_free_at_), [this] { pump(); });
   }
   return n;
 }
@@ -51,7 +51,7 @@ void ByteStreamLink::pump() {
   const SimTime arrive = tx_free_at_ + config_.propagation_delay;
 
   if (out > 0) {
-    loop_.schedule_at(arrive, [this, c = std::move(chunk)] {
+    events_.schedule_at(arrive, [this, c = std::move(chunk)] {
       stats_.bytes_delivered += c.size();
       if (reader_) reader_(c.span());
     });
@@ -59,7 +59,7 @@ void ByteStreamLink::pump() {
 
   if (!backlog_.empty()) {
     pump_scheduled_ = true;
-    loop_.schedule_at(tx_free_at_, [this] { pump(); });
+    events_.schedule_at(tx_free_at_, [this] { pump(); });
   }
 }
 
@@ -70,11 +70,6 @@ void ByteStreamLink::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("bytes_deleted", stats_.bytes_deleted);
   sink.counter("bytes_rejected", stats_.bytes_rejected);
   sink.gauge("backlog_bytes", static_cast<double>(backlog_.size()));
-}
-
-void ByteStreamLink::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
 }
 
 }  // namespace ngp

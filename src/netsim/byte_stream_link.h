@@ -22,7 +22,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 }  // namespace ngp::obs
 
 namespace ngp {
@@ -50,8 +49,9 @@ class ByteStreamLink {
  public:
   using Reader = std::function<void(ConstBytes chunk)>;
 
+  /// Destroying the pipe cancels the chunks it still has in flight.
   ByteStreamLink(EventLoop& loop, ByteStreamConfig config)
-      : loop_(loop), config_(config), rng_(config.seed) {}
+      : loop_(loop), config_(config), rng_(config.seed), events_(loop) {}
 
   ByteStreamLink(const ByteStreamLink&) = delete;
   ByteStreamLink& operator=(const ByteStreamLink&) = delete;
@@ -66,8 +66,6 @@ class ByteStreamLink {
 
   /// Writes the pipe counters into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "netsim.pipe0").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
  private:
   void pump();
@@ -81,6 +79,7 @@ class ByteStreamLink {
   std::deque<std::uint8_t> backlog_;
   SimTime tx_free_at_ = 0;
   bool pump_scheduled_ = false;
+  OwnedEvents events_;  ///< pump and delivery events
 };
 
 }  // namespace ngp

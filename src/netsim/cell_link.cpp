@@ -98,12 +98,8 @@ void CellLink::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("frames_delivered", stats_.frames_delivered);
   sink.counter("frames_dropped_reassembly", stats_.frames_dropped_reassembly);
   sink.counter("cells_sent", stats_.cells_sent);
-}
-
-void CellLink::register_metrics(obs::MetricsRegistry& reg,
-                                const std::string& prefix) const {
-  reg.add_source(prefix, [this](obs::MetricSink& sink) { emit_metrics(sink); });
-  cells_.register_metrics(reg, prefix + ".cells");
+  obs::PrefixedSink cells(sink, "cells.");
+  cells_.emit_metrics(cells);
 }
 
 }  // namespace ngp

@@ -57,11 +57,9 @@ class CellLink final : public NetPath {
   /// link.cells().stats().
   const Link& cells() const noexcept { return cells_; }
 
-  /// Writes the frame-level SAR counters into one snapshot source.
+  /// Writes the frame-level SAR counters, and the inner cell link's
+  /// counters under "cells.".
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers the SAR counters under `prefix` and the inner cell link
-  /// under `prefix`.cells.
-  void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
   /// Cells needed to carry a frame of `frame_len` bytes (incl. trailer).
   static std::size_t cells_for_frame(std::size_t frame_len) noexcept {

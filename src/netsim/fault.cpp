@@ -8,24 +8,18 @@
 namespace ngp {
 
 FaultyPath::FaultyPath(EventLoop& loop, NetPath& inner, FaultPlan plan)
-    : loop_(loop), inner_(inner), plan_(std::move(plan)), rng_(plan_.seed) {
-  planted_.reserve(plan_.scheduled_frames.size());
+    : loop_(loop), inner_(inner), plan_(std::move(plan)), rng_(plan_.seed),
+      events_(loop) {
   for (const auto& [when, frame] : plan_.scheduled_frames) {
-    const std::size_t i = planted_.size();
-    planted_.push_back(loop_.schedule_at(when, [this, i, f = ByteBuffer(frame.span())] {
-      planted_[i] = 0;
+    events_.schedule_at(when, [this, f = ByteBuffer(frame.span())] {
       ++stats_.scheduled_injected;
       deliver(f.span());
-    }));
+    });
   }
 }
 
 FaultyPath::~FaultyPath() {
   if (registered_) inner_.set_handler(nullptr);
-  for (EventId id : planted_) {
-    if (id != 0) loop_.cancel(id);
-  }
-  for (EventId id : replays_) loop_.cancel(id);
 }
 
 bool FaultyPath::in_outage() const noexcept {
@@ -101,12 +95,10 @@ void FaultyPath::on_inner_delivery(ConstBytes frame) {
   if (rng_.bernoulli(plan_.replay_rate)) {
     const auto pick = static_cast<std::size_t>(rng_.uniform(history_.size()));
     ++stats_.replays;
-    replays_.push_back(loop_.schedule_after(
-        std::max<SimDuration>(plan_.replay_delay, 0),
-        [this, f = ByteBuffer(history_[pick].span())] {
-          replays_.pop_front();  // the oldest pending replay is this one
-          deliver(f.span());
-        }));
+    events_.schedule_after(std::max<SimDuration>(plan_.replay_delay, 0),
+                           [this, f = ByteBuffer(history_[pick].span())] {
+                             deliver(f.span());
+                           });
   }
 
   ByteBuffer forged;
@@ -175,11 +167,6 @@ void FaultyPath::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("replays", stats_.replays);
   sink.counter("adversarial_injected", stats_.adversarial_injected);
   sink.counter("scheduled_injected", stats_.scheduled_injected);
-}
-
-void FaultyPath::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
 }
 
 }  // namespace ngp

@@ -27,7 +27,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 class FlightRecorder;
 enum class FlightStage : std::uint8_t;
 }  // namespace ngp::obs
@@ -95,10 +94,11 @@ using AdversaryFn = std::function<ByteBuffer(ConstBytes observed, Rng& rng)>;
 class FaultyPath final : public NetPath {
  public:
   FaultyPath(EventLoop& loop, NetPath& inner, FaultPlan plan);
-  /// Clears the handler set_handler() installed on the inner path and
-  /// cancels the injections still scheduled (planted frames, replays).
-  /// Each closes over `this`, so a frame delivered after teardown would
-  /// call into freed memory; now it drops on a handlerless path.
+  /// Clears the handler set_handler() installed on the inner path, and
+  /// (through events_) cancels the injections still scheduled: planted
+  /// frames and replays. Each closes over `this`, so a frame delivered
+  /// after teardown would call into freed memory; now it drops on a
+  /// handlerless path.
   ~FaultyPath();
 
   FaultyPath(const FaultyPath&) = delete;
@@ -119,8 +119,6 @@ class FaultyPath final : public NetPath {
 
   /// Writes the fault counters into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "chaos.path0").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
   /// Labels a frame with its flow-scoped trace id (injected from above,
   /// e.g. alf::peek_flight_tag); 0 = untraced.
@@ -150,11 +148,7 @@ class FaultyPath final : public NetPath {
   FlightTagFn flight_tag_ = nullptr;
   std::deque<ByteBuffer> history_;  ///< recent frames, replay source
   bool registered_ = false;  ///< set_handler() installed ours on inner_
-  /// Planted-frame events by plan index; 0 once fired.
-  std::vector<EventId> planted_;
-  /// Pending replay events in firing order: every replay waits the same
-  /// replay_delay, so they fire in the order they were scheduled.
-  std::deque<EventId> replays_;
+  OwnedEvents events_;       ///< planted-frame and replay events
 };
 
 }  // namespace ngp

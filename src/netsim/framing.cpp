@@ -92,9 +92,4 @@ void FramedBytePath::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("crc_rejects", stats_.crc_rejects);
 }
 
-void FramedBytePath::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 }  // namespace ngp

@@ -27,7 +27,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 }  // namespace ngp::obs
 
 namespace ngp {
@@ -48,6 +47,13 @@ class FramedBytePath final : public NetPath {
   static constexpr std::size_t kTrailerSize = 4;   // payload CRC
 
   explicit FramedBytePath(ByteStreamLink& pipe, std::size_t max_payload = 8192);
+  /// Clears the reader the constructor installed on the pipe, which closes
+  /// over `this`: a chunk the pipe delivers after teardown then drops
+  /// instead of calling into freed memory. The pipe must outlive the path.
+  ~FramedBytePath() { pipe_.set_reader(nullptr); }
+
+  FramedBytePath(const FramedBytePath&) = delete;
+  FramedBytePath& operator=(const FramedBytePath&) = delete;
 
   bool send(ConstBytes frame) override;
   void set_handler(FrameHandler handler) override { handler_ = std::move(handler); }
@@ -57,8 +63,6 @@ class FramedBytePath final : public NetPath {
 
   /// Writes the framing counters into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "netsim.framing").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
   /// Encodes one frame (exposed for tests).
   static ByteBuffer encode_frame(ConstBytes payload);

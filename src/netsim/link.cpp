@@ -10,7 +10,8 @@ namespace ngp {
 Link::Link(EventLoop& loop, LinkConfig config)
     : loop_(loop), config_(config), rng_(config.seed),
       loss_(std::make_unique<NoLoss>()),
-      frame_sizes_(0.0, static_cast<double>(config.mtu) + 1.0, 16) {}
+      frame_sizes_(0.0, static_cast<double>(config.mtu) + 1.0, 16),
+      events_(loop) {}
 
 bool Link::send(ConstBytes frame) {
   ++stats_.frames_offered;
@@ -50,7 +51,7 @@ bool Link::send(ConstBytes frame) {
   }
 
   // The queue slot frees when serialization completes, regardless of fate.
-  loop_.schedule_at(tx_free_at_, [this] {
+  events_.schedule_at(tx_free_at_, [this] {
     if (queued_ > 0) --queued_;
   });
 
@@ -76,11 +77,11 @@ bool Link::send(ConstBytes frame) {
   if (dup) {
     buf::Slice second{pool.alloc(frame.size()), 0, frame.size()};
     simd::kernels().copy(s.bytes(), second.mutable_bytes());
-    loop_.schedule_at(dup_arrive, [this, f = std::move(second)]() mutable {
+    events_.schedule_at(dup_arrive, [this, f = std::move(second)]() mutable {
       deliver(std::move(f));
     });
   }
-  loop_.schedule_at(arrive, [this, f = std::move(s)]() mutable {
+  events_.schedule_at(arrive, [this, f = std::move(s)]() mutable {
     deliver(std::move(f));
   });
   return true;
@@ -125,11 +126,6 @@ void Link::emit_metrics(obs::MetricSink& sink) const {
   sink.gauge("queue_depth", static_cast<double>(queued_));
   sink.histogram("frame_bytes", frame_sizes_);
   obs::emit_cost(sink, "cost", transfer_cost_);
-}
-
-void Link::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
 }
 
 }  // namespace ngp

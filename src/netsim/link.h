@@ -21,7 +21,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 class FlightRecorder;
 enum class FlightStage : std::uint8_t;
 }  // namespace ngp::obs
@@ -59,7 +58,8 @@ struct LinkStats {
 ///
 /// send() enqueues a frame; the simulator delivers it to the registered
 /// handler after serialization + propagation (+ reorder detour), unless the
-/// loss model or queue drops it.
+/// loss model or queue drops it. Destroying a link cancels the frames it
+/// still has in flight.
 class Link {
  public:
   Link(EventLoop& loop, LinkConfig config);
@@ -98,8 +98,6 @@ class Link {
   const obs::CostAccount& transfer_cost() const noexcept { return transfer_cost_; }
   /// Writes all counters (stats + cost + size histogram) into one source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "netsim.link0").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
   /// Labels a frame with its flow-scoped trace id; 0 = untraced. Injected
   /// from the protocol above (e.g. alf::peek_flight_tag) so the link never
@@ -129,6 +127,7 @@ class Link {
   Histogram frame_sizes_;     ///< accepted-frame sizes (range set by the mtu)
   SimTime tx_free_at_ = 0;    ///< when the serializer becomes idle
   std::size_t queued_ = 0;    ///< frames waiting in / on the serializer
+  OwnedEvents events_;        ///< queue-slot and delivery events
 };
 
 /// A bidirectional channel: two independent links with shared defaults.

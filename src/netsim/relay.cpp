@@ -36,18 +36,14 @@ void Relay::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("frames_dropped_congestion", stats_.frames_dropped_congestion);
 }
 
-void Relay::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
-void MultiHopPath::register_metrics(obs::MetricsRegistry& reg,
-                                    const std::string& prefix) const {
+void MultiHopPath::emit_metrics(obs::MetricSink& sink) const {
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    links_[i]->register_metrics(reg, prefix + ".hop" + std::to_string(i));
+    obs::PrefixedSink hop(sink, "hop" + std::to_string(i) + ".");
+    links_[i]->emit_metrics(hop);
   }
   for (std::size_t i = 0; i < relays_.size(); ++i) {
-    relays_[i]->register_metrics(reg, prefix + ".relay" + std::to_string(i));
+    obs::PrefixedSink relay(sink, "relay" + std::to_string(i) + ".");
+    relays_[i]->emit_metrics(relay);
   }
 }
 

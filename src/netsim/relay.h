@@ -45,8 +45,6 @@ class Relay {
 
   /// Writes the forwarding counters into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "netsim.path.relay0").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
  private:
   void forward(ConstBytes frame) {
@@ -87,8 +85,9 @@ class MultiHopPath final : public NetPath {
   /// Sum of congestion drops across all relays.
   std::uint64_t total_congestion_drops() const noexcept;
 
-  /// Registers every hop (prefix.hopN) and relay (prefix.relayN).
-  void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
+  /// Writes every hop's counters under "hop<i>." and every relay's under
+  /// "relay<i>.".
+  void emit_metrics(obs::MetricSink& sink) const;
 
  private:
   std::vector<std::unique_ptr<Link>> links_;

@@ -363,14 +363,11 @@ std::string FlightRecorder::to_perfetto_json() const {
   return out;
 }
 
-void FlightRecorder::register_metrics(MetricsRegistry& reg,
-                                      std::string prefix) const {
-  reg.add_source(std::move(prefix), [this](MetricSink& sink) {
-    const FlightStats st = stats();
-    sink.counter("events", st.events_recorded);
-    sink.counter("dropped_events", st.events_dropped);
-    sink.counter("tracks", st.tracks);
-  });
+void FlightRecorder::emit_metrics(MetricSink& sink) const {
+  const FlightStats st = stats();
+  sink.counter("events", st.events_recorded);
+  sink.counter("dropped_events", st.events_dropped);
+  sink.counter("tracks", st.tracks);
 }
 
 void FlightRecorder::clear() {

@@ -43,7 +43,7 @@
 
 namespace ngp::obs {
 
-class MetricsRegistry;
+class MetricSink;
 
 /// Lifecycle stages a flight event can mark. One ADU's journey touches a
 /// subset of these, in roughly this order.
@@ -223,8 +223,8 @@ class FlightRecorder {
   /// trace ids as flow arrows). Call at quiescence. Deterministic.
   std::string to_perfetto_json() const;
 
-  /// Registers event/drop counters under `prefix` (snapshot-on-demand).
-  void register_metrics(MetricsRegistry& reg, std::string prefix) const;
+  /// Writes the event, drop and track counters.
+  void emit_metrics(MetricSink& sink) const;
 
   void clear();
 
@@ -270,7 +270,7 @@ class FlightRecorder {
   std::string to_perfetto_json() const {
     return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
   }
-  void register_metrics(MetricsRegistry&, std::string) const {}
+  void emit_metrics(MetricSink&) const {}
   void clear() noexcept {}
 };
 

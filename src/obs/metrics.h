@@ -130,6 +130,13 @@ class Snapshot {
   std::vector<Sample> samples_;  // sorted by name (stable)
 };
 
+/// A component the registry can read: it writes its counters into a sink.
+/// A composite nests its children's samples through a PrefixedSink.
+template <typename C>
+concept MetricsComponent = requires(const C& c, MetricSink& sink) {
+  c.emit_metrics(sink);
+};
+
 /// The cross-layer registry. Components register snapshot sources; callers
 /// take snapshots. Sources must outlive the registry or be removed first
 /// (components typically outlive the per-experiment registry that reads
@@ -141,6 +148,19 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Registers `component`'s emit_metrics under `prefix` (e.g. "alf.tx",
+  /// "netsim.link0"). The component must outlive the registry or be
+  /// removed first. Returns an id usable with remove_source().
+  template <MetricsComponent C>
+  std::size_t add(std::string prefix, const C& component) {
+    return add_source(std::move(prefix), [&component](MetricSink& sink) {
+      component.emit_metrics(sink);
+    });
+  }
+  /// A temporary would be gone before the first snapshot.
+  template <MetricsComponent C>
+  std::size_t add(std::string prefix, const C&& component) = delete;
 
   /// Registers a source under `prefix` (dotted hierarchy, no trailing
   /// dot). Returns an id usable with remove_source().

@@ -97,13 +97,10 @@ std::string TelemetryHub::to_jsonl() const {
   return out;
 }
 
-void TelemetryHub::register_metrics(MetricsRegistry& reg,
-                                    std::string prefix) const {
-  reg.add_source(std::move(prefix), [this](MetricSink& sink) {
-    sink.counter("samples", stats_.samples_taken);
-    sink.counter("samples_dropped", stats_.samples_dropped);
-    sink.counter("watchdog_firings", stats_.watchdog_firings);
-  });
+void TelemetryHub::emit_metrics(MetricSink& sink) const {
+  sink.counter("samples", stats_.samples_taken);
+  sink.counter("samples_dropped", stats_.samples_dropped);
+  sink.counter("watchdog_firings", stats_.watchdog_firings);
 }
 
 }  // namespace ngp::obs

@@ -112,8 +112,9 @@ class TelemetryHub {
   /// Deterministic for a deterministic simulation.
   std::string to_jsonl() const;
 
-  /// Registers the hub's own counters under `prefix`.
-  void register_metrics(MetricsRegistry& reg, std::string prefix) const;
+  /// Writes the hub's own counters (samples taken and dropped, watchdog
+  /// firings).
+  void emit_metrics(MetricSink& sink) const;
 
  private:
   struct Watch {

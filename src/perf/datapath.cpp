@@ -260,7 +260,7 @@ RunMeasurement DatapathWorkload::run(std::size_t offered,
   // SLO watchdogs: edge-triggered failure detectors that must stay silent
   // on a healthy run — any firing is reported as a perf-report failure.
   obs::MetricsRegistry reg;
-  receiver.register_metrics(reg, "rx");
+  reg.add("rx", receiver);
   obs::TelemetryHub hub(&loop, reg);
   std::vector<std::string> slo_failures;
   const auto watch = [&](const char* metric, const char* label) {
@@ -444,7 +444,7 @@ RunMeasurement SessiondPlaneWorkload::run(std::size_t offered,
   daemon.set_factory(sessiond::alf_receiver_factory(loop, feedback, base, fopts));
 
   obs::MetricsRegistry reg;
-  daemon.register_metrics(reg, "sessiond");
+  reg.add("sessiond", daemon);
   obs::TelemetryHub hub(&loop, reg);
   std::vector<std::string> slo_failures;
   const auto watch = [&](const char* metric, const char* label) {

@@ -185,16 +185,4 @@ Status decode_octets_chain(TransferSyntax s, buf::BufChain& chain) {
   return Status::ok();
 }
 
-Status decode_octets_into(TransferSyntax s, ConstBytes data, MutableBytes dst,
-                          obs::CostAccount* cost) {
-  auto view = decode_octets_view(s, data);
-  if (!view) return view.error();
-  if (view->size() != dst.size()) {
-    return Error{ErrorCode::kMalformed, "decoded size != destination size"};
-  }
-  copy_bytes(dst.data(), view->data(), view->size());
-  if (cost != nullptr) cost->charge_transform(data.size(), view->size());
-  return Status::ok();
-}
-
 }  // namespace ngp

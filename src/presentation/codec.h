@@ -57,12 +57,6 @@ Result<ByteBuffer> decode_octets(TransferSyntax s, ConstBytes data,
 /// framing). The view is only valid while `data` is.
 Result<ConstBytes> decode_octets_view(TransferSyntax s, ConstBytes data);
 
-/// Decodes straight into `dst` — final placement with no intermediate
-/// buffer (DESIGN.md §12's sink rule: the decode IS the placement copy).
-/// Fails with kMalformed if the decoded size differs from dst.size().
-Status decode_octets_into(TransferSyntax s, ConstBytes data, MutableBytes dst,
-                          obs::CostAccount* cost = nullptr);
-
 /// Chain-aware octet decode: trims the syntax framing off `chain` in place
 /// (trim_front the header, trim_back any padding/trailing) so the chain's
 /// slices ARE the payload — no flatten, no byte moved or copied. Only the

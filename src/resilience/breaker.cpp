@@ -209,12 +209,6 @@ void SwitchingPath::emit_metrics(obs::MetricSink& sink) const {
   }
 }
 
-void SwitchingPath::register_metrics(obs::MetricsRegistry& reg,
-                                     std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 void SwitchingPath::set_flight(obs::FlightRecorder* flight) {
   flight_ = flight;
   if (flight_ != nullptr) flight_track_ = flight_->add_track("breaker");

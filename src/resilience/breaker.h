@@ -28,7 +28,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 class FlightRecorder;
 }  // namespace ngp::obs
 
@@ -123,7 +122,6 @@ class SwitchingPath final : public NetPath {
 
   /// Writes breaker counters plus per-member state/EWMA gauges.
   void emit_metrics(obs::MetricSink& sink) const;
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
   /// Attaches the flight recorder on a new "breaker" track: probe-tx and
   /// failover events (trace id 0 — path events are flow-agnostic).
   void set_flight(obs::FlightRecorder* flight);

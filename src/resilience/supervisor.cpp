@@ -25,16 +25,20 @@ const char* to_string(SupervisorState s) noexcept {
 
 SessionSupervisor::SessionSupervisor(EventLoop& loop, NetPath& data,
                                      NetPath& feedback_tx, NetPath& feedback_rx,
-                                     SupervisorConfig config)
+                                     alf::SessionConfig session,
+                                     alf::ReceiverAttach attach,
+                                     SupervisorConfig policy)
     : loop_(loop),
       data_(data),
       feedback_tx_(feedback_tx),
       feedback_rx_(feedback_rx),
-      cfg_(std::move(config)),
-      jitter_rng_(cfg_.seed != 0
-                      ? cfg_.seed
-                      : 0x73757076ull ^ (std::uint64_t{cfg_.session.session_id} << 8)) {
-  epoch_ = cfg_.session.epoch;
+      session_(std::move(session)),
+      attach_(std::move(attach)),
+      policy_(policy),
+      jitter_rng_(policy_.seed != 0
+                      ? policy_.seed
+                      : 0x73757076ull ^ (std::uint64_t{session_.session_id} << 8)) {
+  epoch_ = session_.epoch;
   build_endpoints();
 }
 
@@ -52,7 +56,7 @@ void SessionSupervisor::cancel_pending() {
 }
 
 alf::SessionConfig SessionSupervisor::incarnation_config() const {
-  alf::SessionConfig c = cfg_.session;
+  alf::SessionConfig c = session_;
   c.epoch = epoch_;
   return c;
 }
@@ -61,7 +65,7 @@ void SessionSupervisor::build_endpoints() {
   const alf::SessionConfig c = incarnation_config();
   sender_ = std::make_unique<AlfSender>(loop_, data_, feedback_rx_, c);
   receiver_ = std::make_unique<AlfReceiver>(loop_, data_, feedback_tx_, c);
-  receiver_->attach(cfg_.attach);
+  receiver_->attach(attach_);
   if (priority_) receiver_->set_priority(priority_);
   if (flight_ != nullptr) {
     sender_->set_flight(flight_);
@@ -170,13 +174,13 @@ constexpr SimDuration kRestartBackoffCap = 2 * kSecond;
 constexpr double kRestartJitter = 0.25;
 
 void SessionSupervisor::schedule_restart() {
-  if (restarts_done_ >= cfg_.max_restarts) {
+  if (restarts_done_ >= policy_.max_restarts) {
     fail_permanently();
     return;
   }
   state_ = SupervisorState::kBackoff;
   const int shift = std::min(restarts_done_, 6);
-  SimDuration backoff = std::min(cfg_.restart_backoff << shift, kRestartBackoffCap);
+  SimDuration backoff = std::min(policy_.restart_backoff << shift, kRestartBackoffCap);
   const auto span = static_cast<std::uint64_t>(static_cast<double>(backoff) * kRestartJitter);
   backoff += static_cast<SimDuration>(jitter_rng_.uniform(span + 1));
   restart_timer_ = loop_.schedule_after(backoff, [this] {
@@ -194,7 +198,7 @@ void SessionSupervisor::do_restart() {
   // within this one event callback: single-threaded simulation means no
   // frame can arrive between teardown and the new handlers registering.
   resume_snapshot_ = receiver_->resume_summary();
-  cfg_.session.first_adu_id = sender_->next_adu_id();
+  session_.first_adu_id = sender_->next_adu_id();
   receiver_.reset();
   sender_.reset();
   build_endpoints();
@@ -202,7 +206,7 @@ void SessionSupervisor::do_restart() {
   if (state_ == SupervisorState::kCompleted) return;  // restore closed the books
 
   state_ = SupervisorState::kResuming;
-  resume_retries_left_ = cfg_.max_resume_retries;
+  resume_retries_left_ = policy_.max_resume_retries;
   send_resume();
 }
 
@@ -211,7 +215,7 @@ constexpr SimDuration kResumeRetry = 40 * kMillisecond;
 
 void SessionSupervisor::send_resume() {
   alf::ResumeMessage m;
-  m.session = cfg_.session.session_id;
+  m.session = session_.session_id;
   m.epoch = epoch_;
   m.closed_prefix = resume_snapshot_.closed_prefix;
   for (std::uint32_t id : resume_snapshot_.closed_above) {
@@ -314,12 +318,6 @@ void SessionSupervisor::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("store_bytes", stats_.store_bytes);
   sink.gauge("state", static_cast<double>(state_));
   sink.gauge("epoch", static_cast<double>(epoch_));
-}
-
-void SessionSupervisor::register_metrics(obs::MetricsRegistry& reg,
-                                         std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
 }
 
 void SessionSupervisor::set_flight(obs::FlightRecorder* flight) {

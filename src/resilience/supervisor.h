@@ -42,7 +42,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 class FlightRecorder;
 }  // namespace ngp::obs
 
@@ -59,10 +58,9 @@ enum class SupervisorState : std::uint8_t {
 
 const char* to_string(SupervisorState s) noexcept;
 
+/// The restart policy. What is supervised (the session config and the
+/// receiver's attach set) is given to the SessionSupervisor constructor.
 struct SupervisorConfig {
-  /// Base session parameters. epoch/first_adu_id are overridden per
-  /// incarnation; everything else is reused verbatim.
-  alf::SessionConfig session;
   /// Seed for restart-backoff jitter (0 = derive from session_id).
   std::uint64_t seed = 0;
   /// Restarts allowed before the supervisor declares permanent failure.
@@ -73,12 +71,6 @@ struct SupervisorConfig {
   /// RESUME retransmits (one every 40 ms while the sender has not resumed)
   /// allowed before the attempt itself counts as a failure.
   int max_resume_retries = 10;
-  /// Engine, pool and plan applied to every receiver incarnation: a
-  /// restart rebuilds the receiver with the same attach set (the dead
-  /// incarnation's partial chains recycle on destruction, delivered
-  /// payloads stay host-order across incarnations). Everything it points
-  /// at must outlive the supervisor.
-  alf::ReceiverAttach attach;
 };
 
 struct SupervisorStats {
@@ -97,10 +89,20 @@ struct SupervisorStats {
 /// control (the supervisor also sends RESUME here), `feedback_rx` is the
 /// sender's view of the same feedback channel. The supervisor re-registers
 /// all path handlers on every restart.
+///
+/// `session` is the base config of every incarnation: epoch and
+/// first_adu_id are overridden per incarnation, everything else is reused
+/// verbatim. `attach` (engine, pool, plan) is applied to every receiver
+/// incarnation: a restart rebuilds the receiver with the same attach set
+/// (the dead incarnation's partial chains recycle on destruction,
+/// delivered payloads stay host-order across incarnations); everything it
+/// points at must outlive the supervisor.
 class SessionSupervisor {
  public:
   SessionSupervisor(EventLoop& loop, NetPath& data, NetPath& feedback_tx,
-                    NetPath& feedback_rx, SupervisorConfig config);
+                    NetPath& feedback_rx, alf::SessionConfig session,
+                    alf::ReceiverAttach attach = {},
+                    SupervisorConfig policy = {});
 
   SessionSupervisor(const SessionSupervisor&) = delete;
   SessionSupervisor& operator=(const SessionSupervisor&) = delete;
@@ -139,7 +141,6 @@ class SessionSupervisor {
 
   /// Writes supervisor counters plus state/epoch gauges.
   void emit_metrics(obs::MetricSink& sink) const;
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
   /// Attaches the flight recorder on a new "supervisor" track (epoch-resume
   /// events) and to every endpoint incarnation.
   void set_flight(obs::FlightRecorder* flight);
@@ -165,7 +166,9 @@ class SessionSupervisor {
   NetPath& data_;
   NetPath& feedback_tx_;
   NetPath& feedback_rx_;
-  SupervisorConfig cfg_;
+  alf::SessionConfig session_;
+  alf::ReceiverAttach attach_;
+  SupervisorConfig policy_;
   Rng jitter_rng_;
   SupervisorState state_ = SupervisorState::kRunning;
   std::uint8_t epoch_ = 0;

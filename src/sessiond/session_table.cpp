@@ -454,10 +454,4 @@ void SessionTable::emit_metrics(obs::MetricSink& sink) const {
   }
 }
 
-void SessionTable::register_metrics(obs::MetricsRegistry& reg,
-                                    std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 }  // namespace ngp::sessiond

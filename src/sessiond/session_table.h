@@ -39,7 +39,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 }  // namespace ngp::obs
 
 namespace ngp::sessiond {
@@ -200,7 +199,6 @@ class SessionTable {
   /// Aggregate counters plus per-shard occupancy/lookup/eviction metrics
   /// nested as "shard<i>.<name>" (PrefixedSink).
   void emit_metrics(obs::MetricSink& sink) const;
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
  private:
   struct Entry {

@@ -1,5 +1,7 @@
 #include "sessiond/sessiond.h"
 
+#include <algorithm>
+
 #include "alf/wire.h"
 #include "obs/metrics.h"
 
@@ -14,7 +16,14 @@ std::uint32_t Dispatcher::bind(NetPath& ingress) {
   return peer;
 }
 
+Dispatcher::~Dispatcher() {
+  for (NetPath* path : bound_) path->set_handler(nullptr);
+}
+
 void Dispatcher::bind(NetPath& ingress, std::uint32_t peer) {
+  if (std::find(bound_.begin(), bound_.end(), &ingress) == bound_.end()) {
+    bound_.push_back(&ingress);
+  }
   ingress.set_handler(
       [this, peer](ConstBytes frame) { dispatch(peer, frame); });
 }
@@ -64,12 +73,6 @@ void Dispatcher::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("sessions_created", s.sessions_created);
   sink.counter("frames_unroutable", s.frames_unroutable);
   sink.counter("creates_rejected", s.creates_rejected);
-}
-
-void Dispatcher::register_metrics(obs::MetricsRegistry& reg,
-                                  std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
 }
 
 // ---- AlfSession ------------------------------------------------------------
@@ -252,12 +255,10 @@ Result<SessionHandle> Sessiond::open(const alf::SessionConfig& session,
                                 /*pinned=*/true);
   if (!admitted.ok()) return admitted.error();
 
-  if (opts.supervised) {
-    resilience::SupervisorConfig sup_cfg = opts.supervisor;
-    sup_cfg.session = session;
-    sup_cfg.attach = opts.attach;
+  if (opts.supervisor) {
     raw->sup_ = std::make_unique<resilience::SessionSupervisor>(
-        loop_, *paths.data, *paths.feedback_tx, *paths.feedback_rx, sup_cfg);
+        loop_, *paths.data, *paths.feedback_tx, *paths.feedback_rx, session,
+        opts.attach, *opts.supervisor);
   } else {
     // Hand-wired construction order, preserved exactly: sender first (its
     // ctor registers the feedback handler), then receiver (data handler).
@@ -284,10 +285,11 @@ void Sessiond::set_flight(obs::FlightRecorder* flight) {
   dispatcher_.set_flight(flight_, flight_track_);
 }
 
-void Sessiond::register_metrics(obs::MetricsRegistry& reg,
-                                const std::string& prefix) {
-  table_.register_metrics(reg, prefix + ".table");
-  dispatcher_.register_metrics(reg, prefix + ".dispatch");
+void Sessiond::emit_metrics(obs::MetricSink& sink) const {
+  obs::PrefixedSink table(sink, "table.");
+  table_.emit_metrics(table);
+  obs::PrefixedSink dispatch(sink, "dispatch.");
+  dispatcher_.emit_metrics(dispatch);
 }
 
 }  // namespace ngp::sessiond

@@ -13,11 +13,14 @@
 //     SessionFactory. This is how ONE host terminates 100k+ flows: no
 //     per-session ingress path, no per-session handler registration.
 //
-//   * Sessiond::open(config, paths) -> SessionHandle: the facade for
-//     deliberately-opened associations. One call validates the config,
-//     builds the endpoints (supervised via ngp::resilience on opt-in),
-//     registers the flow in the table (pinned — never idle-swept), and
-//     returns an RAII handle that closes the session on destruction.
+//   * Sessiond::open(config, paths, opts) -> SessionHandle: the facade
+//     for deliberately-opened associations. One call validates the
+//     config, builds the endpoints (supervised via ngp::resilience when
+//     opts.supervisor holds a restart policy), registers the flow in the
+//     table (pinned — never idle-swept), and returns an RAII handle that
+//     closes the session on destruction. The handle reaches its
+//     AlfSession through `->`; the config and the attach set are each
+//     given once, to open().
 //
 // The sim stays deterministic: open() builds endpoints in the exact order
 // the hand-wired examples did, so a migrated program replays the same
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +58,11 @@ class Dispatcher {
  public:
   Dispatcher(EventLoop& loop, SessionTable& table)
       : loop_(loop), table_(table) {}
+  /// Clears the handler bind() installed on every bound path: each closes
+  /// over `this`, so a frame arriving after teardown would call into freed
+  /// memory; now it drops on a handlerless path. The bound paths must
+  /// outlive the dispatcher.
+  ~Dispatcher();
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
 
@@ -82,7 +91,6 @@ class Dispatcher {
   Stats stats() const;
 
   void emit_metrics(obs::MetricSink& sink) const;
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
   /// kSessionCreate events on an existing flight track (single-threaded
   /// dispatch only — flight tracks are single-writer).
   void set_flight(obs::FlightRecorder* flight, std::uint16_t track) noexcept {
@@ -94,6 +102,7 @@ class Dispatcher {
   EventLoop& loop_;
   SessionTable& table_;
   SessionFactory factory_;
+  std::vector<NetPath*> bound_;  ///< every path bind() set a handler on
   std::atomic<std::uint32_t> next_peer_{1};
   std::atomic<std::uint64_t> frames_dispatched_{0};
   std::atomic<std::uint64_t> frames_routed_{0};
@@ -117,18 +126,17 @@ struct SessionPaths {
 
 /// Per-open knobs beyond the SessionConfig itself.
 struct OpenOptions {
-  /// Opt into supervisor-per-session resilience: the association is owned
-  /// by a resilience::SessionSupervisor (restart + delta resume) instead
-  /// of a bare endpoint pair. `supervisor.session` and `supervisor.attach`
-  /// are overridden by the config passed to open() and by `attach`.
-  bool supervised = false;
-  resilience::SupervisorConfig supervisor{};
+  /// Opts into supervisor-per-session resilience under this restart
+  /// policy: the association is owned by a resilience::SessionSupervisor
+  /// (restart + delta resume) built from open()'s config and `attach`,
+  /// instead of by a bare endpoint pair.
+  std::optional<resilience::SupervisorConfig> supervisor;
   /// The receive side's engine, pool and plan (every incarnation, under
   /// supervision): one engine is flow+adu sharded across every session;
   /// closing, shedding or evicting the session recycles its reassembly
   /// chains; the plan must match the session's negotiated syntax.
   /// Everything it points at must outlive the sessiond.
-  alf::ReceiverAttach attach;
+  alf::ReceiverAttach attach{};
   /// Peer address for the flow id; 0 = auto-assign a fresh one (so two
   /// opens with the same session id never collide unless asked to).
   std::uint32_t peer = 0;
@@ -144,7 +152,6 @@ class AlfSession final : public Session {
   /// Directions without an endpoint drop the frame (the peer's problem).
   void on_frame(ConstBytes frame) override;
 
-  bool supervised() const noexcept { return sup_ != nullptr; }
   /// Current endpoints. Under supervision these are the current
   /// incarnation — do not cache across restarts.
   alf::AlfSender& sender() { return sup_ ? sup_->sender() : *sender_; }
@@ -192,39 +199,17 @@ class SessionHandle {
   /// endpoints (cancelling their timers). Safe to call repeatedly.
   void close();
 
-  // The association surface, forwarded (see AlfSession).
-  Result<std::uint32_t> send_adu(const AduName& name, ConstBytes payload) {
-    return session().send_adu(name, payload);
+  /// The association this handle owns; the handle must be valid.
+  AlfSession* operator->() const noexcept {
+    assert(session_ != nullptr);
+    return session_;
   }
-  void finish() { session().finish(); }
-  void set_on_adu(std::function<void(Adu&&)> fn) {
-    session().set_on_adu(std::move(fn));
-  }
-  void set_on_adu_chain(std::function<void(AduChain&&)> fn) {
-    session().set_on_adu_chain(std::move(fn));
-  }
-  void set_on_adu_lost(
-      std::function<void(std::uint32_t, const AduName&, bool)> fn) {
-    session().set_on_adu_lost(std::move(fn));
-  }
-  void set_on_complete(std::function<void()> fn) {
-    session().set_on_complete(std::move(fn));
-  }
-  void set_priority(alf::PriorityFn fn) { session().set_priority(std::move(fn)); }
-
-  alf::AlfSender& sender() { return session().sender(); }
-  alf::AlfReceiver& receiver() { return session().receiver(); }
-  /// Null unless opened with OpenOptions::supervised.
-  resilience::SessionSupervisor* supervisor() { return session().supervisor(); }
+  AlfSession& operator*() const noexcept { return *operator->(); }
 
  private:
   friend class Sessiond;
   SessionHandle(Sessiond* owner, FlowId flow, AlfSession* session)
       : owner_(owner), flow_(flow), session_(session) {}
-  AlfSession& session() {
-    assert(session_ != nullptr);
-    return *session_;
-  }
 
   Sessiond* owner_ = nullptr;
   FlowId flow_{};
@@ -301,9 +286,9 @@ class Sessiond {
   /// disables recording and a later re-enable picks the track back up.
   void set_flight(obs::FlightRecorder* flight);
 
-  /// Registers table ("<prefix>.table", per-shard nested) and dispatcher
-  /// ("<prefix>.dispatch") metrics.
-  void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix);
+  /// Writes the table's counters under "table." (per-shard nested) and
+  /// the dispatcher's under "dispatch.".
+  void emit_metrics(obs::MetricSink& sink) const;
 
  private:
   friend class SessionHandle;

@@ -146,9 +146,4 @@ void StreamReceiver::emit_metrics(obs::MetricSink& sink) const {
   sink.gauge("ooo_buffered_bytes", static_cast<double>(ooo_bytes_));
 }
 
-void StreamReceiver::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 }  // namespace ngp

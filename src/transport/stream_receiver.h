@@ -18,7 +18,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 }  // namespace ngp::obs
 
 namespace ngp {
@@ -64,8 +63,6 @@ class StreamReceiver {
 
   /// Writes the in-order-delivery counters into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "stream.rx").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
  private:
   void on_frame(ConstBytes frame);

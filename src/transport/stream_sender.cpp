@@ -228,9 +228,4 @@ void StreamSender::emit_metrics(obs::MetricSink& sink) const {
   sink.gauge("unacked_bytes", static_cast<double>(snd_nxt_ - snd_una_));
 }
 
-void StreamSender::register_metrics(obs::MetricsRegistry& reg, std::string prefix) const {
-  reg.add_source(std::move(prefix),
-                 [this](obs::MetricSink& sink) { emit_metrics(sink); });
-}
-
 }  // namespace ngp

@@ -26,7 +26,6 @@
 
 namespace ngp::obs {
 class MetricSink;
-class MetricsRegistry;
 }  // namespace ngp::obs
 
 namespace ngp {
@@ -75,8 +74,6 @@ class StreamSender {
 
   /// Writes counters plus cwnd/rto gauges into one snapshot source.
   void emit_metrics(obs::MetricSink& sink) const;
-  /// Registers emit_metrics under `prefix` (e.g. "stream.tx").
-  void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
 
  private:
   void on_frame(ConstBytes frame);

@@ -78,4 +78,15 @@ std::size_t EventLoop::run() {
   return executed;
 }
 
+OwnedEvents::~OwnedEvents() {
+  for (EventId id : ids_) loop_.cancel(id);
+}
+
+void OwnedEvents::prune() {
+  std::erase_if(ids_, [this](EventId id) { return !loop_.pending(id); });
+  if (4 * ids_.size() >= ids_.capacity()) {
+    ids_.reserve(std::max<std::size_t>(16, 2 * ids_.capacity()));
+  }
+}
+
 }  // namespace ngp

@@ -55,6 +55,9 @@ class EventLoop {
   /// is exact whether or not cancelled heap entries have been compacted
   /// away yet.
   std::size_t pending() const noexcept { return callbacks_.size(); }
+  /// True while event `id` is scheduled: it has neither run nor been
+  /// cancelled.
+  bool pending(EventId id) const { return callbacks_.contains(id); }
 
  private:
   struct Event {
@@ -83,6 +86,39 @@ class EventLoop {
   // skipped lazily when popped, or swept in bulk by compact().
   std::unordered_map<EventId, std::function<void()>> callbacks_;
   std::size_t cancelled_count_ = 0;
+};
+
+/// The events one object schedules with callbacks that capture it. The
+/// destructor cancels those still pending, so an object destroyed with
+/// events in flight is never called back while the loop runs on. Ids of
+/// events that have run are dropped lazily, when the list fills, so once
+/// the number pending stops growing the list allocates nothing more.
+/// Scheduling through it calls the loop exactly as a direct call would:
+/// the events' (when, seq) order is unchanged.
+class OwnedEvents {
+ public:
+  explicit OwnedEvents(EventLoop& loop) : loop_(loop) {}
+  ~OwnedEvents();
+  OwnedEvents(const OwnedEvents&) = delete;
+  OwnedEvents& operator=(const OwnedEvents&) = delete;
+
+  EventId schedule_at(SimTime when, std::function<void()> fn) {
+    if (ids_.size() == ids_.capacity()) prune();
+    const EventId id = loop_.schedule_at(when, std::move(fn));
+    ids_.push_back(id);
+    return id;
+  }
+  EventId schedule_after(SimDuration delay, std::function<void()> fn) {
+    return schedule_at(loop_.now() + (delay < 0 ? 0 : delay), std::move(fn));
+  }
+
+ private:
+  /// Forgets the events that have run; grows the list while more than a
+  /// quarter are still pending, so each id is looked up about once.
+  void prune();
+
+  EventLoop& loop_;
+  std::vector<EventId> ids_;  ///< pending, plus some that have run
 };
 
 }  // namespace ngp

@@ -714,7 +714,7 @@ TEST(AlfSenderStaging, NamesAreHeldOnlyForRecompute) {
         policy == RetransmitPolicy::kApplicationRecompute ? 1000 : 0;
     EXPECT_EQ(s.sender.stats().names_held, want);
     obs::MetricsRegistry reg;
-    s.sender.register_metrics(reg, "alf.tx");
+    reg.add("alf.tx", s.sender);
     EXPECT_EQ(reg.snapshot().counter_or("alf.tx.names_held", 99999), want);
   }
 }

@@ -320,6 +320,15 @@ std::uint64_t fnv1a(const std::vector<Adu>& adus) {
   return h;
 }
 
+alf::SessionConfig storm_session() {
+  alf::SessionConfig cfg;
+  cfg.stall_timeout = 400 * kMillisecond;
+  cfg.nack_delay = 10 * kMillisecond;
+  cfg.nack_retry = 20 * kMillisecond;
+  cfg.max_nacks = 30;
+  return cfg;
+}
+
 /// Supervised association where BOTH directions are hostile: the data path
 /// runs the full storm plus a hard mid-transfer outage, and the feedback
 /// path bit-flips control frames — NACKs and the supervisor's own RESUMEs.
@@ -378,7 +387,7 @@ struct SupervisedStorm {
         feedback_tx(channel.reverse),
         raw_feedback_rx(channel.reverse),
         feedback_rx(loop, raw_feedback_rx, feedback_plan(seed + 1)),
-        sup(loop, data, feedback_tx, feedback_rx, scfg) {
+        sup(loop, data, feedback_tx, feedback_rx, storm_session(), {}, scfg) {
     sup.set_on_adu([this](Adu&& a) { delivered.push_back(std::move(a)); });
     sup.set_on_complete([this] { completed = true; });
     sup.set_on_permanent_failure([this] { permanently_failed = true; });
@@ -396,10 +405,6 @@ struct SupervisedStorm {
 
 resilience::SupervisorConfig storm_supervisor(std::uint64_t seed = 77) {
   resilience::SupervisorConfig cfg;
-  cfg.session.stall_timeout = 400 * kMillisecond;
-  cfg.session.nack_delay = 10 * kMillisecond;
-  cfg.session.nack_retry = 20 * kMillisecond;
-  cfg.session.max_nacks = 30;
   cfg.seed = seed;
   cfg.restart_backoff = 50 * kMillisecond;
   cfg.max_restarts = 8;
@@ -497,11 +502,12 @@ TEST(ChaosRecovery, BreakerTripDuringRetransmitBurstAvoidsRestart) {
 
   LinkPath feedback_tx(ch_a.reverse);
   LinkPath feedback_rx(ch_a.reverse);
-  resilience::SupervisorConfig scfg = storm_supervisor(606);
   // Pace the sender so the transfer is still in flight when path A dies at
   // 60ms — an unpaced burst would finish before the kill.
-  scfg.session.pace_bps = 2e6;
-  resilience::SessionSupervisor sup(loop, sw, feedback_tx, feedback_rx, scfg);
+  alf::SessionConfig session = storm_session();
+  session.pace_bps = 2e6;
+  resilience::SessionSupervisor sup(loop, sw, feedback_tx, feedback_rx, session,
+                                    {}, storm_supervisor(606));
 
   std::map<std::uint64_t, ByteBuffer> sent;
   std::vector<Adu> delivered;

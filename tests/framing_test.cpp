@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "alf/receiver.h"
 #include "alf/sender.h"
@@ -262,6 +263,24 @@ TEST(Framing, AlfRunsOverUnframedFiber) {
   sender.finish();
   loop.run();
   EXPECT_EQ(delivered, 30u);
+}
+
+TEST(Framing, TeardownClearsTheReaderOnThePipe) {
+  // The path's reader on the pipe closes over the path: a chunk the pipe
+  // delivers after the path is destroyed must drop, not reach freed memory.
+  EventLoop loop;
+  ByteStreamLink pipe(loop, ByteStreamConfig{});
+  int delivered = 0;
+  {
+    auto path = std::make_unique<FramedBytePath>(pipe);
+    path->set_handler([&](ConstBytes) { ++delivered; });
+    const ByteBuffer frame(300);
+    ASSERT_TRUE(path->send(frame.span()));
+  }
+  loop.run();
+  EXPECT_EQ(pipe.stats().bytes_delivered,
+            FramedBytePath::kHeaderSize + 300 + FramedBytePath::kTrailerSize);
+  EXPECT_EQ(delivered, 0);
 }
 
 }  // namespace

@@ -229,6 +229,10 @@ TEST(SessionConfigValidate, NamesEveryRejectableField) {
   c = SessionConfig{};
   c.fec_k = 1;  // parity-per-fragment is pure duplication; grouping needs k>=2
   EXPECT_FALSE(c.validate().is_ok());
+
+  c = SessionConfig{};
+  c.first_adu_id = 0;  // id 0 is reserved
+  EXPECT_FALSE(c.validate().is_ok());
 }
 
 TEST(RespondToOffer, RejectsMalformedOfferAtHandshake) {

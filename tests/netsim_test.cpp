@@ -2,6 +2,9 @@
 // queue behaviour, and the loss models.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "netsim/byte_stream_link.h"
 #include "netsim/link.h"
 #include "netsim/net_path.h"
 #include "util/event_loop.h"
@@ -275,4 +278,44 @@ TEST(LossModels, GilbertElliottIsBursty) {
 }
 
 }  // namespace
+// ---- Teardown with frames in flight ----------------------------------------
+
+TEST(LinkTeardown, DestroyedWithFramesInFlightCancelsTheirEvents) {
+  // Each accepted frame leaves a queue-slot event and a delivery event (a
+  // duplicate, a second delivery) that close over the link. Destroying the
+  // link cancels them, so running the loop on never touches freed memory.
+  EventLoop loop;
+  int delivered = 0;
+  {
+    LinkConfig cfg;
+    cfg.duplicate_rate = 1.0;
+    auto link = std::make_unique<Link>(loop, cfg);
+    link->set_handler([&](ConstBytes) { ++delivered; });
+    const ByteBuffer frame(200);
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(link->send(frame.span()));
+    EXPECT_EQ(loop.pending(), 12u);
+  }
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.run();
+  EXPECT_EQ(delivered, 0);
+}
+
+TEST(ByteStreamTeardown, DestroyedWithBytesInFlightCancelsTheirEvents) {
+  // The pump and every chunk delivery close over the pipe: destroying it
+  // mid-transfer cancels them.
+  EventLoop loop;
+  std::size_t read = 0;
+  {
+    auto pipe = std::make_unique<ByteStreamLink>(loop, ByteStreamConfig{});
+    pipe->set_reader([&](ConstBytes chunk) { read += chunk.size(); });
+    const ByteBuffer bytes(4096);
+    ASSERT_EQ(pipe->write(bytes.span()), bytes.size());
+    loop.run_until(loop.now() + 10 * kMicrosecond);  // some chunks in flight
+    EXPECT_GT(loop.pending(), 0u);
+  }
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.run();
+  EXPECT_EQ(read, 0u);
+}
+
 }  // namespace ngp

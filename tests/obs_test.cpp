@@ -339,12 +339,12 @@ RunResult run_faulty_transfer(std::uint64_t seed) {
   receiver.set_flight(&flight);
 
   obs::MetricsRegistry reg;
-  sender.register_metrics(reg, "alf.tx");
-  receiver.register_metrics(reg, "alf.rx");
-  channel.forward.register_metrics(reg, "net.data");
-  channel.reverse.register_metrics(reg, "net.feedback");
-  data_path.register_metrics(reg, "chaos.data");
-  flight.register_metrics(reg, "flight");
+  reg.add("alf.tx", sender);
+  reg.add("alf.rx", receiver);
+  reg.add("net.data", channel.forward);
+  reg.add("net.feedback", channel.reverse);
+  reg.add("chaos.data", data_path);
+  reg.add("flight", flight);
 
   RunResult out;
   receiver.set_on_adu([&out](Adu&&) { ++out.delivered; });

@@ -336,18 +336,17 @@ TEST(PresentationPipeline, SessiondOpenAttachesThePlan) {
   ASSERT_TRUE(handle.ok());
 
   std::vector<Adu> got;
-  handle.value().set_on_adu([&](Adu&& a) { got.push_back(std::move(a)); });
+  handle.value()->set_on_adu([&](Adu&& a) { got.push_back(std::move(a)); });
   for (std::uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(handle.value()
-                    .sender()
+    ASSERT_TRUE(handle.value()->sender()
                     .send_record(generic_name(i), *plan, table1_record(256, i))
                     .ok());
   }
-  handle.value().sender().finish();
+  handle.value()->sender().finish();
   loop.run();
 
   ASSERT_EQ(got.size(), 4u);
-  EXPECT_EQ(handle.value().receiver().stats().adus_presentation_fused, 4u);
+  EXPECT_EQ(handle.value()->receiver().stats().adus_presentation_fused, 4u);
   for (const auto& adu : got) {
     auto rec = presentation::plan_decode_host_order(*plan, adu.payload.span());
     ASSERT_TRUE(rec.ok());
@@ -367,22 +366,21 @@ TEST(PresentationPipeline, SupervisedOpenAttachesThePlan) {
   scfg.syntax = TransferSyntax::kXdr;
   auto plan = presentation::cached_plan(table1_schema(), scfg.syntax);
   sessiond::OpenOptions opts;
-  opts.supervised = true;
+  opts.supervisor.emplace();
   opts.attach.presentation = plan;
   auto handle = daemon.open(scfg, {&data, &feedback_tx, &feedback_rx}, opts);
   ASSERT_TRUE(handle.ok());
 
   std::vector<Adu> got;
-  handle.value().set_on_adu([&](Adu&& a) { got.push_back(std::move(a)); });
-  ASSERT_TRUE(handle.value()
-                  .sender()
+  handle.value()->set_on_adu([&](Adu&& a) { got.push_back(std::move(a)); });
+  ASSERT_TRUE(handle.value()->sender()
                   .send_record(generic_name(0), *plan, table1_record(512, 3))
                   .ok());
-  handle.value().sender().finish();
+  handle.value()->sender().finish();
   loop.run();
 
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(handle.value().receiver().stats().adus_presentation_fused, 1u);
+  EXPECT_EQ(handle.value()->receiver().stats().adus_presentation_fused, 1u);
   auto rec = presentation::plan_decode_host_order(*plan, got[0].payload.span());
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(*rec, table1_record(512, 3));

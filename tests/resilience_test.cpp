@@ -381,6 +381,15 @@ TEST(Breaker, EndpointsIgnoreProbeFrames) {
 
 /// Supervised ALF association over a duplex link whose data direction runs
 /// through a FaultyPath (scheduled outages model path kills).
+SessionConfig quick_session() {
+  SessionConfig cfg;
+  cfg.stall_timeout = 400 * kMillisecond;
+  cfg.nack_delay = 10 * kMillisecond;
+  cfg.nack_retry = 20 * kMillisecond;
+  cfg.max_nacks = 30;
+  return cfg;
+}
+
 struct SupervisedPair {
   EventLoop loop;
   DuplexChannel channel;
@@ -410,7 +419,7 @@ struct SupervisedPair {
         data(loop, raw_data, std::move(plan)),
         feedback_tx(channel.reverse),
         feedback_rx(channel.reverse),
-        sup(loop, data, feedback_tx, feedback_rx, scfg) {
+        sup(loop, data, feedback_tx, feedback_rx, quick_session(), {}, scfg) {
     sup.set_on_adu([this](Adu&& a) { delivered.push_back(std::move(a)); });
     sup.set_on_complete([this] { completed = true; });
     sup.set_on_permanent_failure([this] {
@@ -439,10 +448,6 @@ struct SupervisedPair {
 
 SupervisorConfig quick_supervisor(std::uint64_t seed = 42) {
   SupervisorConfig cfg;
-  cfg.session.stall_timeout = 400 * kMillisecond;
-  cfg.session.nack_delay = 10 * kMillisecond;
-  cfg.session.nack_retry = 20 * kMillisecond;
-  cfg.session.max_nacks = 30;
   cfg.seed = seed;
   cfg.restart_backoff = 50 * kMillisecond;
   return cfg;
@@ -479,7 +484,7 @@ TEST(Supervisor, RestartTripsATelemetrySloWatch) {
   SupervisedPair p(quick_supervisor(),
                    outage_at(3 * kMillisecond, 800 * kMillisecond));
   obs::MetricsRegistry reg;
-  p.sup.register_metrics(reg, "supervisor");
+  reg.add("supervisor", p.sup);
 
   obs::TelemetryConfig tcfg;
   tcfg.interval = 20 * kMillisecond;
@@ -530,7 +535,7 @@ TEST(Supervisor, UnsupervisedBaselineFailsTerminallyOnTheSameStorm) {
   FaultyPath data(loop, raw_data, outage_at(3 * kMillisecond, 800 * kMillisecond));
   LinkPath feedback_tx(channel.reverse);
   LinkPath feedback_rx(channel.reverse);
-  SessionConfig scfg = quick_supervisor().session;
+  SessionConfig scfg = quick_session();
   AlfSender sender(loop, data, feedback_rx, scfg);
   AlfReceiver receiver(loop, data, feedback_tx, scfg);
   bool completed = false;
@@ -563,7 +568,7 @@ TEST(Supervisor, ResumeRetriesSurviveALossyFeedbackChannel) {
 
   SupervisorConfig scfg = quick_supervisor();
   scfg.max_resume_retries = 30;
-  SessionSupervisor sup(loop, data, feedback, feedback, scfg);
+  SessionSupervisor sup(loop, data, feedback, feedback, quick_session(), {}, scfg);
   bool completed = false;
   sup.set_on_complete([&] { completed = true; });
   std::map<std::uint64_t, ByteBuffer> sent;

@@ -4,12 +4,13 @@
 // GC, admission control, shed priority), the dispatcher (create-on-first-
 // frame, unroutable accounting), the redesigned facade (open/close RAII,
 // validation, byte-identical equivalence with the hand-wired idiom, the
-// attach set surviving supervised restarts), the SessionConfig builder,
-// and TSan-visible concurrent dispatch.
+// attach set surviving supervised restarts), teardown of a dispatcher
+// with frames still arriving, and TSan-visible concurrent dispatch.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +28,8 @@
 #include "sessiond/session_table.h"
 #include "sessiond/sessiond.h"
 #include "util/result.h"
+
+#include "test_paths.h"
 
 namespace ngp::sessiond {
 namespace {
@@ -379,38 +382,29 @@ TEST(Dispatcher, BindAssignsDistinctPeers) {
   EXPECT_TRUE(table.contains({pb, 1}));
 }
 
-// ---- SessionConfig builder (satellite 2) -----------------------------------
-
-TEST(SessionConfigBuilder, FluentBuildValidates) {
-  auto r = alf::SessionConfig::builder()
-               .session_id(9)
-               .checksum(ChecksumKind::kCrc32)
-               .fec_k(4)
-               .pace_bps(1e6)
-               .nack_delay(2 * kMillisecond)
-               .build();
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().session_id, 9);
-  EXPECT_EQ(r.value().checksum, ChecksumKind::kCrc32);
-  EXPECT_EQ(r.value().fec_k, 4);
-  EXPECT_DOUBLE_EQ(r.value().pace_bps, 1e6);
-  EXPECT_EQ(r.value().nack_delay, 2 * kMillisecond);
-
-  // Aggregate init must keep working: the builder is additive API, not a
-  // replacement for the struct.
-  alf::SessionConfig aggregate{};
-  aggregate.session_id = 9;
-  EXPECT_TRUE(aggregate.validate().is_ok());
-}
-
-TEST(SessionConfigBuilder, InvalidConfigFailsAtBuild) {
-  auto r = alf::SessionConfig::builder().fec_k(1).build();  // k=1 is nonsense
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, ErrorCode::kOutOfRange);
-
-  EXPECT_FALSE(alf::SessionConfig::builder().first_adu_id(0).build().ok());
-  EXPECT_FALSE(
-      alf::SessionConfig::builder().progress_interval(0).build().ok());
+TEST(Dispatcher, TeardownClearsTheHandlerOnEveryBoundPath) {
+  // bind() leaves a handler closing over the dispatcher on each ingress
+  // path: once the dispatcher is destroyed, a frame arriving on any of
+  // them must drop instead of calling into freed memory.
+  EventLoop loop;
+  test::LoopbackPath in_a;
+  test::LoopbackPath in_b;
+  SessionTable table;
+  {
+    auto dispatcher = std::make_unique<Dispatcher>(loop, table);
+    dispatcher->set_factory(toy_factory());
+    dispatcher->bind(in_a);
+    dispatcher->bind(in_b, 42);
+    const ByteBuffer frame = make_data_frame(1, 1);
+    in_a.send(frame.span());
+    EXPECT_EQ(table.size(), 1u);
+  }
+  EXPECT_FALSE(in_a.has_handler());
+  EXPECT_FALSE(in_b.has_handler());
+  const ByteBuffer frame = make_data_frame(2, 1);
+  in_a.send(frame.span());
+  in_b.send(frame.span());
+  EXPECT_EQ(table.size(), 1u);
 }
 
 // ---- Sessiond facade -------------------------------------------------------
@@ -484,7 +478,7 @@ TEST(Sessiond, OpenMatchesHandWiredByteForByte) {
     Sessiond daemon(h.loop);
     auto handle = daemon.open(session, h.paths());
     ASSERT_TRUE(handle.ok());
-    facade = run_transfer(handle.value().sender(), handle.value().receiver(),
+    facade = run_transfer(handle.value()->sender(), handle.value()->receiver(),
                           h.loop);
   }
 
@@ -574,21 +568,21 @@ TEST(Sessiond, SupervisedOpenCompletesUnderLoss) {
   session.retransmit = alf::RetransmitPolicy::kTransportBuffered;
 
   OpenOptions opts;
-  opts.supervised = true;
+  opts.supervisor.emplace();
   auto handle = daemon.open(session, h.paths(), opts);
   ASSERT_TRUE(handle.ok());
-  ASSERT_NE(handle.value().supervisor(), nullptr);
+  ASSERT_NE(handle.value()->supervisor(), nullptr);
 
   bool complete = false;
   std::uint64_t delivered = 0;
-  handle.value().set_on_adu([&](Adu&&) { ++delivered; });
-  handle.value().set_on_complete([&] { complete = true; });
+  handle.value()->set_on_adu([&](Adu&&) { ++delivered; });
+  handle.value()->set_on_complete([&] { complete = true; });
 
   ByteBuffer payload(400);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(handle.value().send_adu(generic_name(i), payload.span()).ok());
+    ASSERT_TRUE(handle.value()->send_adu(generic_name(i), payload.span()).ok());
   }
-  handle.value().finish();
+  handle.value()->finish();
   h.loop.run();
   EXPECT_TRUE(complete);
   EXPECT_EQ(delivered, 10u);
@@ -632,8 +626,8 @@ TEST(Sessiond, SupervisedRestartKeepsTheWholeAttachSet) {
 
   Sessiond daemon(loop);
   OpenOptions opts;
-  opts.supervised = true;
-  opts.supervisor.restart_backoff = 50 * kMillisecond;
+  opts.supervisor = resilience::SupervisorConfig{
+      .restart_backoff = 50 * kMillisecond};
   opts.attach.engine = &eng;
   opts.attach.rx_pool = &rx_pool;
   opts.attach.presentation = plan;
@@ -641,23 +635,23 @@ TEST(Sessiond, SupervisedRestartKeepsTheWholeAttachSet) {
   ASSERT_TRUE(handle.ok());
   bool complete = false;
   std::uint64_t delivered = 0;
-  handle.value().set_on_adu([&](Adu&&) { ++delivered; });
-  handle.value().set_on_complete([&] { complete = true; });
+  handle.value()->set_on_adu([&](Adu&&) { ++delivered; });
+  handle.value()->set_on_complete([&] { complete = true; });
 
   const std::uint64_t default_allocs = buf::default_pool().stats().allocs;
   for (std::uint64_t i = 1; i <= 20; ++i) {
     const Record rec{std::vector<std::int32_t>(1000, static_cast<std::int32_t>(i))};
     auto wire = presentation::plan_encode(*plan, rec);
     ASSERT_TRUE(wire.ok());
-    ASSERT_TRUE(handle.value().send_adu(generic_name(i), wire->span()).ok());
+    ASSERT_TRUE(handle.value()->send_adu(generic_name(i), wire->span()).ok());
   }
-  handle.value().finish();
+  handle.value()->finish();
   loop.run();
 
   ASSERT_TRUE(complete);
   EXPECT_EQ(delivered, 20u);
-  ASSERT_GE(handle.value().supervisor()->stats().restarts, 1u);
-  const alf::ReceiverStats& st = handle.value().receiver().stats();
+  ASSERT_GE(handle.value()->supervisor()->stats().restarts, 1u);
+  const alf::ReceiverStats& st = handle.value()->receiver().stats();
   EXPECT_GT(st.adus_engine_offloaded, 0u);
   EXPECT_GT(st.adus_presentation_fused, 0u);
   EXPECT_GT(st.fragments_pool_copied, 0u);
@@ -717,7 +711,7 @@ TEST(Sessiond, EvictHookAndMetricsSnapshotsAreByteIdentical) {
     });
 
     obs::MetricsRegistry registry;
-    daemon.register_metrics(registry, "sessiond");
+    registry.add("sessiond", daemon);
 
     for (std::uint16_t sid = 0; sid < 64; ++sid) {
       const ByteBuffer frame = make_data_frame(sid, 1);
@@ -868,11 +862,11 @@ TEST(Sessiond, FailedOpenLeavesResidentSessionLive) {
   // The resident association still works end to end.
   bool complete = false;
   std::uint64_t delivered = 0;
-  a.value().set_on_adu([&](Adu&&) { ++delivered; });
-  a.value().set_on_complete([&] { complete = true; });
+  a.value()->set_on_adu([&](Adu&&) { ++delivered; });
+  a.value()->set_on_complete([&] { complete = true; });
   ByteBuffer payload(256);
-  ASSERT_TRUE(a.value().send_adu(generic_name(1), payload.span()).ok());
-  a.value().finish();
+  ASSERT_TRUE(a.value()->send_adu(generic_name(1), payload.span()).ok());
+  a.value()->finish();
   h.loop.run();
   EXPECT_TRUE(complete);
   EXPECT_EQ(delivered, 1u);
@@ -889,7 +883,7 @@ TEST(Sessiond, CloseWithFramesInFlightIsSafe) {
   // endpoints unregister their path handlers, so late deliveries drop on
   // a handlerless path instead of calling into freed objects.
   ByteBuffer payload(256);
-  ASSERT_TRUE(handle.value().send_adu(generic_name(1), payload.span()).ok());
+  ASSERT_TRUE(handle.value()->send_adu(generic_name(1), payload.span()).ok());
   handle.value().close();
   EXPECT_EQ(daemon.table().size(), 0u);
   h.loop.run();

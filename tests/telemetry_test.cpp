@@ -26,12 +26,10 @@ struct FakeComponent {
   double depth = 0.0;
   Histogram latency{0.0, 100.0, 10};
 
-  void register_metrics(MetricsRegistry& reg, std::string prefix) {
-    reg.add_source(std::move(prefix), [this](MetricSink& s) {
-      s.counter("packets", packets);
-      s.gauge("depth", depth);
-      s.histogram("latency", latency);
-    });
+  void emit_metrics(MetricSink& s) const {
+    s.counter("packets", packets);
+    s.gauge("depth", depth);
+    s.histogram("latency", latency);
   }
 };
 
@@ -47,7 +45,7 @@ std::uint64_t bucket_sum(const Sample* s) {
 TEST(DeltaSnapshot, DifferencesCountersAndPassesGaugesThrough) {
   MetricsRegistry reg;
   FakeComponent c;
-  c.register_metrics(reg, "c");
+  reg.add("c", c);
 
   c.packets = 10;
   c.depth = 2.5;
@@ -151,7 +149,7 @@ TEST(HistogramPercentileTest, EdgeCasesPinned) {
 TEST(DeltaSnapshot, SequenceNumberIsMonotonicAndSampled) {
   MetricsRegistry reg;
   FakeComponent c;
-  c.register_metrics(reg, "c");
+  reg.add("c", c);
   EXPECT_EQ(reg.delta_sequence(), 0u);
   (void)reg.delta_snapshot();
   EXPECT_EQ(reg.delta_sequence(), 1u);
@@ -178,7 +176,7 @@ TEST(DeltaSnapshot, SequenceNumberIsMonotonicAndSampled) {
 TEST(HistogramPercentileTest, SummariesAppearInSnapshotExports) {
   MetricsRegistry reg;
   FakeComponent c;
-  c.register_metrics(reg, "c");
+  reg.add("c", c);
   for (int i = 0; i < 20; ++i) c.latency.add(5.0 * i);
   const Snapshot snap = reg.snapshot();
   EXPECT_NE(snap.to_text().find("p50="), std::string::npos);
@@ -192,7 +190,7 @@ TEST(TelemetryHubTest, PeriodicSamplingStandsDownWhenTheLoopDrains) {
   EventLoop loop;
   MetricsRegistry reg;
   FakeComponent c;
-  c.register_metrics(reg, "c");
+  reg.add("c", c);
   TelemetryConfig cfg;
   cfg.interval = 10 * kMillisecond;
   TelemetryHub hub(&loop, reg, cfg);
@@ -223,7 +221,7 @@ TEST(TelemetryHubTest, PeriodicSamplingStandsDownWhenTheLoopDrains) {
 TEST(TelemetryHubTest, WatchdogIsEdgeTriggered) {
   MetricsRegistry reg;
   FakeComponent c;
-  c.register_metrics(reg, "c");
+  reg.add("c", c);
   TelemetryHub hub(nullptr, reg);  // manual mode: no loop
 
   SloWatch watch;
@@ -253,7 +251,7 @@ TEST(TelemetryHubTest, WatchdogIsEdgeTriggered) {
 TEST(TelemetryHubTest, WatchdogFireBelowAndHistogramPercentileModes) {
   MetricsRegistry reg;
   FakeComponent c;
-  c.register_metrics(reg, "c");
+  reg.add("c", c);
   TelemetryHub hub(nullptr, reg);
 
   SloWatch low;  // e.g. goodput floor
@@ -287,7 +285,7 @@ TEST(TelemetryHubTest, WatchdogFireBelowAndHistogramPercentileModes) {
 TEST(TelemetryHubTest, BoundedSeriesDropsOldest) {
   MetricsRegistry reg;
   FakeComponent c;
-  c.register_metrics(reg, "c");
+  reg.add("c", c);
   TelemetryConfig cfg;
   cfg.max_samples = 4;
   TelemetryHub hub(nullptr, reg, cfg);
@@ -301,7 +299,7 @@ TEST(TelemetryHubTest, BoundedSeriesDropsOldest) {
 
   // The hub's own counters export like any component's.
   MetricsRegistry meta;
-  hub.register_metrics(meta, "hub");
+  meta.add("hub", hub);
   const Snapshot snap = meta.snapshot();
   EXPECT_EQ(snap.counter_or("hub.samples"), 6u);
   EXPECT_EQ(snap.counter_or("hub.samples_dropped"), 2u);
@@ -311,7 +309,7 @@ TEST(TelemetryHubTest, JsonlExportIsDeterministicOneObjectPerLine) {
   auto run_once = [] {
     MetricsRegistry reg;
     FakeComponent c;
-    c.register_metrics(reg, "c");
+    reg.add("c", c);
     TelemetryHub hub(nullptr, reg);
     for (SimTime t = 0; t < 3; ++t) {
       c.packets += 7;
@@ -339,7 +337,7 @@ TEST(TelemetryHubTest, StopCancelsTheTimerAndKeepsTheSeries) {
   EventLoop loop;
   MetricsRegistry reg;
   FakeComponent c;
-  c.register_metrics(reg, "c");
+  reg.add("c", c);
   TelemetryHub hub(&loop, reg);
   loop.schedule_after(kSecond, [] {});  // pending work the hub would track
   hub.start();

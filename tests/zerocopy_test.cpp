@@ -475,7 +475,7 @@ TEST(ZeroCopy, SessiondOpenWiresRxPoolThroughToReceiver) {
   ASSERT_TRUE(handle.ok());
 
   std::vector<AduChain> chains;
-  handle.value().set_on_adu_chain(
+  handle.value()->set_on_adu_chain(
       [&](AduChain&& a) { chains.push_back(std::move(a)); });
 
   std::map<std::uint64_t, ByteBuffer> sent;
@@ -483,21 +483,20 @@ TEST(ZeroCopy, SessiondOpenWiresRxPoolThroughToReceiver) {
     auto payload = payload_of(7000, 321 + i);
     buf::BufRef ref = pool.alloc(payload.size());
     std::memcpy(ref.data(), payload.data(), payload.size());
-    ASSERT_TRUE(handle.value()
-                    .sender()
+    ASSERT_TRUE(handle.value()->sender()
                     .send_adu(generic_name(i), buf::Slice{std::move(ref), 0,
                                                           payload.size()})
                     .ok());
     sent.emplace(i, std::move(payload));
   }
-  handle.value().sender().finish();
+  handle.value()->sender().finish();
   loop.run();
 
   ASSERT_EQ(chains.size(), 6u);
   for (const auto& c : chains) {
     EXPECT_EQ(c.payload.flatten(), sent.at(c.name.a));
   }
-  EXPECT_GT(handle.value().receiver().stats().fragments_zero_copy, 0u);
+  EXPECT_GT(handle.value()->receiver().stats().fragments_zero_copy, 0u);
 
   handle.value().close();
   chains.clear();
@@ -520,29 +519,28 @@ TEST(ZeroCopy, SupervisedSessionKeepsPoolAcrossOpen) {
   sessiond::Sessiond daemon(loop);
   SessionConfig scfg;
   sessiond::OpenOptions opts;
-  opts.supervised = true;
+  opts.supervisor.emplace();
   opts.attach.rx_pool = &pool;
   auto handle = daemon.open(scfg, {&data, &feedback_tx, &feedback_rx}, opts);
   ASSERT_TRUE(handle.ok());
 
   std::vector<AduChain> chains;
-  handle.value().set_on_adu_chain(
+  handle.value()->set_on_adu_chain(
       [&](AduChain&& a) { chains.push_back(std::move(a)); });
 
   auto payload = payload_of(12'000, 777);
   buf::BufRef ref = pool.alloc(payload.size());
   std::memcpy(ref.data(), payload.data(), payload.size());
-  ASSERT_TRUE(handle.value()
-                  .sender()
+  ASSERT_TRUE(handle.value()->sender()
                   .send_adu(generic_name(0),
                             buf::Slice{std::move(ref), 0, payload.size()})
                   .ok());
-  handle.value().sender().finish();
+  handle.value()->sender().finish();
   loop.run();
 
   ASSERT_EQ(chains.size(), 1u);
   EXPECT_EQ(chains[0].payload.flatten(), payload);
-  EXPECT_GT(handle.value().receiver().stats().fragments_zero_copy, 0u);
+  EXPECT_GT(handle.value()->receiver().stats().fragments_zero_copy, 0u);
 }
 
 }  // namespace
