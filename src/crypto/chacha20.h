@@ -33,6 +33,12 @@ void chacha20_xor(const ChaChaKey& k, std::uint32_t counter, MutableBytes data) 
 void chacha20_xor_copy(const ChaChaKey& k, std::uint32_t counter, ConstBytes in,
                        MutableBytes out) noexcept;
 
+/// Writes the keystream of blocks counter, counter+1, ... to `out`; a
+/// partial last block is cut to out.size(). XORing it into data is
+/// chacha20_xor(k, counter, data).
+void chacha20_keystream(const ChaChaKey& k, std::uint32_t counter,
+                        MutableBytes out) noexcept;
+
 /// Streaming keystream generator for the ILP fused loops.
 ///
 /// Produces the keystream 64-bit-word at a time so a fused pipeline can do

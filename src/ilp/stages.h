@@ -22,6 +22,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 
 #include "checksum/crc32.h"
 #include "crypto/chacha20.h"
@@ -95,6 +96,34 @@ class EncryptStage {
 
  private:
   ChaChaKeystream ks_;
+};
+
+/// EncryptStage over a keystream already in memory (the SIMD tiers'
+/// chacha20_keystream runs the cipher ahead of the data), read in step
+/// with the data. Mutating; the tail masks the keystream to the data
+/// length exactly as EncryptStage does.
+class KeystreamStage {
+ public:
+  static constexpr bool kMutates = true;
+
+  explicit KeystreamStage(const std::uint8_t* keystream) noexcept
+      : ks_(keystream) {}
+
+  std::uint64_t word(std::uint64_t w) noexcept {
+    w ^= load_u64_le(ks_);
+    ks_ += 8;
+    return w;
+  }
+
+  std::uint64_t tail(std::uint64_t w, std::size_t n) noexcept {
+    std::uint64_t k = 0;
+    std::memcpy(&k, ks_, n);
+    ks_ += n;
+    return w ^ k;
+  }
+
+ private:
+  const std::uint8_t* ks_;
 };
 
 /// Presentation byte-order stage: swaps each 32-bit integer in the word
@@ -171,6 +200,7 @@ class Crc32Stage {
 
 static_assert(WordStage<ChecksumStage>);
 static_assert(WordStage<EncryptStage>);
+static_assert(WordStage<KeystreamStage>);
 static_assert(WordStage<Byteswap32Stage>);
 static_assert(WordStage<AppSumStage>);
 static_assert(WordStage<Crc32Stage>);

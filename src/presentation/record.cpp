@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "presentation/ber.h"
 #include "presentation/lwts.h"
@@ -29,6 +31,20 @@ Status validate_record(const RecordSchema& schema, const Record& record) {
   return Status::ok();
 }
 
+namespace {
+
+/// A decoded field, built in place inside its Result. Returning a
+/// FieldValue temporary instead moves a whole variant, and at -O2 with
+/// sanitizers GCC then warns that alternatives the temporary never holds
+/// may be read uninitialized (-Wmaybe-uninitialized).
+template <typename T>
+Result<FieldValue> decoded(T&& v) {
+  return Result<FieldValue>(std::in_place, std::in_place_type<std::decay_t<T>>,
+                            std::forward<T>(v));
+}
+
+}  // namespace
+
 // ---- XDR ---------------------------------------------------------------------------
 
 namespace {
@@ -51,32 +67,32 @@ Result<FieldValue> xdr_decode_field(xdr::XdrReader& r, FieldType t) {
     case FieldType::kInt32: {
       auto v = r.get_int();
       if (!v) return v.error();
-      return FieldValue{*v};
+      return decoded(*v);
     }
     case FieldType::kInt64: {
       auto v = r.get_hyper();
       if (!v) return v.error();
-      return FieldValue{*v};
+      return decoded(*v);
     }
     case FieldType::kFloat64: {
       auto v = r.get_double();
       if (!v) return v.error();
-      return FieldValue{*v};
+      return decoded(*v);
     }
     case FieldType::kString: {
       auto v = r.get_string();
       if (!v) return v.error();
-      return FieldValue{std::move(*v)};
+      return decoded(std::move(*v));
     }
     case FieldType::kOpaque: {
       auto v = r.get_opaque();
       if (!v) return v.error();
-      return FieldValue{std::move(*v)};
+      return decoded(std::move(*v));
     }
     case FieldType::kInt32Array: {
       auto v = r.get_int_array();
       if (!v) return v.error();
-      return FieldValue{std::move(*v)};
+      return decoded(std::move(*v));
     }
   }
   return Error{ErrorCode::kUnsupported, "unknown field type"};
@@ -116,28 +132,28 @@ Result<FieldValue> ber_decode_field(ber::BerReader& r, FieldType t) {
       if (*v < INT32_MIN || *v > INT32_MAX) {
         return Error{ErrorCode::kOutOfRange, "int32 field"};
       }
-      return FieldValue{static_cast<std::int32_t>(*v)};
+      return decoded(static_cast<std::int32_t>(*v));
     }
     case FieldType::kInt64: {
       auto v = r.read_integer();
       if (!v) return v.error();
-      return FieldValue{*v};
+      return decoded(*v);
     }
     case FieldType::kFloat64: {
       auto v = r.read_octet_string();
       if (!v) return v.error();
       if (v->size() != 8) return Error{ErrorCode::kMalformed, "float64 image"};
-      return FieldValue{std::bit_cast<double>(byteswap64(load_u64_le(v->data())))};
+      return decoded(std::bit_cast<double>(byteswap64(load_u64_le(v->data()))));
     }
     case FieldType::kString: {
       auto v = r.read_octet_string();
       if (!v) return v.error();
-      return FieldValue{std::string(reinterpret_cast<const char*>(v->data()), v->size())};
+      return decoded(std::string(reinterpret_cast<const char*>(v->data()), v->size()));
     }
     case FieldType::kOpaque: {
       auto v = r.read_octet_string();
       if (!v) return v.error();
-      return FieldValue{ByteBuffer(*v)};
+      return decoded(ByteBuffer(*v));
     }
     case FieldType::kInt32Array: {
       auto seq = r.enter_sequence();
@@ -151,7 +167,7 @@ Result<FieldValue> ber_decode_field(ber::BerReader& r, FieldType t) {
         }
         out.push_back(static_cast<std::int32_t>(*v));
       }
-      return FieldValue{std::move(out)};
+      return decoded(std::move(out));
     }
   }
   return Error{ErrorCode::kUnsupported, "unknown field type"};
@@ -221,33 +237,33 @@ Result<FieldValue> lwts_decode_field(ConstBytes in, std::size_t& pos, FieldType 
     case FieldType::kInt32: {
       std::uint32_t v = 0;
       if (!lwts_get_u32(in, pos, v)) return truncated;
-      return FieldValue{static_cast<std::int32_t>(v)};
+      return decoded(static_cast<std::int32_t>(v));
     }
     case FieldType::kInt64: {
       if (in.size() - pos < 8) return truncated;
       const auto v = static_cast<std::int64_t>(load_u64_le(in.data() + pos));
       pos += 8;
-      return FieldValue{v};
+      return decoded(v);
     }
     case FieldType::kFloat64: {
       if (in.size() - pos < 8) return truncated;
       const double v = std::bit_cast<double>(load_u64_le(in.data() + pos));
       pos += 8;
-      return FieldValue{v};
+      return decoded(v);
     }
     case FieldType::kString: {
       std::uint32_t len = 0;
       if (!lwts_get_u32(in, pos, len) || in.size() - pos < len) return truncated;
       std::string s(reinterpret_cast<const char*>(in.data() + pos), len);
       pos += len;
-      return FieldValue{std::move(s)};
+      return decoded(std::move(s));
     }
     case FieldType::kOpaque: {
       std::uint32_t len = 0;
       if (!lwts_get_u32(in, pos, len) || in.size() - pos < len) return truncated;
       ByteBuffer b(in.subspan(pos, len));
       pos += len;
-      return FieldValue{std::move(b)};
+      return decoded(std::move(b));
     }
     case FieldType::kInt32Array: {
       std::uint32_t count = 0;
@@ -257,7 +273,7 @@ Result<FieldValue> lwts_decode_field(ConstBytes in, std::size_t& pos, FieldType 
       std::vector<std::int32_t> a(count);
       copy_bytes(a.data(), in.data() + pos, bytes);
       pos += bytes;
-      return FieldValue{std::move(a)};
+      return decoded(std::move(a));
     }
   }
   return Error{ErrorCode::kUnsupported, "unknown field type"};

@@ -4,13 +4,11 @@
 // fall back to these helpers for the remainder. The helpers reproduce the
 // exact conventions of the scalar ILP stages (ilp/stages.h): little-endian
 // 16-bit word order for the Internet sum, zero-padded partial words, the
-// Byteswap32Stage partial-tail rule, and ChaCha20 keystream consumed in
-// 64-byte block order — so a vector tier that uses them for its tail is
-// byte-identical to the scalar tier by construction.
+// Byteswap32Stage partial-tail rule, and the ChaCha20 state layout — so a
+// vector tier that uses them for its tail is byte-identical to the scalar
+// tier by construction.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "crypto/chacha20.h"
@@ -61,44 +59,36 @@ inline std::uint64_t bswap32_pair(std::uint64_t w) noexcept {
   return (std::uint64_t{hi} << 32) | lo;
 }
 
-/// Scalar remainder of the fused [decrypt] + checksum [+ byteswap] kernels.
-/// `p` must sit at a multiple-of-64 offset from the start of the original
-/// buffer with `counter` advanced accordingly (ChaCha20 block alignment);
-/// processes the last `n` bytes and returns the extended exact sum.
-/// Replicates ilp_fused(EncryptStage?, ChecksumStage, Byteswap32Stage?)
-/// bit for bit: keystream masked to the data length, checksum over the
-/// zero-padded plaintext word, partial tails byteswapped only when exactly
-/// 4 bytes remain.
-inline std::uint64_t fused_tail(const ChaChaKey* key, std::uint32_t counter,
-                                std::uint8_t* p, std::size_t n,
-                                std::uint64_t sum, bool swap) noexcept {
-  std::array<std::uint8_t, 64> ks{};
-  std::size_t off = 0;
-  while (off < n) {
-    if (key != nullptr) chacha20_block(*key, counter++, ks);
-    const std::size_t take = std::min<std::size_t>(64, n - off);
-    std::size_t i = 0;
-    for (; i + 8 <= take; i += 8) {
-      std::uint64_t w = load_u64_le(p + off + i);
-      if (key != nullptr) w ^= load_u64_le(ks.data() + i);
-      sum += sum16_word(w);
-      if (swap) w = bswap32_pair(w);
-      store_u64_le(p + off + i, w);
+/// Scalar remainder of the fused [xor] + checksum [+ byteswap] kernels:
+/// processes the last `n` bytes at `p`, XORing the keystream at `ks` (the
+/// bytes that belong to p[0..n)) when it is not null, and returns the
+/// extended exact sum. Replicates ilp_fused(KeystreamStage?, ChecksumStage,
+/// Byteswap32Stage?) bit for bit: keystream masked to the data length,
+/// checksum over the zero-padded plaintext word, partial tails byteswapped
+/// only when exactly 4 bytes remain.
+inline std::uint64_t fused_tail(const std::uint8_t* ks, std::uint8_t* p,
+                                std::size_t n, std::uint64_t sum,
+                                bool swap) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w = load_u64_le(p + i);
+    if (ks != nullptr) w ^= load_u64_le(ks + i);
+    sum += sum16_word(w);
+    if (swap) w = bswap32_pair(w);
+    store_u64_le(p + i, w);
+  }
+  const std::size_t rem = n - i;
+  if (rem > 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, rem);
+    if (ks != nullptr) {
+      std::uint64_t kw = 0;  // only rem keystream bytes: padding stays 0
+      std::memcpy(&kw, ks + i, rem);
+      w ^= kw;
     }
-    const std::size_t rem = take - i;
-    if (rem > 0) {
-      std::uint64_t w = 0;
-      std::memcpy(&w, p + off + i, rem);
-      if (key != nullptr) {
-        std::uint64_t kw = 0;  // only rem keystream bytes: padding stays 0
-        std::memcpy(&kw, ks.data() + i, rem);
-        w ^= kw;
-      }
-      sum += sum16_word(w);
-      if (swap && rem == 4) w = byteswap32(static_cast<std::uint32_t>(w));
-      std::memcpy(p + off + i, &w, rem);
-    }
-    off += take;
+    sum += sum16_word(w);
+    if (swap && rem == 4) w = byteswap32(static_cast<std::uint32_t>(w));
+    std::memcpy(p + i, &w, rem);
   }
   return sum;
 }

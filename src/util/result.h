@@ -69,6 +69,10 @@ class Result {
   Result(Error err) : v_(std::move(err)) {}                      // NOLINT
   Result(ErrorCode code, std::string msg = {})                   // NOLINT
       : v_(Error{code, std::move(msg)}) {}
+  /// Builds the value in place from `args`: no T temporary is moved in.
+  template <typename... Args>
+  explicit Result(std::in_place_t, Args&&... args)
+      : v_(std::in_place_index<0>, std::forward<Args>(args)...) {}
 
   bool ok() const noexcept { return std::holds_alternative<T>(v_); }
   explicit operator bool() const noexcept { return ok(); }
