@@ -29,6 +29,7 @@
 #include "obs/metrics.h"
 #include "presentation/plan.h"
 #include "simd/dispatch.h"
+#include "simd/keystream.h"
 #include "util/rng.h"
 
 namespace {
@@ -218,7 +219,7 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
       benchmark::DoNotOptimize(dst.data());
     });
     r.fused = measure_mbps(n, [&] {
-      sink = k.decrypt_checksum_byteswap(key, 0, dst.span());
+      sink = simd::decrypt_internet_checksum(k, key, dst.span(), true);
     });
     if (record_wire.ok()) {
       r.plan_decode = measure_mbps(n, [&] {

@@ -4,6 +4,7 @@
 #include "ilp/engine.h"
 #include "ilp/stages.h"
 #include "simd/dispatch.h"
+#include "simd/keystream.h"
 
 namespace ngp {
 
@@ -40,17 +41,16 @@ bool fused_verify_crc32(const ManipulationPlan& plan, MutableBytes buf,
 
 /// Fused Internet-checksum combos via the dispatch table: the same stage
 /// compositions as fused_verify_crc32, executed by the active SIMD tier in
-/// one memory pass. The §4 charge is charge_fused either way — the ledger
-/// prices memory passes, not instructions, so it is identical across
-/// tiers (a pinned test property).
+/// one memory pass; a decrypt draws its keystream through the cursor the
+/// chain walk uses (simd/keystream.h). The §4 charge is charge_fused
+/// either way — the ledger prices memory passes, not instructions, so it
+/// is identical across tiers (a pinned test property).
 bool fused_verify_internet(const ManipulationPlan& plan, MutableBytes buf,
                            obs::CostAccount* acct) {
   const simd::KernelTable& k = simd::kernels();
   std::uint16_t got;
-  if (plan.decrypt && swap_fused(plan)) {
-    got = k.decrypt_checksum_byteswap(plan.key, 0, buf);
-  } else if (plan.decrypt) {
-    got = k.decrypt_internet_checksum(plan.key, 0, buf);
+  if (plan.decrypt) {
+    got = simd::decrypt_internet_checksum(k, plan.key, buf, swap_fused(plan));
   } else if (swap_fused(plan)) {
     got = k.checksum_byteswap(buf);
   } else {
