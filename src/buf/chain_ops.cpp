@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "checksum/checksum.h"
-#include "ilp/engine.h"
 #include "simd/dispatch.h"
 #include "simd/keystream.h"
 
@@ -44,16 +43,6 @@ struct SwapCursor {
   }
 };
 
-/// Absorbs `bytes` into a running CRC-32, a word at a time. The state
-/// carries across calls, so a chain's segments fold in order with no
-/// combine step.
-void crc_absorb(Crc32Stage& ck, ConstBytes bytes) {
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) ck.word(load_u64_le(p));
-  if (n > 0) ck.tail(ngp::detail::load_tail(p, n), n);
-}
-
 // Sum policies for walk(). Each names the kernel for a (decrypt, swap)
 // pair — run over one piece of a segment with that piece's keystream
 // (empty when not decrypting) — how a scalar piece is absorbed, and the
@@ -90,29 +79,18 @@ struct InternetSum {
   std::uint32_t result() const { return acc.finish(); }
 };
 
-/// CRC-32: the ILP word loop over the stage pack, so the checksum absorbs
-/// the plaintext before the swap. The running state carries across
-/// pieces, so no combine step exists.
+/// CRC-32: the tier's crc32 and byteswap32 per piece of at most 2 KiB
+/// (simd::crc32_fused), so the checksum absorbs the plaintext before the
+/// swap. The raw state carries across pieces, so no combine step exists.
 struct Crc32Sum {
-  Crc32Stage ck;
+  std::uint32_t state = simd::kCrc32Init;
 
   template <bool kDecrypt, bool kSwap>
-  void body(const simd::KernelTable&, ConstBytes ks, MutableBytes b) {
-    if constexpr (kDecrypt) {
-      KeystreamStage dec(ks.data());
-      if constexpr (kSwap) {
-        Byteswap32Stage swap;
-        ilp_fused(b, b, dec, ck, swap);
-      } else {
-        ilp_fused(b, b, dec, ck);
-      }
-    } else {
-      Byteswap32Stage swap;
-      ilp_fused(b, b, ck, swap);
-    }
+  void body(const simd::KernelTable& k, ConstBytes ks, MutableBytes b) {
+    state = simd::crc32_fused(k, state, ks, b, kSwap);
   }
-  void absorb(ConstBytes b) { crc_absorb(ck, b); }
-  std::uint32_t result() const { return ck.result(); }
+  void absorb(ConstBytes b) { state = crc32_update(state, b); }
+  std::uint32_t result() const { return state ^ simd::kCrc32Init; }
 };
 
 /// The one chain walk. Each segment runs Sum's kernel over its body,
@@ -194,9 +172,10 @@ std::uint32_t chain_checksum(ChecksumKind kind, const BufChain& c) {
       return state;
     }
     case ChecksumKind::kCrc32: {
-      Crc32Stage ck;
-      c.for_each([&](ConstBytes seg) { crc_absorb(ck, seg); });
-      return ck.result();
+      const simd::KernelTable& k = simd::kernels();
+      std::uint32_t state = simd::kCrc32Init;
+      c.for_each([&](ConstBytes seg) { state = k.crc32(state, seg); });
+      return state ^ simd::kCrc32Init;
     }
   }
   return 0;

@@ -7,8 +7,10 @@
 // scalar head and tail only where a 4-byte swap unit is split by a
 // segment boundary. Internet sums fold per piece with
 // InternetChecksum::combine, which tracks byte parity so odd lengths fold
-// correctly; CRC-32 carries its running state from piece to piece (tested
-// against the flat executor across every tier in buf_test).
+// correctly; CRC-32 runs the tier's crc32 then byteswap32 per piece of at
+// most 2 KiB (simd::crc32_fused), its raw state carrying from piece to
+// piece (tested against the flat executor across every tier in
+// buf_test).
 //
 // ChaCha20: the cipher's keystream is positional, so it is decoupled from
 // the cutting. One simd::KeystreamCursor (simd/keystream.h) per walk runs

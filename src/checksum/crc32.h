@@ -1,9 +1,13 @@
 // crc32.h — CRC-32 (IEEE 802.3 polynomial, reflected).
 //
-// Used by the AAL5-style cell reassembly trailer (src/netsim/cell_link) and
-// as the strong-integrity option in the ALF per-ADU check. Two kernels:
-// classic table-driven byte-at-a-time, and slice-by-8 (one 64-bit load per
-// 8 bytes) for the ILP ablation on memory traffic per byte.
+// Used by the AAL5-style cell reassembly trailer (src/netsim/cell_link),
+// the byte-stream framing trailer (src/netsim/framing) and as the
+// strong-integrity option in the ALF per-ADU check. Three forms: the
+// classic table-driven byte-at-a-time reference; crc32_update, which
+// continues a raw state with slice-by-8 (one 64-bit load per 8 bytes) and
+// is the table entry of every SIMD tier without a folded CRC
+// (simd/dispatch.h); and the word primitives the ILP Crc32Stage
+// (ilp/stages.h) folds into its fused word loop.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +20,15 @@ namespace ngp {
 /// the zlib/Ethernet CRC. Table-driven, one byte per step.
 std::uint32_t crc32(ConstBytes data) noexcept;
 
-/// Slice-by-8 CRC-32; identical result, ~4-6x fewer table lookups stalls.
-std::uint32_t crc32_slice8(ConstBytes data) noexcept;
+/// Continues a raw CRC state (pre-final-xor) over `data`, slice-by-8, and
+/// returns the new raw state. crc32(d) == crc32_update(0xFFFFFFFF, d) ^
+/// 0xFFFFFFFF, and crc32_update(crc32_update(s, a), b) ==
+/// crc32_update(s, a‖b) for any cut.
+std::uint32_t crc32_update(std::uint32_t state, ConstBytes data) noexcept;
 
-/// Advances a raw CRC state (pre-final-xor) by one little-endian 64-bit
-/// word using the slice-by-8 tables. Exposed so the ILP Crc32Stage
-/// (ilp/stages.h) can fold CRC computation into a fused word loop.
+/// Advances a raw CRC state by one little-endian 64-bit word using the
+/// slice-by-8 tables. Exposed so the ILP Crc32Stage (ilp/stages.h) can
+/// fold CRC computation into a fused word loop.
 std::uint32_t crc32_update_word(std::uint32_t state, std::uint64_t word) noexcept;
 
 /// Advances a raw CRC state by n (< 8) tail bytes of a little-endian word.

@@ -68,7 +68,7 @@ Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
       worker_stats_(cfg.workers > 0 ? cfg.workers : 1),
       queue_depth_(0.0, 64.0, 16),
-      job_latency_us_(0.0, 200.0, 200),
+      job_latency_us_(0.0, 200.0, 2000),
       done_(std::make_unique<DoneQueue>()) {
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {

@@ -1,8 +1,6 @@
 #include "ilp/pipeline.h"
 
 #include "buf/chain_ops.h"
-#include "ilp/engine.h"
-#include "ilp/stages.h"
 #include "simd/dispatch.h"
 #include "simd/keystream.h"
 
@@ -16,42 +14,33 @@ bool swap_fused(const ManipulationPlan& plan) {
   return plan.present == PresentStage::kSwap32;
 }
 
-/// Fused decrypt+verify(+decode) over CRC-32, which has a word kernel but
-/// no dispatch-table entry. The stage pack order matters: the checksum
-/// stage sits between decrypt and byteswap so it always absorbs the
-/// plaintext wire bytes.
-bool fused_verify_crc32(const ManipulationPlan& plan, MutableBytes buf,
-                        obs::CostAccount* acct) {
-  Crc32Stage ck;
-  if (plan.decrypt && swap_fused(plan)) {
-    EncryptStage dec(plan.key, 0);
-    Byteswap32Stage swap;
-    ilp_fused_accounted(acct, buf, buf, dec, ck, swap);
-  } else if (plan.decrypt) {
-    EncryptStage dec(plan.key, 0);
-    ilp_fused_accounted(acct, buf, buf, dec, ck);
-  } else if (swap_fused(plan)) {
-    Byteswap32Stage swap;
-    ilp_fused_accounted(acct, buf, buf, ck, swap);
-  } else {
-    ilp_fused_accounted(acct, buf, buf, ck);
-  }
-  return ck.result() == plan.expected_checksum;
-}
-
-/// Fused Internet-checksum combos via the dispatch table: the same stage
-/// compositions as fused_verify_crc32, executed by the active SIMD tier in
-/// one memory pass; a decrypt draws its keystream through the cursor the
-/// chain walk uses (simd/keystream.h). The §4 charge is charge_fused
-/// either way — the ledger prices memory passes, not instructions, so it
-/// is identical across tiers (a pinned test property).
-bool fused_verify_internet(const ManipulationPlan& plan, MutableBytes buf,
-                           obs::CostAccount* acct) {
+/// The fused passes via the dispatch table, one memory pass each; a
+/// decrypt draws its keystream through the cursor the chain walk uses
+/// (simd/keystream.h), and the checksum always absorbs the plaintext
+/// before any swap. Internet: the tier's fused kernels. CRC-32: the tier's
+/// crc32 and byteswap32 per piece of at most 2 KiB (simd::crc32_fused),
+/// as the chain walk runs them. The §4 charge is charge_fused either way —
+/// the ledger prices memory passes, not instructions, so it is identical
+/// across tiers (a pinned test property).
+bool fused_verify(const ManipulationPlan& plan, MutableBytes buf,
+                  obs::CostAccount* acct) {
   const simd::KernelTable& k = simd::kernels();
-  std::uint16_t got;
-  if (plan.decrypt) {
-    got = simd::decrypt_internet_checksum(k, plan.key, buf, swap_fused(plan));
-  } else if (swap_fused(plan)) {
+  const bool swap = swap_fused(plan);
+  std::uint32_t got;
+  if (plan.checksum_kind == ChecksumKind::kCrc32) {
+    std::uint32_t state = simd::kCrc32Init;
+    if (plan.decrypt) {
+      simd::KeystreamCursor ks(k, &plan.key, buf.size());
+      ks.pieces(buf, [&](ConstBytes stream, MutableBytes piece) {
+        state = simd::crc32_fused(k, state, stream, piece, swap);
+      });
+    } else {
+      state = simd::crc32_fused(k, state, {}, buf, swap);
+    }
+    got = state ^ simd::kCrc32Init;
+  } else if (plan.decrypt) {
+    got = simd::decrypt_internet_checksum(k, plan.key, buf, swap);
+  } else if (swap) {
     got = k.checksum_byteswap(buf);
   } else {
     got = k.internet_checksum(buf);
@@ -72,11 +61,7 @@ bool fuses(const ManipulationPlan& plan) {
 
 bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
                       obs::CostAccount* acct) {
-  if (fuses(plan)) {
-    return plan.checksum_kind == ChecksumKind::kInternet
-               ? fused_verify_internet(plan, buf, acct)
-               : fused_verify_crc32(plan, buf, acct);
-  }
+  if (fuses(plan)) return fused_verify(plan, buf, acct);
 
   // Layered, or a checksum with no word kernel (Fletcher/Adler/none): one
   // full pass per manipulation, conventional ordering — so any byteswap

@@ -41,8 +41,9 @@ enum class PresentStage : std::uint8_t { kNone = 0, kIdentity, kSwap32 };
 /// The fused ILP stage pipeline for one complete ADU:
 /// decrypt -> verify checksum (of the plaintext) -> presentation decode.
 /// Stages are optional and independently selectable; the executor fuses
-/// whatever subset it can into one pass (ilp_fused) and falls back to extra
-/// passes only where a stage has no word kernel (Fletcher/Adler verify).
+/// whatever subset it can into one pass (the active SIMD tier's kernels,
+/// simd/dispatch.h) and falls back to extra passes only where a checksum
+/// has no fused pass (Fletcher/Adler verify).
 struct ManipulationPlan {
   /// Conventional layered engineering instead of the fused loop (one full
   /// pass per manipulation) — ProcessMode::kLayered of the session.

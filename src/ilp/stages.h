@@ -175,9 +175,10 @@ class AppSumStage {
   std::uint64_t total_ = 0;
 };
 
-/// CRC-32 stage (slice-by-8 per word), non-mutating. The strong-integrity
-/// alternative to ChecksumStage in the fused receive path; result()
-/// matches crc32()/crc32_slice8() exactly (tested property).
+/// CRC-32 stage (slice-by-8 per word), non-mutating: the scalar ILP
+/// composition the fused CRC-32 passes (simd::crc32_fused, the tier's
+/// crc32 and byteswap32 per piece) are tested against; result() matches
+/// crc32() exactly (tested property).
 class Crc32Stage {
  public:
   static constexpr bool kMutates = false;

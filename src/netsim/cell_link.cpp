@@ -31,7 +31,7 @@ bool CellLink::send(ConstBytes frame) {
   if (frame.size() > max_frame_) return false;
 
   // AAL5-style: payload || pad || trailer(len, crc), split across cells.
-  const std::uint32_t crc = simd::kernels().crc32(frame);
+  const std::uint32_t crc = simd::crc32(simd::kernels(), frame);
   const std::size_t ncells = cells_for_frame(frame.size());
   const std::size_t padded = ncells * kCellPayloadSize;
 
@@ -83,7 +83,7 @@ void CellLink::finish_frame() {
   }
   if (ok) {
     const std::uint32_t want_crc = load_u32_be(sdu.data() + sdu.size() - 4);
-    ok = simd::kernels().crc32(sdu.subspan(0, frame_len)) == want_crc;
+    ok = simd::crc32(simd::kernels(), sdu.subspan(0, frame_len)) == want_crc;
   }
   if (!ok) {
     ++stats_.frames_dropped_reassembly;

@@ -18,7 +18,7 @@ ByteBuffer FramedBytePath::encode_frame(ConstBytes payload) {
   // Header checksum over magic+len (4 bytes, even).
   w.u16(simd::kernels().internet_checksum(out.subspan(0, 4)));
   w.bytes(payload);
-  w.u32(simd::kernels().crc32(payload));
+  w.u32(simd::crc32(simd::kernels(), payload));
   return out;
 }
 
@@ -69,7 +69,7 @@ void FramedBytePath::deframe() {
       stored_crc = (stored_crc << 8) | peek(kHeaderSize + len + static_cast<std::size_t>(i));
     }
 
-    if (simd::kernels().crc32(payload.span()) != stored_crc) {
+    if (simd::crc32(simd::kernels(), payload.span()) != stored_crc) {
       // Damaged payload (or a fake header that survived the 16-bit check):
       // do NOT consume the whole candidate — a real frame may start inside
       // it. Slide one byte.

@@ -187,7 +187,7 @@ std::uint32_t compute_checksum(ChecksumKind kind, ConstBytes data) noexcept {
     case ChecksumKind::kAdler32:
       return k.adler32(data);
     case ChecksumKind::kCrc32:
-      return k.crc32(data);
+      return simd::crc32(k, data);
   }
   return 0;
 }

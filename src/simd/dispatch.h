@@ -12,7 +12,7 @@
 //
 // Invariants every tier must uphold (pinned by tests/simd_test.cpp):
 //   * byte-identical outputs and identical checksum results vs the scalar
-//     tier for every size and alignment;
+//     tier for every size and alignment, and for crc32 from every state;
 //   * the obs::CostAccount ledger is charged by CALLERS at the analytic §4
 //     pass counts — kernels never touch the ledger, so recorded costs are
 //     tier-independent by construction (the ledger measures memory passes,
@@ -46,7 +46,13 @@ struct KernelTable {
   std::uint16_t (*internet_checksum)(ConstBytes data);  ///< RFC 1071, complemented
   std::uint32_t (*fletcher32)(ConstBytes data);
   std::uint32_t (*adler32)(ConstBytes data);
-  std::uint32_t (*crc32)(ConstBytes data);  ///< IEEE 802.3 reflected
+  /// IEEE 802.3 reflected CRC-32, continuing a raw state: returns the
+  /// state after `data`, with no init or final XOR, so a pass cut into
+  /// pieces (chain segments, 2 KiB slices of a fused pass) threads one
+  /// state through them: crc32(crc32(s, a), b) == crc32(s, a‖b). Callers
+  /// wanting the finished CRC of one buffer use simd::crc32(table, data)
+  /// below.
+  std::uint32_t (*crc32)(std::uint32_t state, ConstBytes data);
   void (*chacha20_xor)(const ChaChaKey& key, std::uint32_t counter,
                        MutableBytes data);
   /// Presentation decode: swap each 32-bit element. Byteswap32Stage
@@ -88,6 +94,15 @@ struct KernelTable {
   /// The same pass with no keystream: checksum, then byteswap.
   std::uint16_t (*checksum_byteswap)(MutableBytes data);
 };
+
+/// The CRC-32 state before any byte, and the XOR that finishes one.
+inline constexpr std::uint32_t kCrc32Init = 0xFFFFFFFFu;
+
+/// The finished CRC-32 of `data` on table `k` (ngp::crc32's value): the
+/// tier kernel seeded with kCrc32Init, then the final XOR.
+inline std::uint32_t crc32(const KernelTable& k, ConstBytes data) noexcept {
+  return k.crc32(kCrc32Init, data) ^ kCrc32Init;
+}
 
 /// The active table. First call resolves cpuid + NGP_FORCE_KERNEL_TIER;
 /// thereafter a single atomic load. Safe from any thread.

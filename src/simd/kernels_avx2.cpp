@@ -5,9 +5,13 @@
 // runtime only when cpuid reports both avx2 and pclmul. The CRC kernel is
 // the classic carry-less-multiply fold-by-4 (Gopal et al., "Fast CRC
 // Computation for Generic Polynomials Using PCLMULQDQ", the same constants
-// zlib uses for the IEEE reflected polynomial); the last <64 bytes continue
-// through the slice-by-8 word primitives so the result is bit-identical to
-// crc32_slice8 for every length.
+// zlib uses for the IEEE reflected polynomial). Like every tier's crc32
+// entry it continues a raw state: the state seeds the first lane where a
+// one-shot CRC would XOR in 0xFFFFFFFF, and inputs under 64 bytes and the
+// last <64 bytes continue through ngp::crc32_update (slice-by-8), so the
+// result is bit-identical to the other tiers for every state and length.
+// The fused CRC-32 passes (simd/keystream.h) call it per piece of at most
+// 2 KiB, ahead of the tier's byteswap32.
 #include <algorithm>
 #include <cstring>
 
@@ -26,9 +30,9 @@ namespace {
 
 #if defined(__PCLMUL__) && defined(__SSE4_1__)
 
-std::uint32_t crc32_clmul(ConstBytes data) {
+std::uint32_t crc32_clmul(std::uint32_t state, ConstBytes data) {
   const std::size_t len = data.size();
-  if (len < 64) return crc32_slice8(data);  // folding needs 4 full lanes
+  if (len < 64) return crc32_update(state, data);  // folding needs 4 lanes
   const std::uint8_t* buf = data.data();
   const std::size_t vlen = len & ~std::size_t{63};
 
@@ -36,8 +40,8 @@ std::uint32_t crc32_clmul(ConstBytes data) {
   __m128i x2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + 16));
   __m128i x3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + 32));
   __m128i x4 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + 48));
-  // Fold the initial state (0xFFFFFFFF, reflected) into the first lane.
-  x1 = _mm_xor_si128(x1, _mm_cvtsi32_si128(static_cast<int>(0xFFFFFFFFu)));
+  // Fold the incoming state (reflected) into the first lane.
+  x1 = _mm_xor_si128(x1, _mm_cvtsi32_si128(static_cast<int>(state)));
 
   const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
   const std::uint8_t* p = buf + 64;
@@ -95,23 +99,9 @@ std::uint32_t crc32_clmul(ConstBytes data) {
   x0 = _mm_clmulepi64_si128(x0, poly, 0x00);
   x1 = _mm_xor_si128(x1, x0);
 
-  std::uint32_t state = static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
-
-  // Continue the raw state over the last <64 bytes with the word
-  // primitives the Crc32Stage uses.
-  const std::uint8_t* q = buf + vlen;
-  std::size_t r = len - vlen;
-  while (r >= 8) {
-    state = crc32_update_word(state, load_u64_le(q));
-    q += 8;
-    r -= 8;
-  }
-  if (r > 0) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, q, r);
-    state = crc32_update_tail(state, w, r);
-  }
-  return state ^ 0xFFFFFFFFu;
+  // Continue the folded state over the last <64 bytes.
+  return crc32_update(static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1)),
+                      data.subspan(vlen));
 }
 
 #endif  // __PCLMUL__ && __SSE4_1__

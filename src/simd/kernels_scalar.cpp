@@ -31,8 +31,6 @@ std::uint32_t k_fletcher(ConstBytes data) { return ngp::fletcher32(data); }
 
 std::uint32_t k_adler(ConstBytes data) { return ngp::adler32(data); }
 
-std::uint32_t k_crc32(ConstBytes data) { return crc32_slice8(data); }
-
 void k_chacha(const ChaChaKey& key, std::uint32_t counter, MutableBytes data) {
   ngp::chacha20_xor(key, counter, data);
 }
@@ -84,7 +82,7 @@ const KernelTable kTable = {
     .internet_checksum = k_internet,
     .fletcher32 = k_fletcher,
     .adler32 = k_adler,
-    .crc32 = k_crc32,
+    .crc32 = crc32_update,
     .chacha20_xor = k_chacha,
     .byteswap32 = k_byteswap,
     .chacha20_keystream = k_keystream,

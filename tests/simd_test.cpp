@@ -82,6 +82,16 @@ std::vector<std::pair<std::size_t, std::size_t>> sweep_cases() {
   return cases;
 }
 
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial) continuing a raw
+/// state: a reference that shares no table or code with any tier.
+std::uint32_t crc32_bitwise(std::uint32_t state, ConstBytes data) {
+  for (std::uint8_t b : data) {
+    state ^= b;
+    for (int k = 0; k < 8; ++k) state = (state >> 1) ^ (0xEDB88320u & (0u - (state & 1u)));
+  }
+  return state;
+}
+
 /// Restores the entry-time active tier on destruction so in-process tier
 /// sweeps cannot leak into other tests.
 struct TierGuard {
@@ -124,8 +134,46 @@ TEST(SimdKernels, ChecksumsMatchScalarAllSizesAndAlignments) {
           << t->name << " fletcher n=" << n << " a=" << a;
       EXPECT_EQ(t->adler32(src), scalar->adler32(src))
           << t->name << " adler n=" << n << " a=" << a;
-      EXPECT_EQ(t->crc32(src), scalar->crc32(src))
-          << t->name << " crc n=" << n << " a=" << a;
+    }
+  }
+
+  // crc32 continues a raw state, so every tier, the scalar one included,
+  // is checked against the bitwise reference from three states, and the
+  // finished default-state value against the bytewise ngp::crc32.
+  std::mt19937 rng(0x5EED);
+  const std::uint32_t states[] = {simd::kCrc32Init, 0u,
+                                  static_cast<std::uint32_t>(rng())};
+  for (const auto& [n, a] : sweep_cases()) {
+    const ConstBytes src{backing.data() + a, n};
+    ASSERT_EQ(crc32_bitwise(simd::kCrc32Init, src) ^ simd::kCrc32Init, crc32(src))
+        << "reference n=" << n;
+    for (std::uint32_t s : states) {
+      const std::uint32_t want = crc32_bitwise(s, src);
+      for (const auto* t : available_tiers()) {
+        EXPECT_EQ(t->crc32(s, src), want)
+            << t->name << " crc state=" << s << " n=" << n << " a=" << a;
+      }
+    }
+  }
+
+  // Continuation across the fold's 64-byte lanes and the fused passes'
+  // 2 KiB pieces: crc32(crc32(s, a), b) == crc32(s, a‖b).
+  for (std::size_t len : {std::size_t{200}, std::size_t{2100}, std::size_t{4096}}) {
+    const ConstBytes whole{backing.data() + 3, len};
+    for (std::size_t cut : {63u, 64u, 65u, 127u, 128u, 129u, 2047u, 2048u, 2049u}) {
+      if (cut > len) continue;
+      for (const auto* t : available_tiers()) {
+        for (std::uint32_t s : states) {
+          EXPECT_EQ(t->crc32(t->crc32(s, whole.first(cut)), whole.subspan(cut)),
+                    t->crc32(s, whole))
+              << t->name << " state=" << s << " len=" << len << " cut=" << cut;
+        }
+        EXPECT_EQ(t->crc32(t->crc32(simd::kCrc32Init, whole.first(cut)),
+                           whole.subspan(cut)) ^
+                      simd::kCrc32Init,
+                  crc32(whole))
+            << t->name << " len=" << len << " cut=" << cut;
+      }
     }
   }
 }
@@ -341,6 +389,30 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
         ChecksumStage ck;
         detail::layered_pass(MutableBytes{plain.data(), n}, ck);
         ASSERT_EQ(ck.result(), t->internet_checksum(src)) << t->name << " n=" << n;
+      }
+      // The fused CRC-32 pass (the tier's xor_keystream, crc32 and
+      // byteswap32 per piece of at most 2 KiB) against ilp_fused over
+      // EncryptStage, Crc32Stage and Byteswap32Stage.
+      for (bool decrypt : {false, true}) {
+        std::vector<std::uint8_t> ref(src.begin(), src.end());
+        std::vector<std::uint8_t> got = ref;
+        Crc32Stage crc;
+        EncryptStage dec(key, 0);
+        Byteswap32Stage swap;
+        const MutableBytes r{ref.data(), n};
+        if (decrypt) {
+          ilp_fused(r, r, dec, crc, swap);
+        } else {
+          ilp_fused(r, r, crc, swap);
+        }
+        std::vector<std::uint8_t> ks(decrypt ? n : 0);
+        t->chacha20_keystream(key, 0, MutableBytes{ks.data(), ks.size()});
+        const std::uint32_t state =
+            simd::crc32_fused(*t, simd::kCrc32Init, ConstBytes{ks.data(), ks.size()},
+                              MutableBytes{got.data(), n}, true);
+        ASSERT_EQ(ref, got) << t->name << " crc n=" << n << " decrypt=" << decrypt;
+        ASSERT_EQ(crc.result(), state ^ simd::kCrc32Init)
+            << t->name << " crc n=" << n << " decrypt=" << decrypt;
       }
     }
   }
