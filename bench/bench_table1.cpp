@@ -167,9 +167,11 @@ void print_table1(ngp::bench::BenchReport& rep) {
 // Throughput moves with the tier; the §4 pass structure (COST_PROFILE_JSON
 // above) does not — the dispatch table changes instructions per word, not
 // memory passes. The headline check is the paper's own fusion workload:
-// the fused decrypt+checksum+byteswap kernel on the best tier must clear
-// 1.5x its scalar version, mirroring the 1.5x the paper measured for
-// hand-integrated copy+checksum.
+// the fused decrypt+checksum+byteswap pass (buf::span_pass) on the best
+// tier must clear 1.5x its scalar version, mirroring the 1.5x the paper
+// measured for hand-integrated copy+checksum. The chacha20 column is
+// simd::chacha20_xor. A copy has no tier column: every datapath copy is
+// memcpy (copy_bytes), which the BM_CopyMemcpy registration times.
 //
 // The "crc+swap" column is small_rpc's receive pass: run_manipulation
 // with a CRC-32 + kSwap32 plan over the same buffer, the tier's crc32 and
@@ -201,7 +203,7 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
 
   struct TierRow {
     simd::KernelTier tier;
-    double copy, cksum, crc, chacha, fused, crc_swap, plan_decode;
+    double cksum, crc, chacha, fused, crc_swap, plan_decode;
   };
   ManipulationPlan crc_swap_plan;
   crc_swap_plan.checksum_kind = ChecksumKind::kCrc32;
@@ -215,20 +217,16 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
     if (table == nullptr) continue;  // not supported on this host
     simd::set_active_tier(tier);
     const simd::KernelTable& k = *table;
-    TierRow r{tier, 0, 0, 0, 0, 0, 0, 0};
-    r.copy = measure_mbps(n, [&] {
-      k.copy(src.span(), dst.span());
-      benchmark::DoNotOptimize(dst.data());
-    });
+    TierRow r{tier, 0, 0, 0, 0, 0, 0};
     volatile std::uint32_t sink = 0;
     r.cksum = measure_mbps(n, [&] { sink = k.internet_checksum(src.span()); });
     r.crc = measure_mbps(n, [&] { sink = simd::crc32(k, src.span()); });
     r.chacha = measure_mbps(n, [&] {
-      k.chacha20_xor(key, 0, dst.span());
+      simd::chacha20_xor(k, key, dst.span());
       benchmark::DoNotOptimize(dst.data());
     });
     r.fused = measure_mbps(n, [&] {
-      sink = simd::decrypt_internet_checksum(k, key, dst.span(), true);
+      sink = buf::span_pass(dst.span(), &key, ChecksumKind::kInternet, true);
     });
     r.crc_swap = measure_mbps(n, [&] {
       sink = run_manipulation(crc_swap_plan, dst.span(), nullptr);
@@ -245,13 +243,12 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
   simd::set_active_tier(saved);
 
   ngp::bench::print_header("Kernel tiers: dispatch-table Mb/s per SIMD level");
-  std::printf("  %-8s %10s %10s %10s %10s %14s %10s %12s\n", "tier", "copy",
-              "cksum", "crc32", "chacha20", "dec+ck+swap", "crc+swap",
-              "plan(xdr)");
+  std::printf("  %-8s %10s %10s %10s %14s %10s %12s\n", "tier", "cksum",
+              "crc32", "chacha20", "dec+ck+swap", "crc+swap", "plan(xdr)");
   for (const auto& r : rows) {
-    std::printf("  %-8s %10.0f %10.0f %10.0f %10.0f %14.0f %10.0f %12.0f\n",
-                simd::tier_name(r.tier), r.copy, r.cksum, r.crc, r.chacha,
-                r.fused, r.crc_swap, r.plan_decode);
+    std::printf("  %-8s %10.0f %10.0f %10.0f %14.0f %10.0f %12.0f\n",
+                simd::tier_name(r.tier), r.cksum, r.crc, r.chacha, r.fused,
+                r.crc_swap, r.plan_decode);
   }
 
   double scalar_fused = 0, best_fused = 0;
@@ -271,12 +268,11 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     char buf[384];
     std::snprintf(buf, sizeof buf,
-                  "%s{\"tier\":\"%s\",\"copy_mbps\":%.0f,"
+                  "%s{\"tier\":\"%s\","
                   "\"internet_checksum_mbps\":%.0f,\"crc32_mbps\":%.0f,"
                   "\"chacha20_mbps\":%.0f,\"fused_decrypt_cksum_swap_mbps\":%.0f,"
                   "\"fused_crc32_swap_mbps\":%.0f,\"plan_decode_xdr_mbps\":%.0f}",
-                  i ? "," : "", simd::tier_name(rows[i].tier), rows[i].copy,
-                  rows[i].cksum, rows[i].crc, rows[i].chacha, rows[i].fused,
+                  i ? "," : "", simd::tier_name(rows[i].tier), rows[i].cksum, rows[i].crc, rows[i].chacha, rows[i].fused,
                   rows[i].crc_swap, rows[i].plan_decode);
     points += buf;
   }

@@ -10,7 +10,6 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "presentation/plan.h"
-#include "simd/dispatch.h"
 
 namespace ngp::alf {
 
@@ -369,7 +368,7 @@ bool AlfReceiver::try_fec_reconstruct(std::uint32_t adu_id, Reassembly& r) {
       const auto s = static_cast<std::uint32_t>(group.fragment_offset(*missing));
       const std::size_t frag_len = group.fragment_length(*missing);
       buf::Slice out{pool().alloc(frag_len), 0, frag_len};
-      simd::kernels().copy(block.span().first(frag_len), out.mutable_bytes());
+      copy_bytes(out.mutable_bytes().data(), block.data(), frag_len);
       ByteBuffer scratch(r.frag_capacity);
       for (std::size_t i = 0; i < group.fragment_count(); ++i) {
         if (i == *missing) continue;
@@ -445,7 +444,7 @@ std::uint32_t AlfReceiver::place(std::uint32_t adu_id, Reassembly& r,
           block = std::move(fresh);
         }
         buf::Slice s{block, at - base, upto - at};
-        simd::kernels().copy(payload.subspan(at - start, upto - at), s.mutable_bytes());
+        copy_bytes(s.mutable_bytes().data(), payload.data() + (at - start), upto - at);
         r.frags.emplace(at, std::move(s));
         r.bytes_received += upto - at;
         at = upto;
@@ -497,8 +496,7 @@ bool AlfReceiver::read_range(const Reassembly& r, std::uint32_t start,
     const std::size_t at = (start + done) - jt->first;
     if (at >= jt->second.len) return false;  // hole
     const std::size_t take = std::min(len - done, jt->second.len - at);
-    simd::kernels().copy(jt->second.bytes().subspan(at, take),
-                         scratch.subspan(done, take));
+    copy_bytes(scratch.data() + done, jt->second.bytes().data() + at, take);
     done += take;
   }
   out = ConstBytes{scratch.data(), len};

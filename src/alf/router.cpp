@@ -45,37 +45,22 @@ void FrameRouter::on_frame(ConstBytes frame) {
     return;
   }
 
-  // ALF frames: peek type + session via the full decoder (verifies the
-  // header checksum exactly once, here at the demux point).
-  auto msg = decode_message(frame);
-  if (!msg) {
+  // ALF frames: the prefix peeks name the plane and session, the demux
+  // calls sessiond::Dispatcher makes; header checks stay with the
+  // endpoints, which decode the frame anyway. Directions as
+  // sessiond::AlfSession::on_frame maps them: DATA, DONE and PROBE feed
+  // the data plane, NACK, PROGRESS and RESUME the feedback plane.
+  const auto type = peek_message_type(frame);
+  const auto session = peek_flow_id(frame);
+  if (!type || !session) {
     ++stats_.frames_undecodable;
     return;
   }
-  Plane p;
-  std::uint16_t session;
-  switch (msg->type) {
-    case MessageType::kData:
-      p = Plane::kData;
-      session = msg->data.session;
-      break;
-    case MessageType::kDone:
-      p = Plane::kData;
-      session = msg->done.session;
-      break;
-    case MessageType::kNack:
-      p = Plane::kFeedback;
-      session = msg->nack.session;
-      break;
-    case MessageType::kProgress:
-      p = Plane::kFeedback;
-      session = msg->progress.session;
-      break;
-    default:
-      ++stats_.frames_undecodable;
-      return;
-  }
-  auto it = planes_.find(std::make_pair(static_cast<std::uint8_t>(p), session));
+  const bool feedback = *type == MessageType::kNack ||
+                        *type == MessageType::kProgress ||
+                        *type == MessageType::kResume;
+  const Plane p = feedback ? Plane::kFeedback : Plane::kData;
+  auto it = planes_.find(std::make_pair(static_cast<std::uint8_t>(p), *session));
   if (it == planes_.end() || !it->second->has_handler()) {
     ++stats_.frames_unroutable;
     return;

@@ -9,8 +9,8 @@
 // A Link delivers to exactly one handler. FrameRouter takes that slot and
 // fans frames out by (message type, session id):
 //
-//   * the DATA plane of session s   — kData / kDone frames for s
-//   * the FEEDBACK plane of session s — kNack / kProgress frames for s
+//   * the DATA plane of session s   — kData / kDone / kProbe frames for s
+//   * the FEEDBACK plane of session s — kNack / kProgress / kResume frames
 //   * the HANDSHAKE plane           — negotiation frames (magic 'H')
 //
 // Each plane is itself a NetPath facade, so AlfSender / AlfReceiver /
@@ -54,9 +54,10 @@ class FrameRouter {
   FrameRouter(const FrameRouter&) = delete;
   FrameRouter& operator=(const FrameRouter&) = delete;
 
-  /// DATA-plane facade for a session (kData + kDone frames).
+  /// DATA-plane facade for a session (kData, kDone and kProbe frames).
   NetPath& data_plane(std::uint16_t session);
-  /// FEEDBACK-plane facade for a session (kNack + kProgress frames).
+  /// FEEDBACK-plane facade for a session (kNack, kProgress and kResume
+  /// frames).
   NetPath& feedback_plane(std::uint16_t session);
   /// Handshake-plane facade (negotiation frames).
   NetPath& handshake_plane();

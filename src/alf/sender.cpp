@@ -6,7 +6,7 @@
 #include "alf/fec.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "simd/dispatch.h"
+#include "simd/keystream.h"
 
 namespace ngp::alf {
 
@@ -121,7 +121,7 @@ Status AlfSender::admit(std::size_t len) const {
 
 ByteBuffer AlfSender::copy_in(ConstBytes payload) {
   ByteBuffer wire(payload.size());
-  simd::kernels().copy(payload, wire.span());
+  copy_bytes(wire.data(), payload.data(), payload.size());
   manip_cost_.charge_pass(payload.size(), /*stores=*/true);  // staging copy
   return wire;
 }
@@ -144,7 +144,7 @@ void AlfSender::prepare(std::uint32_t adu_id, BufferedAdu& b) {
     // synchronization unit, so any complete ADU decrypts standalone.
     ChaChaKey k = cfg_.key;
     store_u32_be(k.nonce.data() + 8, adu_id);
-    simd::kernels().chacha20_xor(k, /*counter=*/0, wire);
+    simd::chacha20_xor(simd::kernels(), k, wire);
     manip_cost_.charge_pass(wire.size(), /*stores=*/true);
     b.flags |= kFlagEncrypted;
   }

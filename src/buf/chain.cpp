@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "simd/dispatch.h"
-
 namespace ngp::buf {
 
 void BufChain::trim_front(std::size_t n) {
@@ -65,17 +63,15 @@ BufChain BufChain::split(std::size_t at) {
 
 void BufChain::copy_out(MutableBytes dst) const {
   assert(dst.size() >= size_);
-  const simd::KernelTable& k = simd::kernels();
   std::size_t off = 0;
   for (const Slice& s : segs_) {
-    k.copy(s.bytes(), dst.subspan(off, s.len));
+    copy_bytes(dst.data() + off, s.bytes().data(), s.len);
     off += s.len;
   }
 }
 
 void BufChain::read(std::size_t pos, MutableBytes out) const {
   assert(pos + out.size() <= size_);
-  const simd::KernelTable& k = simd::kernels();
   std::size_t want = out.size();
   std::size_t written = 0;
   std::size_t seg_start = 0;
@@ -85,7 +81,7 @@ void BufChain::read(std::size_t pos, MutableBytes out) const {
     if (seg_end > pos) {
       const std::size_t from = pos > seg_start ? pos - seg_start : 0;
       const std::size_t take = std::min(want, s.len - from);
-      k.copy(s.bytes().subspan(from, take), out.subspan(written, take));
+      copy_bytes(out.data() + written, s.bytes().data() + from, take);
       written += take;
       pos += take;
       want -= take;

@@ -79,32 +79,53 @@ struct InternetSum {
   std::uint32_t result() const { return acc.finish(); }
 };
 
-/// CRC-32: the tier's crc32 and byteswap32 per piece of at most 2 KiB
-/// (simd::crc32_fused), so the checksum absorbs the plaintext before the
-/// swap. The raw state carries across pieces, so no combine step exists.
+/// CRC-32: the tier's crc32 then byteswap32 per piece of at most kPiece
+/// bytes, so the checksum absorbs the plaintext before the swap and the
+/// swap finds in L1 what crc32 just loaded: one pass over memory. The raw
+/// state carries across pieces, so no combine step exists.
 struct Crc32Sum {
+  /// One cursor refill: a decrypting body is one piece, XORed whole
+  /// first. A body starts on a swap unit and every piece but its last is
+  /// whole 8-byte words, so the swap's tail rule holds as over the body.
+  static constexpr std::size_t kPiece = simd::KeystreamCursor::kCapacity;
+
   std::uint32_t state = simd::kCrc32Init;
 
   template <bool kDecrypt, bool kSwap>
   void body(const simd::KernelTable& k, ConstBytes ks, MutableBytes b) {
-    state = simd::crc32_fused(k, state, ks, b, kSwap);
+    if constexpr (kDecrypt) k.xor_keystream(ks, b);
+    for (std::size_t at = 0; at < b.size(); at += kPiece) {
+      const MutableBytes piece = b.subspan(at, std::min(kPiece, b.size() - at));
+      state = k.crc32(state, piece);
+      if constexpr (kSwap) k.byteswap32(piece);
+    }
   }
   void absorb(ConstBytes b) { state = crc32_update(state, b); }
   std::uint32_t result() const { return state ^ simd::kCrc32Init; }
 };
 
-/// The one chain walk. Each segment runs Sum's kernel over its body,
-/// piece by piece as the keystream cursor's refills allow when
-/// decrypting (the whole body otherwise). With byteswap, the body starts
-/// on a 4-byte swap unit and ends inside the swap region; the bytes
-/// around it (a head of up to 3 bytes, a tail of a split unit or past the
-/// region) take the scalar path, where a SwapCursor carries a unit split
-/// by a segment boundary. Scalar pieces keep the stage order: decrypt,
+/// One flat buffer as a segment source for walk(): the flat executor's
+/// pass is the chain walk over a chain of one segment.
+struct OneSegment {
+  MutableBytes data;
+
+  std::size_t size() const { return data.size(); }
+  template <typename Fn>
+  void for_each_mutable(Fn&& fn) const { fn(data); }
+};
+
+/// The one writing pass, over a BufChain or a OneSegment. Each segment
+/// runs Sum's kernel over its body, piece by piece as the keystream
+/// cursor's refills allow when decrypting (the whole body otherwise).
+/// With byteswap, the body starts on a 4-byte swap unit and ends inside
+/// the swap region; the bytes around it (a head of up to 3 bytes, a tail
+/// of a split unit or past the region) take the scalar path, where a
+/// SwapCursor carries a unit split by a segment boundary. Scalar pieces keep the stage order: decrypt,
 /// checksum, byteswap. When decrypting, every byte, in a kernel piece or
 /// a scalar one, takes its keystream from the one cursor in chain order.
-template <typename Sum, bool kDecrypt, bool kSwap>
-std::uint32_t walk(const ChaChaKey* key, BufChain& c) {
-  static_assert(kDecrypt || kSwap, "a pass that writes nothing is chain_checksum");
+template <typename Sum, bool kDecrypt, bool kSwap, typename Segments>
+std::uint32_t walk(const ChaChaKey* key, Segments& c) {
+  static_assert(kDecrypt || kSwap, "a pass that writes nothing is a checksum");
   const simd::KernelTable& k = simd::kernels();
   Sum sum;
   simd::KeystreamCursor ks(k, key, c.size());
@@ -140,11 +161,26 @@ std::uint32_t walk(const ChaChaKey* key, BufChain& c) {
   return sum.result();
 }
 
-template <typename Sum>
-std::uint32_t walk_with(const ChaChaKey* key, bool byteswap, BufChain& c) {
+template <typename Sum, typename Segments>
+std::uint32_t walk_with(const ChaChaKey* key, bool byteswap, Segments& c) {
   if (key == nullptr) return walk<Sum, false, true>(nullptr, c);
   return byteswap ? walk<Sum, true, true>(key, c)
                   : walk<Sum, true, false>(key, c);
+}
+
+/// A pass that writes: the walk for `sum` over `c`.
+template <typename Segments>
+std::uint32_t writing_pass(Segments& c, const ChaChaKey* decrypt,
+                           ChecksumKind sum, bool byteswap) {
+  switch (sum) {
+    case ChecksumKind::kInternet:
+      return walk_with<InternetSum>(decrypt, byteswap, c);
+    case ChecksumKind::kCrc32:
+      return walk_with<Crc32Sum>(decrypt, byteswap, c);
+    default:
+      assert(sum == ChecksumKind::kNone && "no body kernel for this sum");
+      return walk_with<NoSum>(decrypt, byteswap, c);
+  }
 }
 
 }  // namespace
@@ -184,15 +220,14 @@ std::uint32_t chain_checksum(ChecksumKind kind, const BufChain& c) {
 std::uint32_t chain_pass(BufChain& c, const ChaChaKey* decrypt,
                          ChecksumKind sum, bool byteswap) {
   if (decrypt == nullptr && !byteswap) return chain_checksum(sum, c);
-  switch (sum) {
-    case ChecksumKind::kInternet:
-      return walk_with<InternetSum>(decrypt, byteswap, c);
-    case ChecksumKind::kCrc32:
-      return walk_with<Crc32Sum>(decrypt, byteswap, c);
-    default:
-      assert(sum == ChecksumKind::kNone && "no body kernel for this sum");
-      return walk_with<NoSum>(decrypt, byteswap, c);
-  }
+  return writing_pass(c, decrypt, sum, byteswap);
+}
+
+std::uint32_t span_pass(MutableBytes data, const ChaChaKey* decrypt,
+                        ChecksumKind sum, bool byteswap) {
+  if (decrypt == nullptr && !byteswap) return compute_checksum(sum, data);
+  OneSegment one{data};
+  return writing_pass(one, decrypt, sum, byteswap);
 }
 
 }  // namespace ngp::buf

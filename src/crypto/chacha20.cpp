@@ -94,23 +94,6 @@ void chacha20_keystream(const ChaChaKey& k, std::uint32_t counter,
   }
 }
 
-void chacha20_xor_copy(const ChaChaKey& k, std::uint32_t counter, ConstBytes in,
-                       MutableBytes out) noexcept {
-  std::array<std::uint8_t, 64> ks;
-  std::size_t off = 0;
-  while (off < in.size()) {
-    chacha20_block(k, counter++, ks);
-    const std::size_t n = std::min<std::size_t>(64, in.size() - off);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      store_u64_le(out.data() + off + i,
-                   load_u64_le(in.data() + off + i) ^ load_u64_le(ks.data() + i));
-    }
-    for (; i < n; ++i) out[off + i] = in[off + i] ^ ks[i];
-    off += n;
-  }
-}
-
 ChaChaKeystream::ChaChaKeystream(const ChaChaKey& k, std::uint32_t counter) noexcept {
   init_state(state_, k, counter);
 }

@@ -28,11 +28,6 @@ struct ChaChaKey {
 /// `counter` is the initial 32-bit block counter (RFC 8439 layout).
 void chacha20_xor(const ChaChaKey& k, std::uint32_t counter, MutableBytes data) noexcept;
 
-/// Copies `in` to `out` while encrypting — the separate-pass encryption
-/// stage of the layered executor. Requires out.size() >= in.size().
-void chacha20_xor_copy(const ChaChaKey& k, std::uint32_t counter, ConstBytes in,
-                       MutableBytes out) noexcept;
-
 /// Writes the keystream of blocks counter, counter+1, ... to `out`; a
 /// partial last block is cut to out.size(). XORing it into data is
 /// chacha20_xor(k, counter, data).

@@ -21,9 +21,9 @@
 
 #include <cstring>
 
+#include "ilp/kernels.h"
 #include "ilp/stages.h"
 #include "obs/cost.h"
-#include "simd/dispatch.h"
 #include "util/bytes.h"
 
 namespace ngp {
@@ -97,11 +97,10 @@ void ilp_fused(ConstBytes src, MutableBytes dst, Stages&... stages) noexcept {
   }
 }
 
-/// Convenience: fused pipeline with no transform = plain copy. Dispatches
-/// to the active SIMD tier's copy kernel (the scalar tier is the Table 1
-/// "Copy" kernel, copy_unrolled); output is tier-independent.
+/// The layered executor's copy pass: the Table 1 "Copy" kernel, a word
+/// loop like every other pass these templates run.
 inline void word_copy(ConstBytes src, MutableBytes dst) noexcept {
-  simd::kernels().copy(src, dst);
+  copy_unrolled(src, dst);
 }
 
 namespace detail {

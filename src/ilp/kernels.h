@@ -1,11 +1,12 @@
 // kernels.h — standalone measured kernels for the Table 1 reproduction.
 //
 // Table 1 of the paper reports copy and checksum speeds for hand-coded
-// unrolled loops. These are the exact kernels bench_table1 times; they are
-// also the scalar tier of the ngp::simd dispatch table (simd/dispatch.h).
-// Each has a naive and a tuned form so the unrolling ablation can quantify
-// the "hand-coded" part of the claim. Header-only so the simd layer can use
-// them without linking against ngp_ilp (which sits above ngp_simd).
+// unrolled loops. These are the copy kernels bench_table1 times (the
+// checksum ones live in checksum/internet.h); copy_unrolled is also the
+// layered ILP executor's copy pass (word_copy, ilp/engine.h). Each has a
+// naive and a tuned form so the unrolling ablation can quantify the
+// "hand-coded" part of the claim, and copy_memcpy is what the datapath's
+// copies run (copy_bytes).
 #pragma once
 
 #include <cstring>

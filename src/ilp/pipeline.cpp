@@ -14,41 +14,6 @@ bool swap_fused(const ManipulationPlan& plan) {
   return plan.present == PresentStage::kSwap32;
 }
 
-/// The fused passes via the dispatch table, one memory pass each; a
-/// decrypt draws its keystream through the cursor the chain walk uses
-/// (simd/keystream.h), and the checksum always absorbs the plaintext
-/// before any swap. Internet: the tier's fused kernels. CRC-32: the tier's
-/// crc32 and byteswap32 per piece of at most 2 KiB (simd::crc32_fused),
-/// as the chain walk runs them. The §4 charge is charge_fused either way —
-/// the ledger prices memory passes, not instructions, so it is identical
-/// across tiers (a pinned test property).
-bool fused_verify(const ManipulationPlan& plan, MutableBytes buf,
-                  obs::CostAccount* acct) {
-  const simd::KernelTable& k = simd::kernels();
-  const bool swap = swap_fused(plan);
-  std::uint32_t got;
-  if (plan.checksum_kind == ChecksumKind::kCrc32) {
-    std::uint32_t state = simd::kCrc32Init;
-    if (plan.decrypt) {
-      simd::KeystreamCursor ks(k, &plan.key, buf.size());
-      ks.pieces(buf, [&](ConstBytes stream, MutableBytes piece) {
-        state = simd::crc32_fused(k, state, stream, piece, swap);
-      });
-    } else {
-      state = simd::crc32_fused(k, state, {}, buf, swap);
-    }
-    got = state ^ simd::kCrc32Init;
-  } else if (plan.decrypt) {
-    got = simd::decrypt_internet_checksum(k, plan.key, buf, swap);
-  } else if (swap) {
-    got = k.checksum_byteswap(buf);
-  } else {
-    got = k.internet_checksum(buf);
-  }
-  if (acct != nullptr) acct->charge_fused(buf.size());
-  return got == plan.expected_checksum;
-}
-
 /// True when the plan runs as ONE fused pass: ILP mode and a checksum with
 /// a word kernel (Internet, CRC-32). Everything else runs one pass per
 /// manipulation.
@@ -61,7 +26,17 @@ bool fuses(const ManipulationPlan& plan) {
 
 bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
                       obs::CostAccount* acct) {
-  if (fuses(plan)) return fused_verify(plan, buf, acct);
+  if (fuses(plan)) {
+    // The chain walk over one segment. Its §4 charge is one fused pass
+    // whatever the tier: the ledger prices memory passes, not
+    // instructions.
+    const bool intact =
+        buf::span_pass(buf, plan.decrypt ? &plan.key : nullptr,
+                       plan.checksum_kind, swap_fused(plan)) ==
+        plan.expected_checksum;
+    if (acct != nullptr) acct->charge_fused(buf.size());
+    return intact;
+  }
 
   // Layered, or a checksum with no word kernel (Fletcher/Adler/none): one
   // full pass per manipulation, conventional ordering — so any byteswap
@@ -70,7 +45,7 @@ bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
   // passes, not about instruction selection.
   if (acct != nullptr) acct->charge_operation(buf.size());
   if (plan.decrypt) {
-    simd::kernels().chacha20_xor(plan.key, 0, buf);
+    simd::chacha20_xor(simd::kernels(), plan.key, buf);
     if (acct != nullptr) acct->charge_pass(buf.size(), /*stores=*/true);
   }
   if (acct != nullptr) acct->charge_pass(buf.size(), /*stores=*/false);

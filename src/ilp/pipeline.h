@@ -12,8 +12,10 @@
 // Both paths run one executor over the receiver's reassembly chains,
 // run_manipulation_chain, so the §4 cost ledger (obs::CostAccount) is
 // charged identically no matter where a plan runs, a property the engine
-// tests pin. run_manipulation is its flat twin: the reference the chain
-// executor is tested against, and the kernel-tier benches' subject.
+// tests pin. run_manipulation is its flat twin over one buffer, the same
+// walk over one segment and the kernel-tier benches' subject. The
+// reference both are tested against is the ILP stage templates
+// (ilp_fused over ilp/stages.h, buf_test).
 #pragma once
 
 #include "buf/chain.h"
@@ -68,7 +70,8 @@ struct ManipulationPlan {
 /// intact); the buffer then holds the decrypted (and, when requested,
 /// byte-swapped) payload. On mismatch the buffer contents are unspecified —
 /// callers discard and re-fetch, the ADU being the unit of error recovery
-/// (§5).
+/// (§5). A fused plan is one buf::span_pass, the chain walk over one
+/// segment.
 ///
 /// `acct` (nullable) is charged in the §4 currency exactly as the inline
 /// receive path charges it: fused plans pay one pass regardless of stage
@@ -87,11 +90,10 @@ bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
 /// Adler-32 take their extra read-only pass as in the flat executor.
 ///
 /// Ledger: the flat executor's charge, which depends only on the plan and
-/// the byte count, with one exception: the flat fused kernel is
-/// copy-shaped and charges 1 load + 1 store per word, while a fused chain
-/// pass that writes nothing (no decrypt, no swap) charges a load-only
-/// pass. That difference IS the zero-copy saving the COPY_LEDGER benches
-/// measure.
+/// the byte count, with one exception: the flat fused pass is charged
+/// copy-shaped, 1 load + 1 store per word, while a fused chain pass that
+/// writes nothing (no decrypt, no swap) charges a load-only pass. That
+/// difference IS the zero-copy saving the COPY_LEDGER benches measure.
 bool run_manipulation_chain(const ManipulationPlan& plan, buf::BufChain& chain,
                             obs::CostAccount* acct);
 

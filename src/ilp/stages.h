@@ -7,6 +7,8 @@
 // with a uniform word-level interface, so the integrated executor
 // (engine.h) can compose any subset into a single inlined loop, and the
 // layered executor can run the same stages as separate per-layer passes.
+// They are the scalar dispatch tier's fused entries and the reference
+// the receive executors' pass walk (buf/chain_ops.h) is tested against.
 //
 // Stage interface (see the WordStage concept):
 //   uint64_t word(uint64_t w)            — absorb/transform one aligned
@@ -176,9 +178,9 @@ class AppSumStage {
 };
 
 /// CRC-32 stage (slice-by-8 per word), non-mutating: the scalar ILP
-/// composition the fused CRC-32 passes (simd::crc32_fused, the tier's
-/// crc32 and byteswap32 per piece) are tested against; result() matches
-/// crc32() exactly (tested property).
+/// composition the fused CRC-32 pass (the pass walk's tier crc32 and
+/// byteswap32 per piece, buf/chain_ops.cpp) is tested against; result()
+/// matches crc32() exactly (tested property).
 class Crc32Stage {
  public:
   static constexpr bool kMutates = false;

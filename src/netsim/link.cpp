@@ -3,7 +3,6 @@
 #include "buf/ingress.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "simd/dispatch.h"
 
 namespace ngp {
 
@@ -73,10 +72,10 @@ bool Link::send(ConstBytes frame) {
   // instead of re-copying.
   buf::BufferPool& pool = rx_pool_ != nullptr ? *rx_pool_ : buf::default_pool();
   buf::Slice s{pool.alloc(frame.size()), 0, frame.size()};
-  simd::kernels().copy(frame, s.mutable_bytes());
+  copy_bytes(s.mutable_bytes().data(), frame.data(), frame.size());
   if (dup) {
     buf::Slice second{pool.alloc(frame.size()), 0, frame.size()};
-    simd::kernels().copy(s.bytes(), second.mutable_bytes());
+    copy_bytes(second.mutable_bytes().data(), s.bytes().data(), frame.size());
     events_.schedule_at(dup_arrive, [this, f = std::move(second)]() mutable {
       deliver(std::move(f));
     });

@@ -64,7 +64,7 @@ class CopyOnIngressPath final : public NetPath {
     }
     inner_.set_handler([this, h = std::move(handler)](ConstBytes frame) {
       copy_.resize(frame.size());
-      simd::kernels().copy(frame, copy_.span());
+      copy_bytes(copy_.data(), frame.data(), frame.size());
       h(copy_.span());
     });
   }
@@ -142,7 +142,7 @@ struct AppConsumer {
     if (copy_stage) {
       // The injected operator: one full extra copy pass per ADU.
       ByteBuffer scratch(payload.size());
-      simd::kernels().copy(payload.span(), scratch.span());
+      copy_bytes(scratch.data(), payload.data(), payload.size());
       cost.charge_pass(payload.size(), /*stores=*/true);
       payload = std::move(scratch);
     }
@@ -483,7 +483,7 @@ RunMeasurement SessiondPlaneWorkload::run(std::size_t offered,
       f.payload = wire.subspan(off, std::min(kFragLen, wire.size() - off));
       const ByteBuffer encoded = alf::encode_fragment(f);
       buf::Slice frame{pool.alloc(encoded.size()), 0, encoded.size()};
-      simd::kernels().copy(encoded.span(), frame.mutable_bytes());
+      copy_bytes(frame.mutable_bytes().data(), encoded.data(), encoded.size());
       frames.push_back(std::move(frame));
     }
   }

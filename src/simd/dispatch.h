@@ -27,22 +27,24 @@
 namespace ngp::simd {
 
 enum class KernelTier : std::uint8_t {
-  kScalar = 0,  ///< portable 64-bit word loops (ilp/kernels.h, ilp/engine.h)
+  kScalar = 0,  ///< portable 64-bit word loops (checksum/, ilp/engine.h)
   kSse = 1,     ///< 16-byte vectors (x86 SSE2..SSSE3)
   kAvx2 = 2,    ///< 32-byte vectors + PCLMULQDQ CRC folding
   kNeon = 3,    ///< 16-byte vectors (aarch64)
 };
 inline constexpr std::size_t kKernelTierCount = 4;
 
-/// One tier's kernel set. All function pointers are non-null in every
-/// compiled-in table. Buffers may be arbitrarily aligned; src/dst of copy
-/// kernels must not overlap; in-place kernels mutate their span directly.
+/// One tier's ten kernels. All function pointers are non-null in every
+/// compiled-in table. Buffers may be arbitrarily aligned; in-place
+/// kernels mutate their span directly. A copy is no kernel here: every
+/// datapath copy is copy_bytes (util/bytes.h), libc's memcpy, which no
+/// tier's loop beat; a ChaCha20 XOR is simd::chacha20_xor
+/// (simd/keystream.h), the generator below and xor_keystream.
 struct KernelTable {
   KernelTier tier;
   const char* name;
 
   // --- single-manipulation kernels (one memory pass each) ---
-  void (*copy)(ConstBytes src, MutableBytes dst);
   std::uint16_t (*internet_checksum)(ConstBytes data);  ///< RFC 1071, complemented
   std::uint32_t (*fletcher32)(ConstBytes data);
   std::uint32_t (*adler32)(ConstBytes data);
@@ -53,8 +55,6 @@ struct KernelTable {
   /// wanting the finished CRC of one buffer use simd::crc32(table, data)
   /// below.
   std::uint32_t (*crc32)(std::uint32_t state, ConstBytes data);
-  void (*chacha20_xor)(const ChaChaKey& key, std::uint32_t counter,
-                       MutableBytes data);
   /// Presentation decode: swap each 32-bit element. Byteswap32Stage
   /// semantics exactly — 8-byte words swap both halves; a final partial
   /// word swaps only when exactly 4 bytes remain, else passes through.
@@ -67,7 +67,7 @@ struct KernelTable {
   // kernels XOR it in while they sum, swap and store. Callers draw the
   // keystream from a simd::KeystreamCursor (simd/keystream.h), which hands
   // each piece of the data the next keystream bytes, so where the data is
-  // cut (a chain's segments, buf/chain_ops.h; a flat buffer's refills)
+  // cut (a chain's segments or a flat buffer's refills, buf/chain_ops.h)
   // never changes what the cipher computes. Byte effects and results are
   // bit-identical to ilp_fused over the matching stages (KeystreamStage /
   // ChecksumStage / Byteswap32Stage): keystream masked to the data length,
@@ -80,7 +80,7 @@ struct KernelTable {
   /// compute kLanes blocks per step (8 on AVX2, 4 on SSE and NEON).
   void (*chacha20_keystream)(const ChaChaKey& key, std::uint32_t counter,
                              MutableBytes out);
-  /// data ^= keystream, nothing else (the layered decrypt pass).
+  /// data ^= keystream, nothing else (a pass that only ciphers).
   /// `keystream` holds at least data.size() bytes, does not overlap
   /// `data` and may start anywhere in a block; the rest is not read. The
   /// same holds for the keystream of the two kernels below.

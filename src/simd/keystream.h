@@ -1,23 +1,20 @@
-// keystream.h — a ChaCha20 keystream run ahead of the data, and the fused
-// passes that draw it (ngp::simd).
+// keystream.h — a ChaCha20 keystream run ahead of the data, and the
+// cipher pass that draws it (ngp::simd).
 //
 // The cipher's keystream is positional: byte i of a pass XORs byte i of
 // the stream, whatever pieces the data is cut into. KeystreamCursor keeps
 // the generator apart from the cutting: it fills a stack buffer with the
 // tier's chacha20_keystream, whole vector batches at a time, and hands
 // the bytes out in stream order; every piece of data takes the next
-// bytes and runs one (data, keystream) kernel over them. The chain walk
-// (buf/chain_ops.cpp) draws one cursor across all of a chain's segments,
-// and the flat executor (decrypt_internet_checksum below, and the CRC-32
-// pass in ilp/pipeline.cpp) draws one over a single buffer, so both run
-// the same generator and kernel loop. crc32_fused is the CRC-32 plans'
-// piece loop that both executors share.
+// bytes and runs one (data, keystream) kernel over them. The pass walk
+// (buf/chain_ops.cpp) draws one cursor across a chain's segments or one
+// flat buffer, and chacha20_xor below draws one for a pass that only
+// ciphers, so every ChaCha20 XOR in the library runs this generator.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "checksum/internet.h"
 #include "crypto/chacha20.h"
 #include "simd/dispatch.h"
 #include "util/bytes.h"
@@ -83,48 +80,14 @@ class KeystreamCursor {
   alignas(64) std::uint8_t buf_[kCapacity];
 };
 
-/// The longest piece a fused CRC-32 pass hands to one kernel call: one
-/// cursor refill, so a decrypting pass is cut no further, and short
-/// enough that byteswap32 finds in L1 what crc32 just loaded.
-inline constexpr std::size_t kCrcPiece = KeystreamCursor::kCapacity;
-
-/// The fused CRC-32 pass over `data`, kCrcPiece bytes at a time, in stage
-/// order: XOR `keystream` in when it is not empty (it then covers the
-/// data), continue the raw CRC-32 `state` over the plaintext with the
-/// tier's crc32, then byteswap32 when `byteswap` is set. Returns the new
-/// state. Each piece stays in L1 from the CRC's loads to the swap's
-/// stores, so the pass is one pass over memory. A swapping caller cuts
-/// its data on 4-byte swap units; pieces are whole 8-byte words but the
-/// last, so the swap's tail rule holds as over the whole span.
-inline std::uint32_t crc32_fused(const KernelTable& k, std::uint32_t state,
-                                 ConstBytes keystream, MutableBytes data,
-                                 bool byteswap) noexcept {
-  for (std::size_t at = 0; at < data.size(); at += kCrcPiece) {
-    const MutableBytes piece =
-        data.subspan(at, std::min(kCrcPiece, data.size() - at));
-    if (!keystream.empty()) k.xor_keystream(keystream.subspan(at), piece);
-    state = k.crc32(state, piece);
-    if (byteswap) k.byteswap32(piece);
-  }
-  return state;
-}
-
-/// The flat fused decrypt pass over one buffer: ChaCha20-decrypts `data`
-/// in place (block counter 0 at byte 0) and returns the Internet checksum
-/// of the plaintext, then byte-swaps each 32-bit unit when `byteswap` is
-/// set. Bit-identical to ilp_fused over EncryptStage, ChecksumStage and,
-/// with `byteswap`, Byteswap32Stage.
-inline std::uint16_t decrypt_internet_checksum(const KernelTable& k,
-                                               const ChaChaKey& key,
-                                               MutableBytes data,
-                                               bool byteswap) noexcept {
-  const auto kernel = byteswap ? k.xor_checksum_byteswap : k.xor_internet_checksum;
+/// ChaCha20-XORs `data` in place, block counter 0 at byte 0: the cipher
+/// of the sender's encryption and the flat layered decrypt. The cursor
+/// runs the tier's generator a refill ahead and xor_keystream applies it,
+/// so this is the chain walk's decrypt over one buffer.
+inline void chacha20_xor(const KernelTable& k, const ChaChaKey& key,
+                         MutableBytes data) noexcept {
   KeystreamCursor ks(k, &key, data.size());
-  InternetChecksum acc;
-  ks.pieces(data, [&](ConstBytes stream, MutableBytes piece) {
-    acc.combine(kernel(stream, piece), piece.size());
-  });
-  return acc.finish();
+  ks.pieces(data, k.xor_keystream);
 }
 
 }  // namespace ngp::simd

@@ -1,7 +1,8 @@
 // Tests for src/buf (DESIGN.md §12): pool refcount lifecycle and recycle,
 // cross-thread last release, chain split/trim/append invariants, all-tier
-// chain_pass equivalence with the flat kernels over pool-backed chains, and
-// the chain executor against the flat one over every manipulation plan.
+// chain_pass equivalence with the flat kernels over pool-backed chains,
+// the chain executor against the flat one over every manipulation plan,
+// and both against the ILP stage templates over every fused plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,9 +17,10 @@
 #include "buf/pool.h"
 #include "checksum/checksum.h"
 #include "crypto/chacha20.h"
+#include "ilp/engine.h"
 #include "ilp/pipeline.h"
+#include "ilp/stages.h"
 #include "simd/dispatch.h"
-#include "simd/keystream.h"
 #include "util/rng.h"
 
 namespace ngp::buf {
@@ -424,8 +426,8 @@ TEST(BufChain, ChainDecryptChecksumByteswapMatchesFlatFusedKernel) {
           chain_pass(chain, &key, ChecksumKind::kInternet, true);
 
       ByteBuffer flat(wire.span());
-      const std::uint16_t flat_ck = simd::decrypt_internet_checksum(
-          simd::kernels(), key, flat.span(), true);
+      const std::uint32_t flat_ck =
+          span_pass(flat.span(), &key, ChecksumKind::kInternet, true);
       EXPECT_EQ(chain_ck, flat_ck) << "tier " << ti << " n=" << n;
       EXPECT_EQ(chain.flatten(), flat) << "tier " << ti << " n=" << n;
       // Checksum covers the decrypted plaintext, pre-swap.
@@ -591,6 +593,89 @@ TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
                     expect_same_ledger(acct, want, at);
                   }
                 }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::set_active_tier(saved);
+  EXPECT_EQ(pool.stats().segments_live, 0u);
+}
+
+/// A fused plan's bytes and checksum from the ILP stage templates, the
+/// reference both executors answer to: ilp_fused in place over
+/// EncryptStage (when `key` is set), the checksum stage Sum, then
+/// Byteswap32Stage (when `swap` is set).
+template <typename Sum>
+std::uint32_t ilp_reference(MutableBytes b, const ChaChaKey* key, bool swap) {
+  Sum sum;
+  EncryptStage dec(key != nullptr ? *key : ChaChaKey{}, 0);
+  Byteswap32Stage sw;
+  if (key != nullptr && swap) {
+    ilp_fused(b, b, dec, sum, sw);
+  } else if (key != nullptr) {
+    ilp_fused(b, b, dec, sum);
+  } else if (swap) {
+    ilp_fused(b, b, sum, sw);
+  } else {
+    ilp_fused(b, b, sum);
+  }
+  return sum.result();
+}
+
+// The flat executor is the chain walk over one segment, so comparing the
+// two executors compares the walk with itself. This case holds both to an
+// independent reference, the ILP stage templates: every fused plan
+// (Internet or CRC-32, with and without decrypt, with and without swap)
+// on every tier, over the cuttings and misalignments above, must verify
+// against the stages' checksum and leave the stages' bytes.
+TEST(BufChain, BothExecutorsMatchIlpStagesForEveryFusedPlan) {
+  const simd::KernelTier saved = simd::active_tier();
+  ChaChaKey key;
+  for (std::size_t i = 0; i < key.key.size(); ++i) {
+    key.key[i] = static_cast<std::uint8_t>(0xA5 ^ (11 * i));
+  }
+  key.nonce[0] = 0x42;
+  const std::size_t sizes[] = {1, 4, 7, 64, 65, 127, 1028, 1100, 4101, 16388};
+
+  BufferPool pool;
+  for (std::size_t ti = 0; ti < simd::kKernelTierCount; ++ti) {
+    const auto tier = static_cast<simd::KernelTier>(ti);
+    if (simd::tier_table(tier) == nullptr) continue;
+    ASSERT_TRUE(simd::set_active_tier(tier));
+    for (std::size_t n : sizes) {
+      const auto wire = random_bytes(n, 0xF0F0 + n);
+      for (ChecksumKind kind : {ChecksumKind::kInternet, ChecksumKind::kCrc32}) {
+        for (bool decrypt : {false, true}) {
+          for (bool swap : {false, true}) {
+            ByteBuffer want(wire.span());
+            const ChaChaKey* k = decrypt ? &key : nullptr;
+            ManipulationPlan plan;
+            plan.decrypt = decrypt;
+            plan.key = key;
+            plan.checksum_kind = kind;
+            plan.present = swap ? PresentStage::kSwap32 : PresentStage::kNone;
+            plan.expected_checksum =
+                kind == ChecksumKind::kCrc32
+                    ? ilp_reference<Crc32Stage>(want.span(), k, swap)
+                    : ilp_reference<ChecksumStage>(want.span(), k, swap);
+            const std::string where =
+                std::string(simd::tier_name(tier)) + " n=" + std::to_string(n) +
+                " " + std::string(checksum_kind_name(kind)) +
+                (decrypt ? " decrypt" : "") + (swap ? " swap" : "");
+
+            ByteBuffer flat(wire.span());
+            EXPECT_TRUE(run_manipulation(plan, flat.span(), nullptr)) << where;
+            EXPECT_EQ(flat, want) << where;
+            for (const auto& cuts : cuttings(n)) {
+              for (std::size_t misalign : {std::size_t{0}, std::size_t{3}}) {
+                BufChain chain = make_chain(pool, wire.span(), cuts, misalign);
+                const std::string at = where + " segs=" + std::to_string(cuts.size()) +
+                                       " misalign=" + std::to_string(misalign);
+                EXPECT_TRUE(run_manipulation_chain(plan, chain, nullptr)) << at;
+                EXPECT_EQ(chain.flatten(), want) << at;
               }
             }
           }

@@ -61,20 +61,6 @@ TEST(ChaCha20, XorIsItsOwnInverse) {
   }
 }
 
-TEST(ChaCha20, XorCopyMatchesInPlace) {
-  ChaChaKey k = rfc8439_key();
-  Rng rng(2);
-  for (std::size_t len : {1u, 64u, 100u, 1000u}) {
-    ByteBuffer src(len);
-    rng.fill(src.span());
-    ByteBuffer in_place(src.span());
-    chacha20_xor(k, 3, in_place.span());
-    ByteBuffer copied(len);
-    chacha20_xor_copy(k, 3, src.span(), copied.span());
-    EXPECT_EQ(copied, in_place) << len;
-  }
-}
-
 TEST(ChaCha20, DifferentCountersDiffer) {
   ChaChaKey k = rfc8439_key();
   ByteBuffer a(64), b(64);

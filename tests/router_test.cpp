@@ -114,6 +114,39 @@ TEST(FrameRouter, UnroutableAndUndecodableCounted) {
   EXPECT_EQ(router.stats().frames_undecodable, 1u);
 }
 
+TEST(FrameRouter, ResumeAndProbeReachTheirPlanes) {
+  // A supervised receiver's RESUME travels the feedback direction and a
+  // PROBE the data direction, as sessiond::AlfSession::on_frame maps
+  // them; a routed channel must carry both. Garbage is still undecodable.
+  test::LoopbackPath below;
+  FrameRouter router(below);
+  int data = 0;
+  int feedback = 0;
+  router.data_plane(3).set_handler([&](ConstBytes) { ++data; });
+  router.feedback_plane(3).set_handler([&](ConstBytes) { ++feedback; });
+
+  ResumeMessage resume;
+  resume.session = 3;
+  resume.epoch = 2;
+  resume.closed_prefix = 5;
+  below.send(encode_resume(resume).span());
+  EXPECT_EQ(feedback, 1);
+  EXPECT_EQ(data, 0);
+
+  ProbeMessage probe;
+  probe.session = 3;
+  probe.seq = 7;
+  below.send(encode_probe(probe).span());
+  EXPECT_EQ(data, 1);
+  EXPECT_EQ(feedback, 1);
+
+  const auto junk = ByteBuffer::from_string("garbage frame");
+  below.send(junk.span());
+  EXPECT_EQ(router.stats().frames_routed, 2u);
+  EXPECT_EQ(router.stats().frames_unroutable, 0u);
+  EXPECT_EQ(router.stats().frames_undecodable, 1u);
+}
+
 TEST(FrameRouter, HandshakePlaneSeparated) {
   EventLoop loop;
   Link link(loop, fast_link());

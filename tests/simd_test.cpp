@@ -15,6 +15,7 @@
 #include <random>
 #include <vector>
 
+#include "buf/chain_ops.h"
 #include "crypto/chacha20.h"
 #include "ilp/engine.h"
 #include "ilp/pipeline.h"
@@ -178,44 +179,25 @@ TEST(SimdKernels, ChecksumsMatchScalarAllSizesAndAlignments) {
   }
 }
 
-TEST(SimdKernels, CopyMatchesScalarAndStaysInBounds) {
-  const auto* scalar = simd::tier_table(simd::KernelTier::kScalar);
-  const auto backing = random_backing(2);
-  for (const auto* t : available_tiers()) {
-    if (t == scalar) continue;
-    for (const auto& [n, a] : sweep_cases()) {
-      const std::size_t dst_off = (a * 7 + 5) % 64;
-      // Canary-framed destination: the kernel must write exactly [off, off+n).
-      std::vector<std::uint8_t> want(n + 128, 0xEE), got(n + 128, 0xEE);
-      const ConstBytes src{backing.data() + a, n};
-      scalar->copy(src, MutableBytes{want.data() + dst_off, n});
-      t->copy(src, MutableBytes{got.data() + dst_off, n});
-      ASSERT_EQ(want, got) << t->name << " copy n=" << n << " a=" << a;
-    }
-  }
-}
-
 TEST(SimdKernels, InPlaceKernelsMatchScalar) {
   const auto* scalar = simd::tier_table(simd::KernelTier::kScalar);
   const auto backing = random_backing(3);
   const ChaChaKey key = test_key();
   for (const auto* t : available_tiers()) {
-    if (t == scalar) continue;
     for (const auto& [n, a] : sweep_cases()) {
       std::vector<std::uint8_t> want(backing.begin() + static_cast<std::ptrdiff_t>(a),
                                      backing.begin() + static_cast<std::ptrdiff_t>(a + n));
       std::vector<std::uint8_t> got = want;
+      // simd::chacha20_xor (the tier's generator through the keystream
+      // cursor, then xor_keystream) against the cipher itself, every tier.
+      chacha20_xor(key, 0, MutableBytes{want.data(), n});
+      simd::chacha20_xor(*t, key, MutableBytes{got.data(), n});
+      ASSERT_EQ(want, got) << t->name << " chacha n=" << n << " a=" << a;
+      if (t == scalar) continue;
       // byteswap32 (including the exact-4-byte-tail rule).
       scalar->byteswap32(MutableBytes{want.data(), n});
       t->byteswap32(MutableBytes{got.data(), n});
       ASSERT_EQ(want, got) << t->name << " byteswap n=" << n << " a=" << a;
-      // chacha20_xor at a couple of counters (keystream block phases).
-      for (std::uint32_t counter : {0u, 7u}) {
-        scalar->chacha20_xor(key, counter, MutableBytes{want.data(), n});
-        t->chacha20_xor(key, counter, MutableBytes{got.data(), n});
-        ASSERT_EQ(want, got) << t->name << " chacha n=" << n << " a=" << a
-                             << " ctr=" << counter;
-      }
     }
   }
 }
@@ -339,11 +321,12 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
   // Ground truth: every tier (scalar included) must reproduce the ilp_fused
   // stage compositions bit-for-bit — the dispatch table is an execution
   // strategy for the SAME §4 manipulations, not a different protocol. The
-  // decrypt runs both as the flat executor's cursor pass and as one call
-  // of the tier's keystream generator plus its (data, keystream) kernel,
-  // against EncryptStage's own cipher; the sizes past 200 put the
-  // cursor's refill ends (multiples of 512, at most 2,048 apart) inside
-  // the buffer.
+  // decrypt runs both as the flat executor's pass (buf::span_pass, the
+  // cursor walk over one segment) and as one call of the tier's keystream
+  // generator plus its (data, keystream) kernel, against EncryptStage's
+  // own cipher; the sizes past 200 put the cursor's refill ends
+  // (multiples of 512, at most 2,048 apart) inside the buffer.
+  TierGuard guard;
   const ChaChaKey key = test_key();
   const auto backing = random_backing(5, 64 + 5000);
   std::vector<std::size_t> sizes;
@@ -352,6 +335,7 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
     sizes.push_back(n);
   }
   for (const auto* t : available_tiers()) {
+    ASSERT_TRUE(simd::set_active_tier(t->tier));
     for (std::size_t n : sizes) {
       const ConstBytes src{backing.data() + (n % 64), n};
       std::vector<std::uint8_t> want(src.begin(), src.end());
@@ -362,8 +346,8 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
         Byteswap32Stage swap;
         ilp_fused(ConstBytes{want.data(), n}, MutableBytes{want.data(), n}, dec, ck, swap);
         std::vector<std::uint8_t> flat(src.begin(), src.end());
-        const std::uint16_t r = simd::decrypt_internet_checksum(
-            *t, key, MutableBytes{flat.data(), n}, true);
+        const std::uint32_t r = buf::span_pass(MutableBytes{flat.data(), n}, &key,
+                                               ChecksumKind::kInternet, true);
         ASSERT_EQ(want, flat) << t->name << " n=" << n;
         ASSERT_EQ(ck.result(), r) << t->name << " n=" << n;
         std::vector<std::uint8_t> ks(n);
@@ -379,8 +363,8 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
         std::vector<std::uint8_t> ref(src.begin(), src.end());
         std::vector<std::uint8_t> flat = ref;
         ilp_fused(ConstBytes{ref.data(), n}, MutableBytes{ref.data(), n}, dec, ck);
-        ASSERT_EQ(ck.result(), simd::decrypt_internet_checksum(
-                                   *t, key, MutableBytes{flat.data(), n}, false))
+        ASSERT_EQ(ck.result(), buf::span_pass(MutableBytes{flat.data(), n}, &key,
+                                              ChecksumKind::kInternet, false))
             << t->name << " n=" << n;
         ASSERT_EQ(ref, flat) << t->name << " n=" << n;
       }
@@ -405,14 +389,11 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
         } else {
           ilp_fused(r, r, crc, swap);
         }
-        std::vector<std::uint8_t> ks(decrypt ? n : 0);
-        t->chacha20_keystream(key, 0, MutableBytes{ks.data(), ks.size()});
-        const std::uint32_t state =
-            simd::crc32_fused(*t, simd::kCrc32Init, ConstBytes{ks.data(), ks.size()},
-                              MutableBytes{got.data(), n}, true);
+        const std::uint32_t c = buf::span_pass(MutableBytes{got.data(), n},
+                                               decrypt ? &key : nullptr,
+                                               ChecksumKind::kCrc32, true);
         ASSERT_EQ(ref, got) << t->name << " crc n=" << n << " decrypt=" << decrypt;
-        ASSERT_EQ(crc.result(), state ^ simd::kCrc32Init)
-            << t->name << " crc n=" << n << " decrypt=" << decrypt;
+        ASSERT_EQ(crc.result(), c) << t->name << " crc n=" << n << " decrypt=" << decrypt;
       }
     }
   }
