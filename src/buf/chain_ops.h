@@ -17,7 +17,7 @@
 //
 // ChaCha20: the cipher's keystream is positional, so it is decoupled from
 // the cutting. One simd::KeystreamCursor (simd/keystream.h) per walk runs
-// the tier's vector block function ahead of the data, in whole 512-byte
+// the tier's vector block function ahead of the data, in whole 1,024-byte
 // batches sized to the rest of the current segment (at most 2,048 bytes
 // per refill), into a stack buffer, and every piece takes the next bytes
 // from it; what one segment leaves of a refill the next one starts on.
@@ -28,8 +28,9 @@
 // own pool segments), as a 9,000-byte MTU would (2 fragments) and in one
 // segment.
 // On a 4-vCPU x86-64 host (GCC 12, -O2, ten runs) the 12-segment walk
-// took 1.06x the one-segment time on AVX2 and 1.03x on SSE and scalar
-// (medians of the per-run ratios), and 2 segments within 3% of one.
+// took 1.11x the one-segment time on AVX-512, 1.06x on AVX2, 1.03x on
+// SSE and 1.02x on scalar (medians of the per-run ratios), and 2
+// segments within 3% of one.
 //
 // Ledger discipline matches simd/dispatch.h: these helpers never touch a
 // CostAccount; CALLERS charge the analytic pass counts, so recorded costs

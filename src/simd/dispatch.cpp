@@ -27,6 +27,9 @@ extern const KernelTable kTable;
 namespace avx2 {
 extern const KernelTable kTable;
 }
+namespace avx512 {
+extern const KernelTable kTable;
+}
 #endif
 #if defined(__aarch64__)
 namespace neon {
@@ -48,6 +51,13 @@ bool tier_supported(KernelTier tier) noexcept {
       // gate it together; avx2-without-pclmul hosts fall back to SSE.
       return __builtin_cpu_supports("avx2") != 0 &&
              __builtin_cpu_supports("pclmul") != 0;
+    case KernelTier::kAvx512:
+      // 64-byte vectors with byte permutes (BW) and 128/256-bit forms
+      // (VL); its crc32 is the AVX2 tier's fold, so the AVX2 gates hold too.
+      return tier_supported(KernelTier::kAvx2) &&
+             __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0;
 #endif
 #if defined(__aarch64__)
     case KernelTier::kNeon:
@@ -68,6 +78,8 @@ const KernelTable* table_for(KernelTier tier) noexcept {
       return &sse::kTable;
     case KernelTier::kAvx2:
       return &avx2::kTable;
+    case KernelTier::kAvx512:
+      return &avx512::kTable;
 #endif
 #if defined(__aarch64__)
     case KernelTier::kNeon:
@@ -81,6 +93,7 @@ const KernelTable* table_for(KernelTier tier) noexcept {
 KernelTier detect_best() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
+  if (tier_supported(KernelTier::kAvx512)) return KernelTier::kAvx512;
   if (tier_supported(KernelTier::kAvx2)) return KernelTier::kAvx2;
   if (tier_supported(KernelTier::kSse)) return KernelTier::kSse;
 #elif defined(__aarch64__)
@@ -94,6 +107,7 @@ bool parse_tier(const char* s, KernelTier best, KernelTier* out) noexcept {
   if (std::strcmp(s, "scalar") == 0) *out = KernelTier::kScalar;
   else if (std::strcmp(s, "sse") == 0) *out = KernelTier::kSse;
   else if (std::strcmp(s, "avx2") == 0) *out = KernelTier::kAvx2;
+  else if (std::strcmp(s, "avx512") == 0) *out = KernelTier::kAvx512;
   else if (std::strcmp(s, "neon") == 0) *out = KernelTier::kNeon;
   else if (std::strcmp(s, "best") == 0) *out = best;
   else return false;
@@ -108,7 +122,7 @@ const KernelTable* resolve_initial() noexcept {
     if (!parse_tier(env, best, &forced)) {
       std::fprintf(stderr,
                    "ngp::simd: unknown NGP_FORCE_KERNEL_TIER '%s' "
-                   "(want scalar|sse|avx2|neon|best); using %s\n",
+                   "(want scalar|sse|avx2|avx512|neon|best); using %s\n",
                    env, tier_name(best));
     } else if (table_for(forced) == nullptr) {
       std::fprintf(stderr,
@@ -163,6 +177,7 @@ const char* tier_name(KernelTier tier) noexcept {
     case KernelTier::kSse: return "sse";
     case KernelTier::kAvx2: return "avx2";
     case KernelTier::kNeon: return "neon";
+    case KernelTier::kAvx512: return "avx512";
   }
   return "?";
 }

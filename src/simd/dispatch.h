@@ -4,11 +4,13 @@
 // instructions; the ILP templates (ilp/engine.h) fuse the passes, and this
 // layer makes each fused pass as wide as the host allows — the modern
 // analogue of the paper's "hand-coded unrolled loop" tier. One KernelTable
-// per tier (scalar / SSE-SSSE3 / AVX2+PCLMUL / NEON) is compiled into the
-// library; the best tier the CPU supports is selected once at startup via
-// cpuid, overridable with the NGP_FORCE_KERNEL_TIER environment variable
-// (scalar|sse|avx2|neon|best) for testing, or programmatically with
-// set_active_tier() for in-process tier sweeps (benches, property tests).
+// per tier (scalar / SSE-SSSE3 / AVX2+PCLMUL / AVX-512 / NEON) is compiled
+// into the library; the best tier the CPU supports is selected once at
+// startup via cpuid, overridable with the NGP_FORCE_KERNEL_TIER environment
+// variable (scalar|sse|avx2|avx512|neon|best) for testing, or
+// programmatically with set_active_tier() for in-process tier sweeps
+// (benches, property tests). The vector tiers are one implementation,
+// simd/kernels_vec.inc, stamped at 16, 32 and 64 bytes.
 //
 // Invariants every tier must uphold (pinned by tests/simd_test.cpp):
 //   * byte-identical outputs and identical checksum results vs the scalar
@@ -31,8 +33,9 @@ enum class KernelTier : std::uint8_t {
   kSse = 1,     ///< 16-byte vectors (x86 SSE2..SSSE3)
   kAvx2 = 2,    ///< 32-byte vectors + PCLMULQDQ CRC folding
   kNeon = 3,    ///< 16-byte vectors (aarch64)
+  kAvx512 = 4,  ///< 64-byte vectors (AVX-512 F/VL/BW) + the AVX2 CRC fold
 };
-inline constexpr std::size_t kKernelTierCount = 4;
+inline constexpr std::size_t kKernelTierCount = 5;
 
 /// One tier's ten kernels. All function pointers are non-null in every
 /// compiled-in table. Buffers may be arbitrarily aligned; in-place
@@ -77,7 +80,8 @@ struct KernelTable {
   /// Writes the keystream of blocks counter, counter+1, ... to `out`, in
   /// stream order; a partial last block is cut to out.size(). The block
   /// counter wraps modulo 2^32 as chacha20_block's does. Vector tiers
-  /// compute kLanes blocks per step (8 on AVX2, 4 on SSE and NEON).
+  /// compute kLanes blocks per step (16 on AVX-512, 8 on AVX2, 4 on SSE
+  /// and NEON).
   void (*chacha20_keystream)(const ChaChaKey& key, std::uint32_t counter,
                              MutableBytes out);
   /// data ^= keystream, nothing else (a pass that only ciphers).

@@ -10,10 +10,12 @@
 // one-shot CRC would XOR in 0xFFFFFFFF, and inputs under 64 bytes and the
 // last <64 bytes continue through ngp::crc32_update (slice-by-8), so the
 // result is bit-identical to the other tiers for every state and length.
-// The fused CRC-32 passes (simd/keystream.h) call it per piece of at most
-// 2 KiB, ahead of the tier's byteswap32.
+// The fused CRC-32 passes (buf/chain_ops.cpp) call it per piece of at
+// most 2 KiB, ahead of the tier's byteswap32. The AVX-512 tier's crc32
+// entry is this same function.
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "checksum/crc32.h"
 #include "crypto/chacha20.h"
@@ -26,7 +28,6 @@
 #include <immintrin.h>
 
 namespace ngp::simd::avx2 {
-namespace {
 
 #if defined(__PCLMUL__) && defined(__SSE4_1__)
 
@@ -106,7 +107,6 @@ std::uint32_t crc32_clmul(std::uint32_t state, ConstBytes data) {
 
 #endif  // __PCLMUL__ && __SSE4_1__
 
-}  // namespace
 }  // namespace ngp::simd::avx2
 
 #define NGP_SIMD_NS avx2

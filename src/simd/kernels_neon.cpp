@@ -2,6 +2,7 @@
 // AArch64, so no extra -m flags and no runtime feature check are needed).
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "checksum/crc32.h"
 #include "crypto/chacha20.h"

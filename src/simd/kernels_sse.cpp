@@ -6,6 +6,7 @@
 // the AVX2 tier.
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "checksum/crc32.h"
 #include "crypto/chacha20.h"

@@ -23,16 +23,17 @@ namespace ngp::simd {
 
 /// The keystream of one pass, block 0 at the pass's byte 0. A refill
 /// covers what the caller asks for next, rounded up to whole kBatch-byte
-/// batches (eight blocks: one AVX2 step, two SSE/NEON steps), at most
-/// kCapacity bytes and never past the block that holds the pass's last
-/// byte; the next take() starts on whatever the last refill left over.
+/// batches (sixteen blocks: one AVX-512 step, two AVX2 steps, four
+/// SSE/NEON steps), at most kCapacity bytes and never past the block that
+/// holds the pass's last byte; the next take() starts on whatever the
+/// last refill left over.
 /// So wherever the data is cut, no block is computed twice, none alone at
 /// a seam, and a long piece costs one generator and one kernel call per
 /// kCapacity bytes.
 class KeystreamCursor {
  public:
-  static constexpr std::size_t kBatch = 512;
-  static constexpr std::size_t kCapacity = 4 * kBatch;
+  static constexpr std::size_t kBatch = 1024;
+  static constexpr std::size_t kCapacity = 2 * kBatch;
 
   /// `total` is the pass's length in bytes. `key` may be null for a pass
   /// that does not decrypt; take() must then never be called.

@@ -67,8 +67,13 @@ std::string Histogram::render(std::size_t width) const {
     const auto bar = static_cast<std::size_t>(
         static_cast<double>(counts_[i]) / static_cast<double>(peak) *
         static_cast<double>(width));
-    out += "[" + std::to_string(b_lo) + ") " + std::string(bar, '#') + " " +
-           std::to_string(counts_[i]) + "\n";
+    out += '[';
+    out += std::to_string(b_lo);
+    out += ") ";
+    out.append(bar, '#');
+    out += ' ';
+    out += std::to_string(counts_[i]);
+    out += '\n';
   }
   return out;
 }

@@ -37,7 +37,9 @@ TEST(ObsOverhead, RegistrationDoesNotTouchTheHotPath) {
   obs::MetricsRegistry reg;
   int runs = 0;
   for (int i = 0; i < 64; ++i) {
-    reg.add_source("s" + std::to_string(i), [&](obs::MetricSink&) { ++runs; });
+    std::string name = "s";
+    name += std::to_string(i);
+    reg.add_source(name, [&](obs::MetricSink&) { ++runs; });
   }
   EXPECT_EQ(runs, 0);
   (void)reg.snapshot();

@@ -7,8 +7,8 @@
 // contract: they sweep all available tiers against the scalar table over
 // exhaustive small sizes, random large sizes to 4096, and all 64 source
 // alignments, then sweep run_manipulation across tiers comparing outputs
-// AND ledgers. The suite also runs under NGP_FORCE_KERNEL_TIER=scalar and
-// =best via dedicated ctest entries (see tests/CMakeLists.txt).
+// AND ledgers. The suite also runs under NGP_FORCE_KERNEL_TIER=scalar,
+// =avx2 and =best via dedicated ctest entries (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -110,6 +110,24 @@ TEST(SimdDispatch, ScalarTableAlwaysAvailable) {
   EXPECT_EQ(active, &simd::kernels());
   // best_tier() is always available (it is what detection picked).
   EXPECT_NE(simd::tier_table(simd::best_tier()), nullptr);
+}
+
+TEST(SimdDispatch, EveryTierIsNamedAndTheWidestWins) {
+  const char* const names[] = {"scalar", "sse", "avx2", "neon", "avx512"};
+  static_assert(std::size(names) == simd::kKernelTierCount);
+  for (std::size_t i = 0; i < simd::kKernelTierCount; ++i) {
+    const auto tier = static_cast<simd::KernelTier>(i);
+    EXPECT_STREQ(simd::tier_name(tier), names[i]);
+    if (const auto* t = simd::tier_table(tier)) {
+      EXPECT_EQ(t->tier, tier);
+      EXPECT_STREQ(t->name, names[i]);
+    }
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  // Detection prefers AVX-512 exactly when the host admits it.
+  EXPECT_EQ(simd::best_tier() == simd::KernelTier::kAvx512,
+            simd::tier_table(simd::KernelTier::kAvx512) != nullptr);
+#endif
 }
 
 TEST(SimdDispatch, SetActiveTierRoundTrips) {
@@ -236,21 +254,28 @@ TEST(SimdKernels, FusedKernelsMatchScalar) {
 }
 
 // The keystream family against the scalar tier and the cipher itself:
-// every length to 1,100 bytes (partial blocks, whole and partial vector
-// batches) from counters that start mid-range and 7 blocks short of 2^32,
-// so the vector lanes must wrap exactly as the scalar counter++ does; then
-// the (data, keystream) kernels over every source misalignment 0-7 with
-// keystream taken at offsets that are not multiples of 64 (a piece that
-// starts mid-block, as a chain segment does).
+// every length to 300 bytes, then lengths around each 64-byte block end
+// to 2,213 (partial blocks, whole and partial vector batches, past two
+// 1,024-byte AVX-512 batches and a partial block), from counters that
+// start mid-range and 7 blocks short of 2^32, so the vector lanes must
+// wrap exactly as the scalar counter++ does, inside one 16-lane batch;
+// then the (data, keystream) kernels over every source misalignment 0-7
+// with keystream taken at offsets that are not multiples of 64 (a piece
+// that starts mid-block, as a chain segment does).
 TEST(SimdKernels, KeystreamFamilyMatchesScalar) {
   const auto* scalar = simd::tier_table(simd::KernelTier::kScalar);
   const ChaChaKey key = test_key();
-  constexpr std::size_t kMax = 1100;
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 300; ++n) sizes.push_back(n);
+  for (std::size_t end = 320; end <= 2176; end += 64) {
+    for (std::size_t n : {end - 1, end, end + 1, end + 37}) sizes.push_back(n);
+  }
+  const std::size_t kMax = sizes.back();
   for (const auto* t : available_tiers()) {
     for (std::uint32_t counter : {0u, 5u, 0xFFFFFFF9u}) {
       std::vector<std::uint8_t> cipher(kMax, 0);
       chacha20_xor(key, counter, MutableBytes{cipher.data(), kMax});
-      for (std::size_t n = 0; n <= kMax; ++n) {
+      for (std::size_t n : sizes) {
         std::vector<std::uint8_t> got(n + 64, 0xEE);
         t->chacha20_keystream(key, counter, MutableBytes{got.data(), n});
         ASSERT_TRUE(std::equal(cipher.begin(), cipher.begin() + static_cast<std::ptrdiff_t>(n),
@@ -266,7 +291,7 @@ TEST(SimdKernels, KeystreamFamilyMatchesScalar) {
     const auto backing = random_backing(7, 8 + kMax);
     std::vector<std::uint8_t> ks(kMax + 128);
     scalar->chacha20_keystream(key, 0xFFFFFFF9u, MutableBytes{ks.data(), ks.size()});
-    for (std::size_t n = 0; n <= kMax; ++n) {
+    for (std::size_t n : sizes) {
       for (std::size_t a = 0; a < 8; ++a) {
         for (std::size_t off : {std::size_t{0}, std::size_t{5}, std::size_t{71}}) {
           const ConstBytes keystream{ks.data() + off, n};
@@ -294,11 +319,13 @@ TEST(SimdKernels, KeystreamFamilyMatchesScalar) {
 
 // The cursor hands out the cipher's own keystream in stream order for any
 // run of request sizes: short ones that leave most of a refill over, ones
-// that end exactly on or one past a 512-byte batch, and ones longer than
-// its 2,048-byte buffer; the last refill stops at the pass's end.
+// that end one short of, exactly on or one past a 1,024-byte batch, and
+// ones longer than its 2,048-byte buffer; the last refill stops at the
+// pass's end.
 TEST(SimdKernels, KeystreamCursorHandsOutTheStreamInOrder) {
   const ChaChaKey key = test_key();
-  const std::size_t wants[] = {1, 3, 700, 64, 2048, 2049, 5, 511, 1446, 4096, 90};
+  const std::size_t wants[] = {1,   3,   700,  64,   2048, 2049, 5,
+                               511, 1023, 1024, 1025, 1446, 4096, 90};
   for (const auto* t : available_tiers()) {
     for (std::size_t total : {std::size_t{1}, std::size_t{1100}, std::size_t{16388}}) {
       std::vector<std::uint8_t> cipher(total, 0);
@@ -325,13 +352,14 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
   // cursor walk over one segment) and as one call of the tier's keystream
   // generator plus its (data, keystream) kernel, against EncryptStage's
   // own cipher; the sizes past 200 put the cursor's refill ends
-  // (multiples of 512, at most 2,048 apart) inside the buffer.
+  // (multiples of 1,024, at most 2,048 apart) inside the buffer.
   TierGuard guard;
   const ChaChaKey key = test_key();
   const auto backing = random_backing(5, 64 + 5000);
   std::vector<std::size_t> sizes;
   for (std::size_t n = 0; n <= 200; ++n) sizes.push_back(n);
-  for (std::size_t n : {511, 512, 513, 1100, 2047, 2048, 2049, 2564, 4100, 5000}) {
+  for (std::size_t n : {511, 512, 513, 1023, 1024, 1025, 1100, 2047, 2048, 2049, 2564,
+                        4100, 5000}) {
     sizes.push_back(n);
   }
   for (const auto* t : available_tiers()) {
