@@ -342,13 +342,14 @@ void print_cost_profile() {
 
 // ---- Kernel-tier sweep: the production executor on every dispatch level --------
 //
-// run_manipulation is the flat reference of the fused executor the receive
-// path and the engine share (run_manipulation_chain, bit-identical over a
-// chain); here it runs the full depth-3 plan (ChaCha20 decrypt +
+// run_manipulation_chain is the one executor the receive path and the
+// engine share; here it runs the full depth-3 plan (ChaCha20 decrypt +
 // Internet-checksum verify + byteswap decode) once per SIMD tier, fused vs
-// layered. The fused/layered contrast is §4's claim; the per-tier spread
-// shows the dispatch table compounding on top of it without changing the
-// pass structure (COST_PROFILE_JSON is tier-independent by construction).
+// layered, over the 64 KiB buffer as a chain of one pool segment, the
+// shape a one-fragment ADU (small_rpc's) reaches it in. The fused/layered
+// contrast is §4's claim; the per-tier spread shows the dispatch table
+// compounding on top of it without changing the pass structure
+// (COST_PROFILE_JSON is tier-independent by construction).
 //
 // The "chain seams" rows time the same fused plan through
 // run_manipulation_chain over one bulk_xdr ADU (16,388 B) in three
@@ -437,8 +438,10 @@ void print_kernel_tiers() {
   plan.present = PresentStage::kSwap32;
   chacha20_xor(key, 0, wire.span());
 
-  // One bulk_xdr ADU in each seam layout.
+  // The whole buffer in one segment, and one bulk_xdr ADU in each seam
+  // layout.
   buf::BufferPool pool;
+  buf::BufChain one = seam_chain(pool, wire.span(), {"64 KiB", kBuf, 0});
   std::array<buf::BufChain, kSeamLayoutCount> chains;
   for (std::size_t l = 0; l < kSeamLayoutCount; ++l) {
     chains[l] = seam_chain(pool, wire.span().first(kAdu), kSeamLayouts[l]);
@@ -451,10 +454,9 @@ void print_kernel_tiers() {
   };
   const simd::KernelTier saved = simd::active_tier();
   std::vector<TierRow> rows;
-  // The buffer is manipulated in place, so iterations after the first see
+  // The chain is manipulated in place, so iterations after the first see
   // churned bytes and the verify result alternates — the per-byte WORK is
   // data-independent, which is all a throughput measurement needs.
-  ByteBuffer buf = wire;
   for (std::size_t t = 0; t < simd::kKernelTierCount; ++t) {
     const auto tier = static_cast<simd::KernelTier>(t);
     if (simd::tier_table(tier) == nullptr) continue;
@@ -462,19 +464,20 @@ void print_kernel_tiers() {
     TierRow r{tier, 0, 0, {}};
     plan.layered = false;
     r.fused = measure_mbps(kBuf, [&] {
-      benchmark::DoNotOptimize(run_manipulation(plan, buf.span(), nullptr));
+      benchmark::DoNotOptimize(run_manipulation_chain(plan, one, nullptr));
     });
     r.seams = time_seams(plan, chains);
     plan.layered = true;
     r.layered = measure_mbps(kBuf, [&] {
-      benchmark::DoNotOptimize(run_manipulation(plan, buf.span(), nullptr));
+      benchmark::DoNotOptimize(run_manipulation_chain(plan, one, nullptr));
     });
     rows.push_back(r);
   }
   simd::set_active_tier(saved);
 
   ngp::bench::print_header(
-      "Kernel tiers: run_manipulation (decrypt+verify+swap) per SIMD level");
+      "Kernel tiers: run_manipulation_chain (decrypt+verify+swap), one 64 KiB "
+      "segment, per SIMD level");
   std::string points;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const TierRow& r = rows[i];

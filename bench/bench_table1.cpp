@@ -16,6 +16,7 @@
 // Also registers google-benchmark timers for fine-grained statistics.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -167,15 +168,18 @@ void print_table1(ngp::bench::BenchReport& rep) {
 // Throughput moves with the tier; the §4 pass structure (COST_PROFILE_JSON
 // above) does not — the dispatch table changes instructions per word, not
 // memory passes. The headline check is the paper's own fusion workload:
-// the fused decrypt+checksum+byteswap pass (buf::span_pass) on the best
+// the fused decrypt+checksum+byteswap pass (buf::chain_pass) on the best
 // tier must clear 1.5x its scalar version, mirroring the 1.5x the paper
-// measured for hand-integrated copy+checksum. The chacha20 column is
-// simd::chacha20_xor. A copy has no tier column: every datapath copy is
-// memcpy (copy_bytes), which the BM_CopyMemcpy registration times.
+// measured for hand-integrated copy+checksum. It runs over the buffer as
+// a chain of one pool segment, the shape a one-fragment ADU reaches the
+// receive pass in. The chacha20 column is simd::chacha20_xor. A copy has
+// no tier column: every datapath copy is memcpy (copy_bytes), which the
+// BM_CopyMemcpy registration times.
 //
-// The "crc+swap" column is small_rpc's receive pass: run_manipulation
-// with a CRC-32 + kSwap32 plan over the same buffer, the tier's crc32 and
-// byteswap32 per piece of at most 2 KiB. It is reported, not held.
+// The "crc+swap" column is small_rpc's receive pass:
+// run_manipulation_chain with a CRC-32 + kSwap32 plan over the same
+// one-segment chain, the tier's crc32 and byteswap32 per piece of at most
+// 2 KiB. It is reported, not held.
 //
 // The last column is the §13 workload: compiled-plan decode of the same
 // bytes as an XDR int-array record. The plan's array step calls the
@@ -208,6 +212,11 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
   ManipulationPlan crc_swap_plan;
   crc_swap_plan.checksum_kind = ChecksumKind::kCrc32;
   crc_swap_plan.present = PresentStage::kSwap32;
+  buf::BufferPool pool;
+  buf::BufChain one;
+  buf::BufRef seg = pool.alloc(n);
+  std::memcpy(seg.data(), dst.data(), n);
+  one.append(buf::Slice{std::move(seg), 0, n});
 
   const simd::KernelTier saved = simd::active_tier();
   std::vector<TierRow> rows;
@@ -226,10 +235,10 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
       benchmark::DoNotOptimize(dst.data());
     });
     r.fused = measure_mbps(n, [&] {
-      sink = buf::span_pass(dst.span(), &key, ChecksumKind::kInternet, true);
+      sink = buf::chain_pass(one, &key, ChecksumKind::kInternet, true);
     });
     r.crc_swap = measure_mbps(n, [&] {
-      sink = run_manipulation(crc_swap_plan, dst.span(), nullptr);
+      sink = run_manipulation_chain(crc_swap_plan, one, nullptr);
     });
     if (record_wire.ok()) {
       r.plan_decode = measure_mbps(n, [&] {

@@ -27,9 +27,9 @@ int main() {
   LinkPath feedback_tx(channel.reverse);   // NACK/progress flow back
   LinkPath feedback_rx(channel.reverse);
 
-  // 2. One ALF association, opened through the session plane. The builder
-  //    validates the config at build() — a malformed session fails here,
-  //    not as a misbehaving endpoint.
+  // 2. One ALF association, opened through the session plane. open()
+  //    validates the config first — a malformed session fails here, not
+  //    as a misbehaving endpoint.
   sessiond::Sessiond daemon(loop);
   const alf::SessionConfig session{
       .retransmit = alf::RetransmitPolicy::kTransportBuffered};

@@ -62,8 +62,9 @@ int main() {
   // Association over the framed fiber.
   auto receiver_side = alf::Association::listen(loop, b_to_a, a_to_b,
                                                 alf::Capabilities{});
-  // The association negotiates its own session in-band, so the offer is
-  // built (and validated) with the same builder Sessiond::open users use.
+  // The association negotiates its own session in-band: the offer is a
+  // plain SessionConfig, validated at the handshake as Sessiond::open
+  // validates its own.
   const alf::SessionConfig offer{.nack_delay = 15 * kMillisecond};
   auto sender_side = alf::Association::initiate(loop, a_to_b, b_to_a, offer);
 

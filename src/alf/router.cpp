@@ -47,19 +47,16 @@ void FrameRouter::on_frame(ConstBytes frame) {
 
   // ALF frames: the prefix peeks name the plane and session, the demux
   // calls sessiond::Dispatcher makes; header checks stay with the
-  // endpoints, which decode the frame anyway. Directions as
-  // sessiond::AlfSession::on_frame maps them: DATA, DONE and PROBE feed
-  // the data plane, NACK, PROGRESS and RESUME the feedback plane.
+  // endpoints, which decode the frame anyway. Directions as is_feedback
+  // maps them: NACK, PROGRESS and RESUME feed the feedback plane, DATA,
+  // DONE and PROBE the data plane.
   const auto type = peek_message_type(frame);
   const auto session = peek_flow_id(frame);
   if (!type || !session) {
     ++stats_.frames_undecodable;
     return;
   }
-  const bool feedback = *type == MessageType::kNack ||
-                        *type == MessageType::kProgress ||
-                        *type == MessageType::kResume;
-  const Plane p = feedback ? Plane::kFeedback : Plane::kData;
+  const Plane p = is_feedback(*type) ? Plane::kFeedback : Plane::kData;
   auto it = planes_.find(std::make_pair(static_cast<std::uint8_t>(p), *session));
   if (it == planes_.end() || !it->second->has_handler()) {
     ++stats_.frames_unroutable;

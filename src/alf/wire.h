@@ -40,6 +40,15 @@ enum class MessageType : std::uint8_t {
   kProbe = 5,     ///< either way: path liveness probe (circuit breakers)
 };
 
+/// True for the types that travel from receiver to sender, the feedback
+/// plane: NACK, PROGRESS and RESUME. DATA, DONE and PROBE are not, so a
+/// probe goes to the data plane's receiver first. Every direction demux
+/// (FrameRouter, sessiond's sessions) asks this one map.
+constexpr bool is_feedback(MessageType t) noexcept {
+  return t == MessageType::kNack || t == MessageType::kProgress ||
+         t == MessageType::kResume;
+}
+
 enum AduFlags : std::uint8_t {
   kFlagEncrypted = 0x01,  ///< payload is ChaCha20-encrypted (per-ADU nonce)
   kFlagLastAdu = 0x02,    ///< this ADU is the stream's last (EOS hint)

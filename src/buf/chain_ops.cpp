@@ -104,27 +104,17 @@ struct Crc32Sum {
   std::uint32_t result() const { return state ^ simd::kCrc32Init; }
 };
 
-/// One flat buffer as a segment source for walk(): the flat executor's
-/// pass is the chain walk over a chain of one segment.
-struct OneSegment {
-  MutableBytes data;
-
-  std::size_t size() const { return data.size(); }
-  template <typename Fn>
-  void for_each_mutable(Fn&& fn) const { fn(data); }
-};
-
-/// The one writing pass, over a BufChain or a OneSegment. Each segment
-/// runs Sum's kernel over its body, piece by piece as the keystream
-/// cursor's refills allow when decrypting (the whole body otherwise).
-/// With byteswap, the body starts on a 4-byte swap unit and ends inside
-/// the swap region; the bytes around it (a head of up to 3 bytes, a tail
-/// of a split unit or past the region) take the scalar path, where a
-/// SwapCursor carries a unit split by a segment boundary. Scalar pieces keep the stage order: decrypt,
-/// checksum, byteswap. When decrypting, every byte, in a kernel piece or
-/// a scalar one, takes its keystream from the one cursor in chain order.
-template <typename Sum, bool kDecrypt, bool kSwap, typename Segments>
-std::uint32_t walk(const ChaChaKey* key, Segments& c) {
+/// The one writing pass. Each segment runs Sum's kernel over its body,
+/// piece by piece as the keystream cursor's refills allow when decrypting
+/// (the whole body otherwise). With byteswap, the body starts on a 4-byte
+/// swap unit and ends inside the swap region; the bytes around it (a head
+/// of up to 3 bytes, a tail of a split unit or past the region) take the
+/// scalar path, where a SwapCursor carries a unit split by a segment
+/// boundary. Scalar pieces keep the stage order: decrypt, checksum,
+/// byteswap. When decrypting, every byte, in a kernel piece or a scalar
+/// one, takes its keystream from the one cursor in chain order.
+template <typename Sum, bool kDecrypt, bool kSwap>
+std::uint32_t walk(const ChaChaKey* key, BufChain& c) {
   static_assert(kDecrypt || kSwap, "a pass that writes nothing is a checksum");
   const simd::KernelTable& k = simd::kernels();
   Sum sum;
@@ -161,26 +151,11 @@ std::uint32_t walk(const ChaChaKey* key, Segments& c) {
   return sum.result();
 }
 
-template <typename Sum, typename Segments>
-std::uint32_t walk_with(const ChaChaKey* key, bool byteswap, Segments& c) {
+template <typename Sum>
+std::uint32_t walk_with(const ChaChaKey* key, bool byteswap, BufChain& c) {
   if (key == nullptr) return walk<Sum, false, true>(nullptr, c);
   return byteswap ? walk<Sum, true, true>(key, c)
                   : walk<Sum, true, false>(key, c);
-}
-
-/// A pass that writes: the walk for `sum` over `c`.
-template <typename Segments>
-std::uint32_t writing_pass(Segments& c, const ChaChaKey* decrypt,
-                           ChecksumKind sum, bool byteswap) {
-  switch (sum) {
-    case ChecksumKind::kInternet:
-      return walk_with<InternetSum>(decrypt, byteswap, c);
-    case ChecksumKind::kCrc32:
-      return walk_with<Crc32Sum>(decrypt, byteswap, c);
-    default:
-      assert(sum == ChecksumKind::kNone && "no body kernel for this sum");
-      return walk_with<NoSum>(decrypt, byteswap, c);
-  }
 }
 
 }  // namespace
@@ -220,14 +195,15 @@ std::uint32_t chain_checksum(ChecksumKind kind, const BufChain& c) {
 std::uint32_t chain_pass(BufChain& c, const ChaChaKey* decrypt,
                          ChecksumKind sum, bool byteswap) {
   if (decrypt == nullptr && !byteswap) return chain_checksum(sum, c);
-  return writing_pass(c, decrypt, sum, byteswap);
-}
-
-std::uint32_t span_pass(MutableBytes data, const ChaChaKey* decrypt,
-                        ChecksumKind sum, bool byteswap) {
-  if (decrypt == nullptr && !byteswap) return compute_checksum(sum, data);
-  OneSegment one{data};
-  return writing_pass(one, decrypt, sum, byteswap);
+  switch (sum) {
+    case ChecksumKind::kInternet:
+      return walk_with<InternetSum>(decrypt, byteswap, c);
+    case ChecksumKind::kCrc32:
+      return walk_with<Crc32Sum>(decrypt, byteswap, c);
+    default:
+      assert(sum == ChecksumKind::kNone && "no body kernel for this sum");
+      return walk_with<NoSum>(decrypt, byteswap, c);
+  }
 }
 
 }  // namespace ngp::buf

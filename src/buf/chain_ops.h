@@ -1,19 +1,20 @@
-// chain_ops.h — manipulation passes over BufChains and flat buffers
-// (ngp::buf).
+// chain_ops.h — manipulation passes over BufChains (ngp::buf).
 //
 // The §4 claim, applied to the gather view: one logical pass over a chain
 // costs the same as one pass over a flat buffer — the segment walk only
-// redirects the pointers. Every writing pass is one walk, over a chain
-// (chain_pass) or over one flat buffer taken as a chain of one segment
-// (span_pass, the flat executor's fused pass): per segment, the active
-// SIMD tier's fused kernel piece by piece, with a scalar head and tail
-// only where a 4-byte swap unit is split by a segment boundary or the
-// swap's tail rule leaves the last bytes alone. Internet sums fold per
-// piece with InternetChecksum::combine, which tracks byte parity so odd
-// lengths fold correctly; CRC-32 runs the tier's crc32 then byteswap32
-// per piece of at most 2 KiB, its raw state carrying from piece to piece.
-// Both entries are tested against ilp_fused over the ILP stage templates
-// (ilp/stages.h) across every tier, cutting and misalignment (buf_test).
+// redirects the pointers. Every writing pass is one walk over a chain
+// (chain_pass), the pass every ManipulationPlan runs through
+// run_manipulation_chain: per segment, the active SIMD tier's fused
+// kernel piece by piece, with a scalar head and tail only where a 4-byte
+// swap unit is split by a segment boundary or the swap's tail rule leaves
+// the last bytes alone. Internet sums fold per piece with
+// InternetChecksum::combine, which tracks byte parity so odd lengths fold
+// correctly; CRC-32 runs the tier's crc32 then byteswap32 per piece of at
+// most 2 KiB, its raw state carrying from piece to piece. A flat buffer
+// is a chain of one segment. chain_pass is tested against ilp_fused over
+// the ILP stage templates across every tier, cutting and misalignment
+// (buf_test, simd_test), and every plan's verdict and bytes against the
+// scalar checksums and ngp::chacha20_xor (buf_test).
 //
 // ChaCha20: the cipher's keystream is positional, so it is decoupled from
 // the cutting. One simd::KeystreamCursor (simd/keystream.h) per walk runs
@@ -58,19 +59,13 @@ std::uint32_t chain_checksum(ChecksumKind kind, const BufChain& c);
 /// unit in place when `byteswap` is set, counted from chain byte 0 with the
 /// flat byteswap32 kernel's tail rule (whole 8-byte words and an
 /// exactly-4-byte tail swap, any other tail passes through). Returns the
-/// checksum widened to 32 bits (0 for kNone). Bit-identical to span_pass
-/// over the flattened chain, however the chain is cut.
+/// checksum widened to 32 bits (0 for kNone). Bit-identical however the
+/// chain is cut: the chain of one segment is the flat pass.
 ///
 /// `sum` is kNone, kInternet or kCrc32 whenever the pass writes; a pass
 /// that writes nothing is chain_checksum(sum, c). One load+store pass when
 /// either stage writes.
 std::uint32_t chain_pass(BufChain& c, const ChaChaKey* decrypt,
                          ChecksumKind sum, bool byteswap);
-
-/// chain_pass over one flat buffer: the same walk over a chain of one
-/// segment, so the flat and chain executors run one pass. A pass that
-/// writes nothing is compute_checksum(sum, data).
-std::uint32_t span_pass(MutableBytes data, const ChaChaKey* decrypt,
-                        ChecksumKind sum, bool byteswap);
 
 }  // namespace ngp::buf

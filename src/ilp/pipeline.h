@@ -12,17 +12,18 @@
 // Both paths run one executor over the receiver's reassembly chains,
 // run_manipulation_chain, so the §4 cost ledger (obs::CostAccount) is
 // charged identically no matter where a plan runs, a property the engine
-// tests pin. run_manipulation is its flat twin over one buffer, the same
-// walk over one segment and the kernel-tier benches' subject. The
-// reference both are tested against is the ILP stage templates
-// (ilp_fused over ilp/stages.h, buf_test).
+// tests pin. It is the only way a plan runs: a flat buffer is a chain of
+// one pool segment (the kernel-tier benches, small_rpc's one-fragment
+// ADUs). buf_test holds it to references that share no code with it: the
+// ILP stage templates (ilp_fused over ilp/stages.h) for every fused plan,
+// and for every plan ngp::chacha20_xor, Byteswap32Stage and the scalar
+// checksums.
 #pragma once
 
 #include "buf/chain.h"
 #include "crypto/chacha20.h"
 #include "checksum/checksum.h"
 #include "obs/cost.h"
-#include "util/bytes.h"
 
 namespace ngp {
 
@@ -65,35 +66,27 @@ struct ManipulationPlan {
   PresentStage present = PresentStage::kNone;
 };
 
-/// Runs `plan` over `buf` in place. Returns true when the checksum, widened
-/// to 32 bits, equals the whole `expected_checksum` field (the ADU is
-/// intact); the buffer then holds the decrypted (and, when requested,
-/// byte-swapped) payload. On mismatch the buffer contents are unspecified —
-/// callers discard and re-fetch, the ADU being the unit of error recovery
-/// (§5). A fused plan is one buf::span_pass, the chain walk over one
-/// segment.
+/// Runs `plan` over a scatter-gather chain in place. Returns true when the
+/// checksum, widened to 32 bits, equals the whole `expected_checksum`
+/// field (the ADU is intact); the chain then holds the decrypted (and,
+/// when requested, byte-swapped) payload. On mismatch its contents are
+/// unspecified — callers discard and re-fetch, the ADU being the unit of
+/// error recovery (§5). Every plan is supported: each ChecksumKind,
+/// decrypt on or off, every PresentStage, fused or layered; verdict and
+/// bytes do not depend on how the chain is cut. A fused plan (Internet or
+/// CRC-32, not layered) is one buf::chain_pass: Internet sums fold per
+/// segment with InternetChecksum::combine, CRC-32 carries its state
+/// across boundaries, and the swap lands whatever the verdict. Any other
+/// plan runs one pass per manipulation in conventional order: a
+/// chain_pass to decrypt, a chain_checksum, then a chain_pass to swap
+/// only when intact.
 ///
-/// `acct` (nullable) is charged in the §4 currency exactly as the inline
-/// receive path charges it: fused plans pay one pass regardless of stage
-/// count, layered plans one pass per manipulation.
-bool run_manipulation(const ManipulationPlan& plan, MutableBytes buf,
-                      obs::CostAccount* acct);
-
-/// Runs `plan` over a scatter-gather chain in place — the receive path's
-/// executor. Every plan is supported: each ChecksumKind, decrypt on or
-/// off, every PresentStage, fused or layered; verdict and bytes are
-/// bit-identical to run_manipulation over the flattened chain, however the
-/// chain is segmented. A fused plan is one buf::chain_pass (Internet sums
-/// fold per segment with InternetChecksum::combine, CRC-32 carries its
-/// state across boundaries); a layered plan is a chain_pass to decrypt,
-/// a chain_checksum, then a chain_pass to swap, and Fletcher-32 and
-/// Adler-32 take their extra read-only pass as in the flat executor.
-///
-/// Ledger: the flat executor's charge, which depends only on the plan and
-/// the byte count, with one exception: the flat fused pass is charged
-/// copy-shaped, 1 load + 1 store per word, while a fused chain pass that
-/// writes nothing (no decrypt, no swap) charges a load-only pass. That
-/// difference IS the zero-copy saving the COPY_LEDGER benches measure.
+/// Ledger (`acct` nullable), fixed by the plan, the byte count and the
+/// verdict alone, whatever the tier or cutting: one operation, then for a
+/// fused plan one pass, which stores every word only when it decrypts or
+/// swaps; for any other plan a storing decrypt pass (when decrypting), a
+/// load-only verify pass and a storing swap pass (when swapping and
+/// intact). The ledger prices memory passes, not instructions.
 bool run_manipulation_chain(const ManipulationPlan& plan, buf::BufChain& chain,
                             obs::CostAccount* acct);
 

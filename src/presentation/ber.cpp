@@ -100,13 +100,6 @@ void BerWriter::begin_sequence(std::size_t content_len) {
   write_length(content_len);
 }
 
-void BerWriter::write_integer_sequence(std::span<const std::int32_t> values) {
-  std::size_t content = 0;
-  for (std::int32_t v : values) content += integer_tlv_size(v);
-  begin_sequence(content);
-  for (std::int32_t v : values) write_integer(v);
-}
-
 Result<Tlv> BerReader::next() {
   if (pos_ >= in_.size()) return Error{ErrorCode::kTruncated, "no TLV at end of input"};
   const std::size_t start = pos_;

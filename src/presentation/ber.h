@@ -67,9 +67,6 @@ class BerWriter {
   /// then writes exactly that many bytes of TLVs.
   void begin_sequence(std::size_t content_len);
 
-  /// Writes a whole SEQUENCE OF INTEGER in one call (tuned path).
-  void write_integer_sequence(std::span<const std::int32_t> values);
-
  private:
   void write_tag(Tag t);
   void write_length(std::size_t len);

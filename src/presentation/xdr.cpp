@@ -119,14 +119,6 @@ Result<ByteBuffer> XdrReader::get_opaque() {
   return ByteBuffer(*view);
 }
 
-Result<ByteBuffer> XdrReader::get_opaque_fixed(std::size_t n) {
-  auto body = take(n);
-  if (!body) return body.error();
-  auto pad = take(pad4(n));
-  if (!pad) return pad.error();
-  return ByteBuffer(*body);
-}
-
 Result<std::string> XdrReader::get_string() {
   auto view = get_opaque_view();
   if (!view) return view.error();

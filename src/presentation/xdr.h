@@ -59,7 +59,6 @@ class XdrReader {
   Result<double> get_double();
   Result<ByteBuffer> get_opaque();               ///< variable-length
   Result<ConstBytes> get_opaque_view();          ///< variable-length, zero-copy
-  Result<ByteBuffer> get_opaque_fixed(std::size_t n);
   Result<std::string> get_string();
   Result<std::vector<std::int32_t>> get_int_array();
 

@@ -113,10 +113,6 @@ SessionTable::Shard& SessionTable::shard_for(std::uint64_t hash) const noexcept 
   return *shards_[hash & shard_mask_];
 }
 
-std::size_t SessionTable::shard_of(const FlowId& flow) const noexcept {
-  return flow_hash(flow) & shard_mask_;
-}
-
 SessionTable::Entry* SessionTable::find_locked(Shard& s, std::uint64_t hash,
                                                const FlowId& flow) const {
   const std::size_t mask = s.slots.size() - 1;

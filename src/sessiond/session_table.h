@@ -178,7 +178,6 @@ class SessionTable {
 
   std::size_t size() const noexcept;
   std::size_t shard_count() const noexcept { return shards_.size(); }
-  std::size_t shard_of(const FlowId& flow) const noexcept;
   /// Per-shard occupancy (test hook for distribution uniformity).
   std::vector<std::size_t> shard_sizes() const;
 

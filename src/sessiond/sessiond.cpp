@@ -79,26 +79,20 @@ void Dispatcher::emit_metrics(obs::MetricSink& sink) const {
 
 void AlfSession::on_frame(ConstBytes frame) {
   // A shared ingress can carry both directions of an association, so the
-  // demux is by message direction: data-plane frames feed the receiver,
-  // feedback-plane frames feed the sender. Probes are path-level traffic
-  // either endpoint may see and both ignore — hand them to whichever
-  // endpoint exists.
+  // demux is by message direction (alf::is_feedback): data-plane frames
+  // feed the receiver, feedback-plane frames feed the sender. Probes are
+  // path-level traffic either endpoint may see and both ignore — with no
+  // receiver, the sender takes them.
   const auto type = alf::peek_message_type(frame);
   if (!type) return;
-  switch (*type) {
-    case alf::MessageType::kData:
-    case alf::MessageType::kDone:
-      if (receiver_ != nullptr || sup_ != nullptr) receiver().handle_frame(frame);
-      break;
-    case alf::MessageType::kNack:
-    case alf::MessageType::kProgress:
-    case alf::MessageType::kResume:
-      if (sender_ != nullptr || sup_ != nullptr) sender().handle_feedback(frame);
-      break;
-    case alf::MessageType::kProbe:
-      if (receiver_ != nullptr || sup_ != nullptr) receiver().handle_frame(frame);
-      else if (sender_ != nullptr) sender().handle_feedback(frame);
-      break;
+  const bool has_sender = sender_ != nullptr || sup_ != nullptr;
+  const bool has_receiver = receiver_ != nullptr || sup_ != nullptr;
+  if (alf::is_feedback(*type)) {
+    if (has_sender) sender().handle_feedback(frame);
+  } else if (has_receiver) {
+    receiver().handle_frame(frame);
+  } else if (*type == alf::MessageType::kProbe && has_sender) {
+    sender().handle_feedback(frame);
   }
 }
 
@@ -181,16 +175,7 @@ class ReceiverSession final : public Session {
     // Same direction demux as AlfSession, minus the sender arm: feedback
     // frames on a receive-only flow have nowhere to go and drop.
     const auto type = alf::peek_message_type(frame);
-    if (!type) return;
-    switch (*type) {
-      case alf::MessageType::kData:
-      case alf::MessageType::kDone:
-      case alf::MessageType::kProbe:
-        rx_.handle_frame(frame);
-        break;
-      default:
-        break;
-    }
+    if (type && !alf::is_feedback(*type)) rx_.handle_frame(frame);
   }
 
   alf::AlfReceiver& receiver() noexcept { return rx_; }

@@ -7,9 +7,9 @@
 // tier's chacha20_keystream, whole vector batches at a time, and hands
 // the bytes out in stream order; every piece of data takes the next
 // bytes and runs one (data, keystream) kernel over them. The pass walk
-// (buf/chain_ops.cpp) draws one cursor across a chain's segments or one
-// flat buffer, and chacha20_xor below draws one for a pass that only
-// ciphers, so every ChaCha20 XOR in the library runs this generator.
+// (buf/chain_ops.cpp) draws one cursor across a chain's segments, and
+// chacha20_xor below draws one for the sender's encryption, a pass that
+// only ciphers, so every ChaCha20 XOR in the library runs this generator.
 #pragma once
 
 #include <algorithm>
@@ -82,9 +82,9 @@ class KeystreamCursor {
 };
 
 /// ChaCha20-XORs `data` in place, block counter 0 at byte 0: the cipher
-/// of the sender's encryption and the flat layered decrypt. The cursor
-/// runs the tier's generator a refill ahead and xor_keystream applies it,
-/// so this is the chain walk's decrypt over one buffer.
+/// of the sender's encryption. The cursor runs the tier's generator a
+/// refill ahead and xor_keystream applies it, as the chain walk's
+/// layered decrypt does over a chain of one segment.
 inline void chacha20_xor(const KernelTable& k, const ChaChaKey& key,
                          MutableBytes data) noexcept {
   KeystreamCursor ks(k, &key, data.size());

@@ -131,6 +131,22 @@ TEST(AlfWire, UnknownEnumValuesRejected) {
   EXPECT_FALSE(decode_message(frame.span()).has_value());
 }
 
+// The one direction map every demux asks: the receiver's three reports
+// travel to the sender; data, completion and probes do not.
+TEST(AlfWire, FeedbackDirectionOfEveryMessageType) {
+  EXPECT_FALSE(is_feedback(MessageType::kData));
+  EXPECT_TRUE(is_feedback(MessageType::kNack));
+  EXPECT_TRUE(is_feedback(MessageType::kProgress));
+  EXPECT_FALSE(is_feedback(MessageType::kDone));
+  EXPECT_TRUE(is_feedback(MessageType::kResume));
+  EXPECT_FALSE(is_feedback(MessageType::kProbe));
+  // Those six are every type a frame can carry: the prefix peek rejects
+  // the next value.
+  const std::uint8_t beyond[4] = {
+      kMagic, static_cast<std::uint8_t>(MessageType::kProbe) + 1, 0, 7};
+  EXPECT_FALSE(peek_message_type(ConstBytes{beyond, 4}).has_value());
+}
+
 TEST(AlfWire, NackRoundTrip) {
   NackMessage m;
   m.session = 3;

@@ -1,8 +1,10 @@
 // Tests for src/buf (DESIGN.md §12): pool refcount lifecycle and recycle,
 // cross-thread last release, chain split/trim/append invariants, all-tier
 // chain_pass equivalence with the flat kernels over pool-backed chains,
-// the chain executor against the flat one over every manipulation plan,
-// and both against the ILP stage templates over every fused plan.
+// and the one manipulation executor over every plan against references
+// that share no code with it: ngp::chacha20_xor, Byteswap32Stage and the
+// scalar checksums for every plan, the ILP stage templates for every
+// fused plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -275,9 +277,10 @@ TEST(BufChain, ReadAndCopyOutMatchFlatten) {
   }
 }
 
-// run_manipulation_chain must be bit-identical to the flat executor over
-// the flattened chain (decrypt + verify), while charging a load-only
-// checksum pass — the measurable zero-copy saving.
+// run_manipulation_chain over a cut chain must decrypt and verify exactly
+// as over the same bytes in one segment, a flat buffer's shape, with the
+// same ledger; a checksum-only plan charges a load-only pass, the
+// measurable zero-copy saving.
 TEST(BufChain, ChainManipulationMatchesFlat) {
   BufferPool pool;
   const auto plain = random_bytes(9001, 5);
@@ -304,19 +307,21 @@ TEST(BufChain, ChainManipulationMatchesFlat) {
   ByteBuffer chain_out = chain.flatten();
   EXPECT_EQ(chain_out, plain);
 
-  // Flat path.
-  ByteBuffer flat(wire.span());
+  // One segment.
+  BufChain flat = make_chain(pool, wire.span(), {wire.size()});
   obs::CostAccount flat_acct;
-  EXPECT_TRUE(run_manipulation(plan, flat.span(), &flat_acct));
-  EXPECT_EQ(flat, plain);
+  EXPECT_TRUE(run_manipulation_chain(plan, flat, &flat_acct));
+  EXPECT_EQ(flat.flatten(), plain);
+  EXPECT_EQ(chain_acct.memory_passes, flat_acct.memory_passes);
+  EXPECT_EQ(chain_acct.word_loads, flat_acct.word_loads);
+  EXPECT_EQ(chain_acct.word_stores, flat_acct.word_stores);
 
-  // Corruption is detected on the chain path too.
+  // Corruption is detected.
   BufChain bad = make_chain(pool, wire.span(), {4500, 4501});
   bad.segment(1).mutable_bytes()[7] ^= 0x10;
   EXPECT_FALSE(run_manipulation_chain(plan, bad, nullptr));
 
-  // Checksum-only plans never store: the chain pass is load-only while the
-  // flat fused kernel is copy-shaped (1 store per word).
+  // Checksum-only plans never store: the pass is load-only.
   ManipulationPlan verify_only;
   verify_only.checksum_kind = ChecksumKind::kInternet;
   verify_only.expected_checksum = expect;
@@ -425,11 +430,20 @@ TEST(BufChain, ChainDecryptChecksumByteswapMatchesFlatFusedKernel) {
       const std::uint32_t chain_ck =
           chain_pass(chain, &key, ChecksumKind::kInternet, true);
 
+      // The tier's fused kernel over the flat buffer, its keystream from
+      // one generator call.
       ByteBuffer flat(wire.span());
+      ByteBuffer ks(n);
+      simd::kernels().chacha20_keystream(key, 0, ks.span());
       const std::uint32_t flat_ck =
-          span_pass(flat.span(), &key, ChecksumKind::kInternet, true);
+          simd::kernels().xor_checksum_byteswap(ks.span(), flat.span());
       EXPECT_EQ(chain_ck, flat_ck) << "tier " << ti << " n=" << n;
       EXPECT_EQ(chain.flatten(), flat) << "tier " << ti << " n=" << n;
+      // The same walk over one segment.
+      BufChain one = make_chain(pool, wire.span(), {n}, 2);
+      EXPECT_EQ(chain_pass(one, &key, ChecksumKind::kInternet, true), flat_ck)
+          << "tier " << ti << " n=" << n;
+      EXPECT_EQ(one.flatten(), flat) << "tier " << ti << " n=" << n;
       // Checksum covers the decrypted plaintext, pre-swap.
       EXPECT_EQ(flat_ck, internet_checksum_unrolled(plain.span()));
       // With no sum, the same walk writes the same bytes and returns 0.
@@ -476,18 +490,68 @@ std::vector<std::vector<std::size_t>> cuttings(std::size_t n) {
   return out;
 }
 
-/// What the chain executor must charge for `plan` over n bytes, given the
-/// flat executor's charge for the same plan and outcome: the same ledger,
-/// except that a fused pass that writes nothing is load-only.
-obs::CostAccount expected_chain_charge(const ManipulationPlan& plan,
-                                       std::size_t n, obs::CostAccount flat) {
-  const bool fused = !plan.layered &&
-                     (plan.checksum_kind == ChecksumKind::kInternet ||
-                      plan.checksum_kind == ChecksumKind::kCrc32);
-  if (fused && !plan.decrypt && plan.present != PresentStage::kSwap32) {
-    flat.word_stores -= obs::CostAccount::words(n);
+/// True for the plans run_manipulation_chain runs as one fused pass.
+bool fused_plan(const ManipulationPlan& plan) {
+  return !plan.layered && (plan.checksum_kind == ChecksumKind::kInternet ||
+                           plan.checksum_kind == ChecksumKind::kCrc32);
+}
+
+/// `kind`'s checksum, widened to 32 bits, from the scalar one-shot
+/// implementations over a flat buffer: no tier kernel, no segment walk.
+std::uint32_t reference_checksum(ChecksumKind kind, ConstBytes b) {
+  switch (kind) {
+    case ChecksumKind::kNone:
+      return 0;
+    case ChecksumKind::kInternet:
+      return internet_checksum_unrolled(b);
+    case ChecksumKind::kFletcher32:
+      return fletcher32(b);
+    case ChecksumKind::kAdler32:
+      return adler32(b);
+    case ChecksumKind::kCrc32:
+      return crc32(b);
   }
-  return flat;
+  return 0;
+}
+
+/// The bytes and verdict `plan` must leave over `input`, from references
+/// that share no code with the walk: ngp::chacha20_xor decrypts, the
+/// scalar checksum decides, and Byteswap32Stage swaps, always in a fused
+/// plan and only when intact in any other.
+bool reference_run(const ManipulationPlan& plan, ByteBuffer& bytes) {
+  if (plan.decrypt) chacha20_xor(plan.key, 0, bytes.span());
+  const bool intact =
+      reference_checksum(plan.checksum_kind, bytes.span()) == plan.expected_checksum;
+  if (plan.present == PresentStage::kSwap32 && (fused_plan(plan) || intact)) {
+    Byteswap32Stage swap;
+    ilp_fused(bytes.span(), bytes.span(), swap);
+  }
+  return intact;
+}
+
+/// The §4 charge of `plan` over n bytes, from the plan's shape alone: one
+/// operation; a fused plan is one pass that stores iff it decrypts or
+/// swaps, any other is a storing decrypt pass, a load-only verify pass,
+/// then a storing swap pass only when intact.
+obs::CostAccount reference_charge(const ManipulationPlan& plan, std::size_t n,
+                                  bool intact) {
+  const bool swap = plan.present == PresentStage::kSwap32;
+  std::uint64_t passes = 1, storing = 0;
+  if (fused_plan(plan)) {
+    storing = plan.decrypt || swap ? 1 : 0;
+  } else {
+    storing = (plan.decrypt ? 1 : 0) + (swap && intact ? 1 : 0);
+    passes += storing;
+  }
+  const std::uint64_t words = obs::CostAccount::words(n);
+  obs::CostAccount want;
+  want.operations = 1;
+  want.bytes_touched = n;
+  want.words_touched = words;
+  want.memory_passes = passes;
+  want.word_loads = passes * words;
+  want.word_stores = storing * words;
+  return want;
 }
 
 void expect_same_ledger(const obs::CostAccount& got, const obs::CostAccount& want,
@@ -500,12 +564,12 @@ void expect_same_ledger(const obs::CostAccount& got, const obs::CostAccount& wan
   EXPECT_EQ(got.word_stores, want.word_stores) << where;
 }
 
-// The receive path's one executor against the flat reference, over the
-// whole plan space: every checksum kind x decrypt x present stage x
-// fused/layered x SIMD tier, on chains cut at odd offsets with misaligned
-// starts. Same verdict, same bytes (intact, after a one-bit flip, or
-// against an expected checksum that differs only in bit 16), and a ledger
-// charge fixed by the plan and the byte count alone.
+// The receive path's one executor over the whole plan space: every
+// checksum kind x decrypt x present stage x fused/layered x SIMD tier, on
+// chains cut at odd offsets with misaligned starts, the first of them one
+// segment, a flat buffer's shape. Verdict, bytes and ledger must match the
+// references above (intact, after a one-bit flip, and against an expected
+// checksum that differs only in bit 16), none of which runs the walk.
 TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
   const simd::KernelTier saved = simd::active_tier();
   ChaChaKey key;
@@ -543,11 +607,7 @@ TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
               plan.decrypt = decrypt;
               plan.key = key;
               plan.checksum_kind = kind;
-              // CRC-32 against the bytewise reference: compute_checksum
-              // runs the same tier kernel as the walk.
-              plan.expected_checksum = kind == ChecksumKind::kCrc32
-                                           ? crc32(plain.span())
-                                           : compute_checksum(kind, plain.span());
+              plan.expected_checksum = reference_checksum(kind, plain.span());
               plan.present = present;
               const std::string where =
                   std::string(simd::tier_name(tier)) + " n=" + std::to_string(n) +
@@ -568,18 +628,16 @@ TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
                            {&flipped, &plan, " (bit flip)"},
                            {&wire, &high_bit, " (expected bit 16)"}};
               for (const auto& [input, p, label] : cases) {
-                ByteBuffer flat(input->span());
-                obs::CostAccount flat_acct;
-                const bool flat_ok = run_manipulation(*p, flat.span(), &flat_acct);
+                ByteBuffer want(input->span());
+                const bool want_ok = reference_run(*p, want);
                 if (p == &high_bit) {
-                  EXPECT_FALSE(flat_ok) << where << label;
+                  EXPECT_FALSE(want_ok) << where << label;
                 } else if (input == &wire) {
-                  EXPECT_TRUE(flat_ok) << where;
+                  EXPECT_TRUE(want_ok) << where;
                 } else if (kind != ChecksumKind::kNone) {
-                  EXPECT_FALSE(flat_ok) << where << label;
+                  EXPECT_FALSE(want_ok) << where << label;
                 }
-                const obs::CostAccount want =
-                    expected_chain_charge(*p, n, flat_acct);
+                const obs::CostAccount charge = reference_charge(*p, n, want_ok);
                 for (const auto& cuts : cuttings(n)) {
                   for (std::size_t misalign : {std::size_t{0}, std::size_t{3}}) {
                     BufChain chain = make_chain(pool, input->span(), cuts, misalign);
@@ -588,9 +646,9 @@ TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
                     const std::string at =
                         where + " segs=" + std::to_string(cuts.size()) +
                         " misalign=" + std::to_string(misalign) + label;
-                    EXPECT_EQ(ok, flat_ok) << at;
-                    EXPECT_EQ(chain.flatten(), flat) << at;
-                    expect_same_ledger(acct, want, at);
+                    EXPECT_EQ(ok, want_ok) << at;
+                    EXPECT_EQ(chain.flatten(), want) << at;
+                    expect_same_ledger(acct, charge, at);
                   }
                 }
               }
@@ -604,8 +662,8 @@ TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
   EXPECT_EQ(pool.stats().segments_live, 0u);
 }
 
-/// A fused plan's bytes and checksum from the ILP stage templates, the
-/// reference both executors answer to: ilp_fused in place over
+/// A fused plan's bytes and checksum from the ILP stage templates:
+/// ilp_fused in place over
 /// EncryptStage (when `key` is set), the checksum stage Sum, then
 /// Byteswap32Stage (when `swap` is set).
 template <typename Sum>
@@ -625,12 +683,12 @@ std::uint32_t ilp_reference(MutableBytes b, const ChaChaKey* key, bool swap) {
   return sum.result();
 }
 
-// The flat executor is the chain walk over one segment, so comparing the
-// two executors compares the walk with itself. This case holds both to an
-// independent reference, the ILP stage templates: every fused plan
-// (Internet or CRC-32, with and without decrypt, with and without swap)
-// on every tier, over the cuttings and misalignments above, must verify
-// against the stages' checksum and leave the stages' bytes.
+// The executor against a second independent reference, the ILP stage
+// templates: every fused plan (Internet or CRC-32, with and without
+// decrypt, with and without swap) on every tier, over the cuttings and
+// misalignments above, the first of them one segment as a flat buffer or
+// a one-fragment ADU reaches the executor, must verify against the
+// stages' checksum and leave the stages' bytes.
 TEST(BufChain, BothExecutorsMatchIlpStagesForEveryFusedPlan) {
   const simd::KernelTier saved = simd::active_tier();
   ChaChaKey key;
@@ -666,9 +724,6 @@ TEST(BufChain, BothExecutorsMatchIlpStagesForEveryFusedPlan) {
                 " " + std::string(checksum_kind_name(kind)) +
                 (decrypt ? " decrypt" : "") + (swap ? " swap" : "");
 
-            ByteBuffer flat(wire.span());
-            EXPECT_TRUE(run_manipulation(plan, flat.span(), nullptr)) << where;
-            EXPECT_EQ(flat, want) << where;
             for (const auto& cuts : cuttings(n)) {
               for (std::size_t misalign : {std::size_t{0}, std::size_t{3}}) {
                 BufChain chain = make_chain(pool, wire.span(), cuts, misalign);

@@ -10,6 +10,7 @@
 // record materialization is load-only.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -414,12 +415,26 @@ TEST(PresentationPipeline, SendRecordSkipsTheStagingCopy) {
 
 // ---- unit-level: the executor itself, across tiers -------------------------
 
+/// `bytes` as a chain of one pool segment, the shape a one-fragment ADU
+/// reaches the executor in.
+buf::BufChain one_segment(buf::BufferPool& pool, ConstBytes bytes) {
+  buf::BufRef ref = pool.alloc(bytes.size());
+  std::memcpy(ref.data(), bytes.data(), bytes.size());
+  buf::BufChain chain;
+  chain.append(buf::Slice{std::move(ref), 0, bytes.size()});
+  return chain;
+}
+
+// DESIGN §13.4, contract 1, as the executor states it: a present stage
+// adds no pass and no load to the plan's pass, only the swap's own store
+// per word, because the bare verify it is compared with is load-only.
 TEST(PresentationPipeline, ManipulationLedgerIsPresentStageInvariantEveryTier) {
   const auto schema = table1_schema();
   const auto plan = presentation::compile_plan(schema, TransferSyntax::kXdr);
   const Record rec = table1_record(999, 77);
   auto wire = presentation::plan_encode(plan, rec);
   ASSERT_TRUE(wire.ok());
+  buf::BufferPool pool;
 
   const simd::KernelTier initial = simd::active_tier();
   for (std::size_t t = 0; t < simd::kKernelTierCount; ++t) {
@@ -430,27 +445,30 @@ TEST(PresentationPipeline, ManipulationLedgerIsPresentStageInvariantEveryTier) {
     ManipulationPlan base;
     base.expected_checksum = compute_checksum(ChecksumKind::kInternet, wire->span());
 
-    ByteBuffer plain(*wire);
+    buf::BufChain plain = one_segment(pool, wire->span());
     obs::CostAccount plain_cost;
     ManipulationPlan no_present = base;
-    ASSERT_TRUE(run_manipulation(no_present, plain.span(), &plain_cost));
+    ASSERT_TRUE(run_manipulation_chain(no_present, plain, &plain_cost));
 
-    ByteBuffer swapped(*wire);
+    buf::BufChain swapped = one_segment(pool, wire->span());
     obs::CostAccount fused_cost;
     ManipulationPlan with_present = base;
     with_present.present = PresentStage::kSwap32;
-    ASSERT_TRUE(run_manipulation(with_present, swapped.span(), &fused_cost));
+    ASSERT_TRUE(run_manipulation_chain(with_present, swapped, &fused_cost));
 
-    // Same pass, same ledger — at every tier (tier " << t << ").
+    // Same pass, same loads, at every tier; the stores are the swap's.
     EXPECT_EQ(fused_cost.memory_passes, plain_cost.memory_passes) << "tier " << t;
     EXPECT_EQ(fused_cost.word_loads, plain_cost.word_loads) << "tier " << t;
-    EXPECT_EQ(fused_cost.word_stores, plain_cost.word_stores) << "tier " << t;
+    EXPECT_EQ(plain_cost.word_stores, 0u) << "tier " << t;
+    EXPECT_EQ(fused_cost.word_stores, obs::CostAccount::words(wire->size()))
+        << "tier " << t;
 
     // And the fused buffer really is host order.
-    auto host = presentation::plan_decode_host_order(plan, swapped.span());
+    const ByteBuffer host_bytes = swapped.flatten();
+    auto host = presentation::plan_decode_host_order(plan, host_bytes.span());
     ASSERT_TRUE(host.ok()) << "tier " << t;
     EXPECT_EQ(*host, rec) << "tier " << t;
-    EXPECT_EQ(plain, *wire) << "tier " << t;  // no stage → untouched
+    EXPECT_EQ(plain.flatten(), *wire) << "tier " << t;  // no stage → untouched
   }
   ASSERT_TRUE(simd::set_active_tier(initial));
 }

@@ -6,16 +6,20 @@
 // ledger recorded by callers is tier-independent. These tests pin that
 // contract: they sweep all available tiers against the scalar table over
 // exhaustive small sizes, random large sizes to 4096, and all 64 source
-// alignments, then sweep run_manipulation across tiers comparing outputs
-// AND ledgers. The suite also runs under NGP_FORCE_KERNEL_TIER=scalar,
-// =avx2 and =best via dedicated ctest entries (see tests/CMakeLists.txt).
+// alignments, then sweep run_manipulation_chain over one-segment chains
+// across tiers comparing outputs AND ledgers. The suite also runs under
+// NGP_FORCE_KERNEL_TIER=scalar, =avx2 and =best via dedicated ctest
+// entries (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <random>
 #include <vector>
 
+#include "buf/chain.h"
 #include "buf/chain_ops.h"
+#include "buf/pool.h"
 #include "crypto/chacha20.h"
 #include "ilp/engine.h"
 #include "ilp/pipeline.h"
@@ -56,6 +60,22 @@ std::vector<std::uint8_t> random_backing(std::uint32_t seed, std::size_t n = 64 
   std::vector<std::uint8_t> v(n);
   for (auto& b : v) b = static_cast<std::uint8_t>(rng());
   return v;
+}
+
+/// `data` as a chain of one pool segment, the shape a flat buffer or a
+/// one-fragment ADU reaches the receive pass in.
+buf::BufChain one_segment(ConstBytes data) {
+  buf::BufRef seg = buf::default_pool().alloc(data.size());
+  if (!data.empty()) std::memcpy(seg.data(), data.data(), data.size());
+  buf::BufChain chain;
+  chain.append(buf::Slice{std::move(seg), 0, data.size()});
+  return chain;
+}
+
+std::vector<std::uint8_t> bytes_of(const buf::BufChain& chain) {
+  std::vector<std::uint8_t> out(chain.size());
+  chain.copy_out(MutableBytes{out.data(), out.size()});
+  return out;
 }
 
 /// The (size, src-alignment) sweep: exhaustive sizes 0..300 over a handful
@@ -348,11 +368,11 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
   // Ground truth: every tier (scalar included) must reproduce the ilp_fused
   // stage compositions bit-for-bit — the dispatch table is an execution
   // strategy for the SAME §4 manipulations, not a different protocol. The
-  // decrypt runs both as the flat executor's pass (buf::span_pass, the
-  // cursor walk over one segment) and as one call of the tier's keystream
-  // generator plus its (data, keystream) kernel, against EncryptStage's
-  // own cipher; the sizes past 200 put the cursor's refill ends
-  // (multiples of 1,024, at most 2,048 apart) inside the buffer.
+  // decrypt runs both as the receive pass (buf::chain_pass, the cursor
+  // walk, over a chain of one segment) and as one call of the tier's
+  // keystream generator plus its (data, keystream) kernel, against
+  // EncryptStage's own cipher; the sizes past 200 put the cursor's refill
+  // ends (multiples of 1,024, at most 2,048 apart) inside the buffer.
   TierGuard guard;
   const ChaChaKey key = test_key();
   const auto backing = random_backing(5, 64 + 5000);
@@ -373,10 +393,10 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
         EncryptStage dec(key, 0);
         Byteswap32Stage swap;
         ilp_fused(ConstBytes{want.data(), n}, MutableBytes{want.data(), n}, dec, ck, swap);
-        std::vector<std::uint8_t> flat(src.begin(), src.end());
-        const std::uint32_t r = buf::span_pass(MutableBytes{flat.data(), n}, &key,
-                                               ChecksumKind::kInternet, true);
-        ASSERT_EQ(want, flat) << t->name << " n=" << n;
+        buf::BufChain one = one_segment(src);
+        const std::uint32_t r =
+            buf::chain_pass(one, &key, ChecksumKind::kInternet, true);
+        ASSERT_EQ(want, bytes_of(one)) << t->name << " n=" << n;
         ASSERT_EQ(ck.result(), r) << t->name << " n=" << n;
         std::vector<std::uint8_t> ks(n);
         t->chacha20_keystream(key, 0, MutableBytes{ks.data(), n});
@@ -389,12 +409,12 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
         ChecksumStage ck;
         EncryptStage dec(key, 0);
         std::vector<std::uint8_t> ref(src.begin(), src.end());
-        std::vector<std::uint8_t> flat = ref;
+        buf::BufChain one = one_segment(src);
         ilp_fused(ConstBytes{ref.data(), n}, MutableBytes{ref.data(), n}, dec, ck);
-        ASSERT_EQ(ck.result(), buf::span_pass(MutableBytes{flat.data(), n}, &key,
-                                              ChecksumKind::kInternet, false))
+        ASSERT_EQ(ck.result(),
+                  buf::chain_pass(one, &key, ChecksumKind::kInternet, false))
             << t->name << " n=" << n;
-        ASSERT_EQ(ref, flat) << t->name << " n=" << n;
+        ASSERT_EQ(ref, bytes_of(one)) << t->name << " n=" << n;
       }
       {
         std::vector<std::uint8_t> plain(src.begin(), src.end());
@@ -407,7 +427,7 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
       // EncryptStage, Crc32Stage and Byteswap32Stage.
       for (bool decrypt : {false, true}) {
         std::vector<std::uint8_t> ref(src.begin(), src.end());
-        std::vector<std::uint8_t> got = ref;
+        buf::BufChain one = one_segment(src);
         Crc32Stage crc;
         EncryptStage dec(key, 0);
         Byteswap32Stage swap;
@@ -417,10 +437,10 @@ TEST(SimdKernels, KernelsMatchIlpStageComposition) {
         } else {
           ilp_fused(r, r, crc, swap);
         }
-        const std::uint32_t c = buf::span_pass(MutableBytes{got.data(), n},
-                                               decrypt ? &key : nullptr,
-                                               ChecksumKind::kCrc32, true);
-        ASSERT_EQ(ref, got) << t->name << " crc n=" << n << " decrypt=" << decrypt;
+        const std::uint32_t c = buf::chain_pass(one, decrypt ? &key : nullptr,
+                                                ChecksumKind::kCrc32, true);
+        ASSERT_EQ(ref, bytes_of(one))
+            << t->name << " crc n=" << n << " decrypt=" << decrypt;
         ASSERT_EQ(crc.result(), c) << t->name << " crc n=" << n << " decrypt=" << decrypt;
       }
     }
@@ -458,13 +478,13 @@ TEST(SimdDispatch, RunManipulationOutputAndLedgerTierInvariant) {
             bool ref_ok = false;
             for (std::size_t i = 0; i < tiers.size(); ++i) {
               ASSERT_TRUE(simd::set_active_tier(tiers[i]->tier));
-              std::vector<std::uint8_t> buf = wire;
+              buf::BufChain one = one_segment(ConstBytes{wire.data(), n});
               obs::CostAccount cost;
-              const bool ok =
-                  run_manipulation(plan, MutableBytes{buf.data(), n}, &cost);
+              const bool ok = run_manipulation_chain(plan, one, &cost);
+              const std::vector<std::uint8_t> out = bytes_of(one);
               EXPECT_TRUE(ok) << tiers[i]->name;
               if (i == 0) {
-                ref_out = buf;
+                ref_out = out;
                 ref_cost = cost;
                 ref_ok = ok;
                 continue;
@@ -472,7 +492,7 @@ TEST(SimdDispatch, RunManipulationOutputAndLedgerTierInvariant) {
               // Byte-identical output AND identical §4 ledger across tiers:
               // the ledger prices memory passes, not instructions.
               EXPECT_EQ(ok, ref_ok) << tiers[i]->name;
-              EXPECT_EQ(buf, ref_out) << tiers[i]->name << " n=" << n;
+              EXPECT_EQ(out, ref_out) << tiers[i]->name << " n=" << n;
               EXPECT_EQ(cost.operations, ref_cost.operations) << tiers[i]->name;
               EXPECT_EQ(cost.bytes_touched, ref_cost.bytes_touched) << tiers[i]->name;
               EXPECT_EQ(cost.words_touched, ref_cost.words_touched) << tiers[i]->name;
