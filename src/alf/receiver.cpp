@@ -649,9 +649,10 @@ void AlfReceiver::arm_engine_pump() {
 void AlfReceiver::engine_pump() {
   engine_pump_armed_ = false;
   if (eng_ == nullptr) return;
-  // drain() blocks for at least one completion when none is ready yet:
-  // simulated time only advances past the harvest point once real work has
-  // actually finished, keeping the event loop's causality intact.
+  // drain() runs every job no worker has claimed here, and blocks only
+  // while a worker runs the rest and nothing is ready: simulated time only
+  // advances past the harvest point once real work has actually finished,
+  // keeping the event loop's causality intact.
   eng_->drain();
   if (verifying_ > 0) arm_engine_pump();
 }

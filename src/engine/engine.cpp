@@ -1,13 +1,11 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 
-#include "engine/spsc_queue.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -16,8 +14,8 @@ namespace ngp::engine {
 
 namespace {
 
-/// Per-worker SPSC ring slots; submit() spins when a ring is full.
-constexpr std::size_t kQueueCapacity = 1024;
+/// Jobs a lane holds before submit() wakes its worker and waits for room.
+constexpr std::size_t kLaneCapacity = 1024;
 
 }  // namespace
 
@@ -37,27 +35,29 @@ struct Engine::Completion {
   CompletionFn on_done;
 };
 
-/// The dispatch ring plus the sleep/wake machinery for one worker. The
-/// ring itself is wait-free; the mutex+condvar pair only puts an idle
-/// worker to sleep (with a bounded wait, so a missed notify costs at most
-/// one tick, never a hang).
+/// One worker's lane: the jobs submitted to it and not yet claimed, plus
+/// the sleep/wake machinery of its thread. A lane is claimed whole, by its
+/// worker or by the control thread in drain(), and the claimer runs every
+/// job it took in submit order, so only one thread runs a lane at a time.
 struct Engine::Worker {
-  explicit Worker(std::size_t capacity) : ring(capacity) {}
-
-  SpscQueue<Task> ring;
   std::mutex m;
   std::condition_variable cv;
-  std::atomic<bool> stop{false};
+  std::vector<Task> jobs;  ///< guarded by m
+  /// Guarded by m: the worker is running a batch it took from `jobs`.
+  /// drain() leaves such a lane alone, so jobs submitted meanwhile wait
+  /// for the worker, which looks again before it sleeps.
+  bool claimed = false;
+  bool stop = false;  ///< guarded by m
   /// Control thread only: jobs were pushed since this worker's last wake.
-  /// submit() leaves them unsignalled; the next harvest wakes the worker
-  /// once for all of them.
+  /// submit() leaves them unsignalled; poll() wakes the worker once for
+  /// all of them.
   bool unsignalled = false;
   std::thread thread;
 };
 
-/// MPSC completion channel: any worker produces, only the control thread
-/// consumes. A worker publishes everything it popped under one lock with
-/// one notify.
+/// MPSC completion channel: any lane's claimer produces, only the control
+/// thread consumes. A claimer publishes its whole batch under one lock
+/// with one notify.
 struct Engine::DoneQueue {
   std::mutex m;
   std::condition_variable cv;
@@ -72,7 +72,7 @@ Engine::Engine(EngineConfig cfg)
       done_(std::make_unique<DoneQueue>()) {
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(kQueueCapacity));
+    workers_.push_back(std::make_unique<Worker>());
   }
   for (unsigned i = 0; i < cfg_.workers; ++i) {
     workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
@@ -80,13 +80,14 @@ Engine::Engine(EngineConfig cfg)
 }
 
 Engine::~Engine() {
+  // A stopping worker still runs every job in its lane before it exits
+  // (their chains and callbacks may anchor caller state).
   for (auto& w : workers_) {
-    // Queued jobs still run (their chains and callbacks may anchor
-    // caller state); only then is the worker told to exit.
-    if (w->unsignalled) wake(*w);
-    while (!w->ring.empty()) std::this_thread::yield();
-    w->stop.store(true, std::memory_order_relaxed);
-    w->cv.notify_all();
+    {
+      std::lock_guard lk(w->m);
+      w->stop = true;
+    }
+    w->cv.notify_one();
   }
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
@@ -101,9 +102,9 @@ Engine::Completion Engine::execute_job(unsigned worker, SimTime submitted_at,
   c.id = job.id;
   c.on_done = std::move(job.on_done);
 
-  // Worker-side flight events carry the submit-time sim clock: a worker
-  // thread cannot touch the (control-thread) clock source, and sim time
-  // does not advance while real threads compute anyway.
+  // Lane flight events carry the submit-time sim clock: a worker thread
+  // cannot touch the (control-thread) clock source, and sim time does not
+  // advance while real threads compute anyway.
   const bool fly = obs::kEnabled && flight_ != nullptr &&
                    worker < flight_worker_tracks_.size();
   if (fly) {
@@ -126,42 +127,45 @@ Engine::Completion Engine::execute_job(unsigned worker, SimTime submitted_at,
   return c;
 }
 
-void Engine::wake(Worker& w) {
-  w.unsignalled = false;
-  // A worker holds its mutex from the empty-ring check until it waits, so
-  // taking the mutex here orders this notify after that wait: never lost.
-  { std::lock_guard lk(w.m); }
-  w.cv.notify_one();
+void Engine::run_claimed(unsigned lane, std::vector<Task>& batch,
+                         std::vector<Completion>& done) {
+  for (Task& t : batch) {
+    done.push_back(execute_job(lane, t.submitted_at, std::move(t.job)));
+  }
+  batch.clear();
+  {
+    std::lock_guard lk(done_->m);
+    for (auto& c : done) done_->ready.push_back(std::move(c));
+  }
+  done_->cv.notify_one();
+  done.clear();
 }
 
-void Engine::wake_unsignalled() {
-  for (auto& w : workers_) {
-    if (w->unsignalled) wake(*w);
-  }
+void Engine::wake(Worker& w) {
+  w.unsignalled = false;
+  // Jobs are pushed under the worker's mutex, which it holds from its
+  // empty-lane check until it waits, so this notify is never lost.
+  w.cv.notify_one();
 }
 
 void Engine::worker_loop(unsigned idx) {
   Worker& w = *workers_[idx];
-  Task t;
-  std::vector<Completion> done;  // keeps its capacity from batch to batch
+  // Both keep their capacity from claim to claim.
+  std::vector<Task> batch;
+  std::vector<Completion> done;
+  std::unique_lock lk(w.m);
   for (;;) {
-    while (done.size() < kQueueCapacity && w.ring.try_pop(t)) {
-      done.push_back(execute_job(idx, t.submitted_at, std::move(t.job)));
-    }
-    if (!done.empty()) {
-      {
-        std::lock_guard lk(done_->m);
-        for (auto& c : done) done_->ready.push_back(std::move(c));
-      }
-      done_->cv.notify_one();
-      done.clear();
+    if (!w.jobs.empty()) {
+      w.claimed = true;
+      batch.swap(w.jobs);
+      lk.unlock();
+      run_claimed(idx, batch, done);
+      lk.lock();
+      w.claimed = false;
       continue;
     }
-    std::unique_lock lk(w.m);
-    if (!w.ring.empty()) continue;  // raced with a push; retry
-    if (w.stop.load(std::memory_order_relaxed)) return;
-    // Bounded wait: a notify lost between the empty-check and the wait
-    // costs one tick, not a deadlock.
+    if (w.stop) return;
+    // Bounded wait: a lane nobody drains is still claimed within a tick.
     w.cv.wait_for(lk, std::chrono::milliseconds(1));
   }
 }
@@ -190,28 +194,53 @@ void Engine::submit(ManipulationJob job) {
     return;
   }
 
-  const unsigned idx = static_cast<unsigned>(job.id % workers_.size());
-  Worker& w = *workers_[idx];
-  queue_depth_.add(static_cast<double>(w.ring.size()));
-  Task t{submitted_at, std::move(job)};
-  if (!w.ring.try_push(std::move(t))) {
-    // Ring full: wake the worker (its jobs were left unsignalled) and spin
-    // until it frees a slot. It is the only consumer and needs no help
-    // from this thread, so spinning is safe (and rare — it means control
-    // is outrunning the pool by a whole ring).
+  Worker& w = *workers_[job.id % workers_.size()];
+  std::unique_lock lk(w.m);
+  queue_depth_.add(static_cast<double>(w.jobs.size()));
+  if (w.jobs.size() >= kLaneCapacity) {
+    // Lane full: wake the worker (its jobs were left unsignalled) and
+    // yield until it claims them. Rare: control is outrunning the pool by
+    // a whole lane.
     ++stats_.submit_backpressure;
     wake(w);
     do {
+      lk.unlock();
       std::this_thread::yield();
-    } while (!w.ring.try_push(std::move(t)));
+      lk.lock();
+    } while (w.jobs.size() >= kLaneCapacity);
   }
+  w.jobs.push_back(Task{submitted_at, std::move(job)});
   // No notify: a wake per job would let the worker preempt the control
-  // thread once per ADU on a shared core. The next harvest wakes it.
+  // thread once per ADU on a shared core. drain() runs the lane here, or
+  // poll() wakes the worker.
   w.unsignalled = true;
 }
 
+void Engine::run_unclaimed() {
+  for (unsigned i = 0; i < workers_.size(); ++i) {
+    Worker& w = *workers_[i];
+    // Only this thread appends to a lane, so no job can join the batch
+    // while it runs here: taking the list is the claim. A claimed lane's
+    // worker picks up what was submitted since before it sleeps.
+    w.unsignalled = false;
+    {
+      std::lock_guard lk(w.m);
+      if (w.claimed || w.jobs.empty()) continue;
+      ctl_batch_.swap(w.jobs);
+    }
+    stats_.inline_executions += ctl_batch_.size();
+    run_claimed(i, ctl_batch_, ctl_done_);
+  }
+}
+
 std::size_t Engine::drain_ready(bool block) {
-  wake_unsignalled();
+  if (block) {
+    run_unclaimed();
+  } else {
+    for (auto& w : workers_) {
+      if (w->unsignalled) wake(*w);
+    }
+  }
   // The batch takes the spare vector's capacity and the completion queue
   // takes the batch's, so the two buffers alternate and a harvest
   // allocates nothing once both have grown. A callback that re-enters
@@ -220,6 +249,9 @@ std::size_t Engine::drain_ready(bool block) {
   batch.swap(spare_);
   {
     std::unique_lock lk(done_->m);
+    // Nothing ready after run_unclaimed: every outstanding job is in a
+    // lane a worker is running, and that worker publishes before it
+    // releases the lane.
     if (block && done_->ready.empty() && outstanding_ > 0) {
       done_->cv.wait(lk, [&] { return !done_->ready.empty(); });
     }

@@ -9,11 +9,16 @@
 //   * the CONTROL thread stays on the deterministic EventLoop, validating
 //     frames and assembling ADUs;
 //   * each complete ADU becomes a ManipulationJob — its reassembly chain
-//     plus its fused ILP stage plan (ilp/pipeline.h) — dispatched to a
-//     worker pool of real std::threads over per-worker SPSC rings;
+//     plus its fused ILP stage plan (ilp/pipeline.h) — queued on one of
+//     the worker pool's lanes, each a job list behind its worker's mutex;
 //   * jobs are sharded by their id (the receiver's flow-scoped trace id),
 //     so two jobs for the same ADU keep FIFO order while distinct ADUs run
-//     concurrently and complete in ANY order;
+//     in any order;
+//   * a lane is claimed whole, by its worker after a wake or its bounded
+//     wait, or by the control thread in drain(), which runs every lane no
+//     worker has claimed rather than wait for a worker to be switched in:
+//     on a core shared with the workers, that hand-off costs more than a
+//     small job;
 //   * completions post back to the control thread, which drains them at
 //     its own pace (poll/drain/wait_all) and delivers by ADU name — never
 //     by arrival order, which is exactly why any completion order is valid.
@@ -55,8 +60,9 @@ struct EngineConfig {
 
 /// Optional application-context stage run after the fused plan (only when
 /// the ADU proved intact): presentation decode of syntaxes with no word
-/// kernel, application consumption, etc. Runs on the WORKER thread — it
-/// must only touch the job's own chain and cost ledger.
+/// kernel, application consumption, etc. Runs on whichever thread claimed
+/// the job's lane (a worker, or control inside drain()) — it must only
+/// touch the job's own chain and cost ledger.
 using AppStage = std::function<void(buf::BufChain& chain, obs::CostAccount& cost)>;
 
 /// Completion callback; always invoked on the draining (control) thread.
@@ -70,8 +76,8 @@ using CompletionFn = std::function<void(bool intact, buf::BufChain&& chain,
 
 /// One complete ADU plus its manipulation pipeline.
 struct ManipulationJob {
-  /// Worker-shard key and flight-recorder trace id in one: equal ids share
-  /// a worker (FIFO). The receiver uses the flow-scoped trace id
+  /// Lane key and flight-recorder trace id in one: equal ids share a lane
+  /// and run in submit order. The receiver uses the flow-scoped trace id
   /// (obs::flight_trace_id), so an engine shared across many sessions
   /// (sessiond) spreads distinct flows over its workers while each flow's
   /// equal-id jobs still share one lane, and begin/end events land on the
@@ -94,9 +100,11 @@ struct EngineStats {
   std::uint64_t jobs_completed = 0;        ///< drained back to control
   std::uint64_t jobs_failed = 0;           ///< completed with intact=false
   std::uint64_t bytes_submitted = 0;
-  std::uint64_t inline_executions = 0;     ///< workers=0 submissions
+  /// Jobs the control thread ran: every submission when workers = 0,
+  /// else the jobs drain() ran from unclaimed lanes.
+  std::uint64_t inline_executions = 0;
   std::uint64_t completions_reordered = 0; ///< displaced by reorder_seed
-  std::uint64_t submit_backpressure = 0;   ///< submits that found a full ring
+  std::uint64_t submit_backpressure = 0;   ///< submits that found a full lane
   std::size_t outstanding_peak = 0;        ///< high-water mark of outstanding()
 };
 
@@ -118,20 +126,25 @@ class Engine {
   /// True when jobs run on real threads (completions arrive asynchronously).
   bool parallel() const noexcept { return !workers_.empty(); }
 
-  /// Dispatches one job (inline mode executes it immediately). The
+  /// Queues one job on its lane (inline mode executes it immediately). The
   /// completion is delivered by a later poll()/drain()/wait_all() on the
-  /// control thread. A worker is not woken for the job: the next harvest
-  /// wakes it, as does a submit that finds its ring full, and a worker's
-  /// bounded wait finds it within about a millisecond regardless.
+  /// control thread. No worker is woken for the job: drain() runs it here
+  /// unless the lane's worker claims it first — after poll() wakes it, a
+  /// submit that finds the lane holding 1,024 jobs wakes it (and waits
+  /// for room), or its bounded wait finds the job within about a
+  /// millisecond.
   void submit(ManipulationJob job);
 
   /// Wakes every worker holding jobs submitted since its last wake, then
-  /// delivers every completion that is ready, without blocking.
+  /// delivers every completion that is ready. Runs no job and never
+  /// blocks.
   std::size_t poll() { return drain_ready(false); }
-  /// Like poll(), but if nothing is ready and jobs are outstanding, blocks
-  /// until at least one completion arrives.
+  /// Runs every lane no worker has claimed on this thread, then delivers
+  /// every completion that is ready. Wakes no worker; blocks only when
+  /// nothing is ready and every outstanding job is in a lane a worker is
+  /// running, until that worker publishes.
   std::size_t drain() { return drain_ready(true); }
-  /// Blocks until every submitted job has been completed AND delivered.
+  /// drain() until every submitted job has been completed AND delivered.
   void wait_all();
 
   /// Jobs submitted but not yet delivered to their on_done.
@@ -147,10 +160,11 @@ class Engine {
   /// Returns the source id.
   std::size_t register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
   /// Attaches the per-ADU flight recorder: an "engine" control track
-  /// (submit / harvest) plus one "engine.worker<i>" track per worker
+  /// (submit / harvest) plus one "engine.worker<i>" track per lane
   /// (begin / end, stamped with the job's submit-time sim clock — workers
-  /// cannot read the sim clock, and each worker track has exactly one
-  /// writer). Call before traffic flows; null detaches.
+  /// cannot read the sim clock; a lane track's writer is the lane's
+  /// claimer, one thread at a time). Call before traffic flows; null
+  /// detaches.
   void set_flight(obs::FlightRecorder* flight);
 
  private:
@@ -159,18 +173,23 @@ class Engine {
   struct Completion;
 
   Completion execute_job(unsigned worker, SimTime submitted_at, ManipulationJob&& job);
+  /// Runs a batch claimed from `lane` in order, publishes its completions
+  /// under one lock with one notify, and leaves both vectors empty.
+  void run_claimed(unsigned lane, std::vector<Task>& batch,
+                   std::vector<Completion>& done);
   void worker_loop(unsigned idx);
+  /// drain()'s first step: claims and runs every lane no worker holds.
+  void run_unclaimed();
   std::size_t drain_ready(bool block);
   /// Notifies one worker of the jobs it holds unsignalled.
   void wake(Worker& w);
-  /// The harvest's wake: every worker holding unsignalled jobs, once.
-  void wake_unsignalled();
 
   EngineConfig cfg_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Flight recorder wiring (see set_flight). worker_tracks_[i] is written
-  // only by worker i (or by control, for the inline worker 0).
+  // Flight recorder wiring (see set_flight). flight_worker_tracks_[i] is
+  // written only by whichever thread has claimed lane i (control, for the
+  // inline lane 0).
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_ctl_track_ = 0;
   std::vector<std::uint16_t> flight_worker_tracks_;
@@ -180,19 +199,24 @@ class Engine {
   std::uint64_t reorder_draws_ = 0;
   EngineStats stats_;
   std::vector<WorkerStats> worker_stats_;
-  Histogram queue_depth_;     ///< ring occupancy sampled at each submit
+  Histogram queue_depth_;     ///< unclaimed lane jobs sampled at each submit
   /// Host wall time of each job's manipulation (the run_manipulation_chain
-  /// call plus any app stage) on its worker — not queueing, not harvest.
+  /// call plus any app stage) on the thread that ran it — not queueing,
+  /// not harvest.
   /// 0.1 us buckets over 0-200 us, so a sub-microsecond job (a fused
   /// CRC-32 pass over 1 KiB) still resolves; slower jobs land in the
   /// overflow count.
   Histogram job_latency_us_;
 
-  // Completion channel (workers produce, control consumes).
+  // Completion channel (lane claimers produce, control consumes).
   struct DoneQueue;
   std::unique_ptr<DoneQueue> done_;
   /// Control thread only: the harvest vector's capacity between harvests.
   std::vector<Completion> spare_;
+  /// Control thread only: a lane's jobs and completions while drain()
+  /// runs them, kept for their capacity.
+  std::vector<Task> ctl_batch_;
+  std::vector<Completion> ctl_done_;
 };
 
 }  // namespace ngp::engine

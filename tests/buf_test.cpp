@@ -25,6 +25,8 @@
 #include "simd/dispatch.h"
 #include "util/rng.h"
 
+#include "test_bytes.h"
+
 namespace ngp::buf {
 namespace {
 
@@ -647,7 +649,7 @@ TEST(BufChain, ChainExecutorMatchesFlatForEveryPlan) {
                         where + " segs=" + std::to_string(cuts.size()) +
                         " misalign=" + std::to_string(misalign) + label;
                     EXPECT_EQ(ok, want_ok) << at;
-                    EXPECT_EQ(chain.flatten(), want) << at;
+                    EXPECT_PRED_FORMAT2(test::BytesEq, chain.flatten(), want) << at;
                     expect_same_ledger(acct, charge, at);
                   }
                 }
@@ -730,7 +732,7 @@ TEST(BufChain, BothExecutorsMatchIlpStagesForEveryFusedPlan) {
                 const std::string at = where + " segs=" + std::to_string(cuts.size()) +
                                        " misalign=" + std::to_string(misalign);
                 EXPECT_TRUE(run_manipulation_chain(plan, chain, nullptr)) << at;
-                EXPECT_EQ(chain.flatten(), want) << at;
+                EXPECT_PRED_FORMAT2(test::BytesEq, chain.flatten(), want) << at;
               }
             }
           }

@@ -1,13 +1,16 @@
 // engine_test.cpp — the out-of-order parallel manipulation engine
-// (src/engine): inline/parallel parity, sharding, adversarial completion
-// schedules, metrics, and the end-to-end property the design rests on —
-// sink bytes and §4 cost ledgers are invariant across execution schedules.
+// (src/engine): inline/parallel parity, sharding, lane claims, adversarial
+// completion schedules, metrics, and the end-to-end property the design
+// rests on — sink bytes and §4 cost ledgers are invariant across execution
+// schedules.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -20,7 +23,6 @@
 #include "checksum/checksum.h"
 #include "crypto/chacha20.h"
 #include "engine/engine.h"
-#include "engine/spsc_queue.h"
 #include "netsim/net_path.h"
 #include "obs/metrics.h"
 #include "simd/dispatch.h"
@@ -81,23 +83,6 @@ void expect_costs_equal(const obs::CostAccount& a, const obs::CostAccount& b) {
   EXPECT_EQ(a.memory_passes, b.memory_passes);
   EXPECT_EQ(a.word_loads, b.word_loads);
   EXPECT_EQ(a.word_stores, b.word_stores);
-}
-
-// ---- SPSC ring -------------------------------------------------------------------
-
-TEST(SpscQueue, FifoAndCapacity) {
-  SpscQueue<int> q(4);
-  EXPECT_TRUE(q.empty());
-  int filled = 0;
-  while (q.try_push(int{filled})) ++filled;
-  EXPECT_GE(filled, 4);  // capacity rounds up to a power of two
-  int v = -1;
-  for (int i = 0; i < filled; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);  // strict FIFO
-  }
-  EXPECT_FALSE(q.try_pop(v));
-  EXPECT_TRUE(q.empty());
 }
 
 // ---- Engine, inline mode ---------------------------------------------------------
@@ -245,10 +230,10 @@ TEST(EngineParallel, DistinctIdsSpreadAcrossWorkers) {
   EXPECT_EQ(total_jobs, 32u);
 }
 
-// ---- Wake policy: submit never notifies; a harvest wakes each worker once ------
+// ---- Wake policy: submit never notifies; poll wakes, drain runs the lanes -----
 
 /// `n` small intact jobs with distinct ids whose app stage counts its run
-/// on the worker and whose completion counts its delivery on control.
+/// and whose completion counts its delivery on control.
 std::vector<ManipulationJob> counted_jobs(int n, std::atomic<int>& ran,
                                           int& delivered) {
   std::vector<ManipulationJob> jobs;
@@ -292,9 +277,9 @@ TEST(EngineWake, JobsSubmittedWithNoHarvestStillComplete) {
 }
 
 TEST(EngineWake, DestructorRunsUnharvestedJobsAndReturns) {
-  // Jobs still unsignalled at teardown: the destructor wakes their
-  // workers, lets every queued job run, joins, and drops the completions
-  // undelivered (its documented contract).
+  // Jobs still unsignalled at teardown: the destructor stops the workers,
+  // each runs every job left in its lane before it exits, and the
+  // completions are dropped undelivered (its documented contract).
   constexpr int kJobs = 64;
   std::atomic<int> ran{0};
   int delivered = 0;
@@ -306,16 +291,37 @@ TEST(EngineWake, DestructorRunsUnharvestedJobsAndReturns) {
   EXPECT_EQ(delivered, 0);
 }
 
-TEST(EngineWake, OverfullRingFinishesThroughTheFullRingWake) {
-  // More jobs than one worker's ring holds, submitted back to back with
-  // no harvest: the submit that finds the ring full wakes the worker and
-  // waits for room, so every job is accepted and completes.
+TEST(EngineWake, OverfullLaneFinishesThroughTheFullLaneWake) {
+  // More jobs than a lane holds (1,024), submitted back to back with no
+  // harvest: the submit that finds the lane full wakes the worker and
+  // waits for room, so every job is accepted and completes. The first job
+  // holds its worker until that submit has begun, so the lane fills
+  // behind it exactly once.
   constexpr int kJobs = 1500;
+  constexpr int kLane = 1024;
   std::atomic<int> ran{0};
+  std::atomic<int> issued{0};
+  std::atomic<bool> entered{false};
   int delivered = 0;
   Engine eng(EngineConfig{.workers = 1});
-  for (auto& j : counted_jobs(kJobs, ran, delivered)) eng.submit(std::move(j));
+  auto jobs = counted_jobs(kJobs, ran, delivered);
+  jobs[0].app_stage = [&](buf::BufChain&, obs::CostAccount&) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+    entered.store(true);
+    while (issued.load() <= kLane + 1) std::this_thread::yield();
+    // Long enough for that submit to find the lane still full.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  issued.store(1);
+  eng.submit(std::move(jobs[0]));
+  eng.poll();  // the worker claims the first job alone
+  while (!entered.load()) std::this_thread::yield();
+  for (int i = 1; i < kJobs; ++i) {
+    issued.store(i + 1);
+    eng.submit(std::move(jobs[static_cast<std::size_t>(i)]));
+  }
   EXPECT_EQ(eng.stats().jobs_submitted, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(eng.stats().submit_backpressure, 1u);
   eng.wait_all();
   EXPECT_EQ(ran.load(), kJobs);
   EXPECT_EQ(delivered, kJobs);
@@ -323,8 +329,8 @@ TEST(EngineWake, OverfullRingFinishesThroughTheFullRingWake) {
 }
 
 TEST(EngineWake, PollAfterABurstDeliversEveryCompletion) {
-  // poll() is a harvest too: the first wakes the workers holding the
-  // burst, and polling on delivers every completion without blocking.
+  // poll() runs no job: the first wakes the workers holding the burst,
+  // and polling on delivers every completion without blocking.
   constexpr int kJobs = 200;
   std::atomic<int> ran{0};
   int delivered = 0;
@@ -339,6 +345,92 @@ TEST(EngineWake, PollAfterABurstDeliversEveryCompletion) {
   EXPECT_EQ(polled, static_cast<std::size_t>(kJobs));
   EXPECT_EQ(delivered, kJobs);
   EXPECT_EQ(ran.load(), kJobs);
+}
+
+// ---- Lane claims: whoever claims a lane runs all of it ---------------------------
+
+TEST(EngineHarvest, ALaneRunsOnOneThreadAtATimeInSubmitOrder) {
+  // Two workers, four ids over their two lanes, three jobs per id per
+  // round. Rounds cycle through three harvests: poll(), which wakes the
+  // workers; drain() straight after, while a worker may still hold its
+  // lane, so the new jobs wait behind its batch; and drain() once the
+  // workers are idle, which runs both lanes on this thread. Whoever claims
+  // a lane runs it alone, in submit order.
+  constexpr unsigned kWorkers = 2;
+  constexpr std::uint32_t kIds = 4;
+  constexpr int kPerId = 3;
+  constexpr int kRounds = 42;
+  struct Record {
+    std::uint32_t id;
+    int seq;
+    std::thread::id thread;
+  };
+  std::mutex records_m;
+  std::vector<Record> records;
+  std::array<std::atomic<int>, kWorkers> inside{};
+  std::map<std::uint32_t, int> submitted;  // per id, this thread only
+
+  Engine eng(EngineConfig{.workers = kWorkers});
+  const auto submit_round = [&] {
+    for (std::uint32_t id = 1; id <= kIds; ++id) {
+      for (int k = 0; k < kPerId; ++k) {
+        const int seq = submitted[id]++;
+        ManipulationJob j = to_job(
+            id, make_encrypted(id, 256, 1000 * id + static_cast<unsigned>(seq)),
+            [](bool intact, buf::BufChain&&, const obs::CostAccount&) {
+              EXPECT_TRUE(intact);
+            });
+        j.app_stage = [&, id, seq](buf::BufChain&, obs::CostAccount&) {
+          std::atomic<int>& lane = inside[id % kWorkers];
+          EXPECT_EQ(lane.fetch_add(1), 0) << "lane " << id % kWorkers;
+          {
+            std::lock_guard lk(records_m);
+            records.push_back({id, seq, std::this_thread::get_id()});
+          }
+          // Stay inside a while, so an overlapping claim would show.
+          const auto until = std::chrono::steady_clock::now() +
+                             std::chrono::microseconds(20);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          lane.fetch_sub(1);
+        };
+        eng.submit(std::move(j));
+      }
+    }
+  };
+  // poll() runs nothing itself, so this leaves every job to the workers.
+  const auto poll_until_idle = [&eng] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (eng.outstanding() > 0 && std::chrono::steady_clock::now() < deadline) {
+      eng.poll();
+      std::this_thread::yield();
+    }
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    if (round % 3 == 2) poll_until_idle();
+    submit_round();
+    if (round % 3 == 0) {
+      eng.poll();
+    } else {
+      eng.drain();
+    }
+  }
+  submit_round();
+  poll_until_idle();
+  eng.wait_all();
+
+  constexpr std::size_t kJobs = (kRounds + 1) * kIds * kPerId;
+  ASSERT_EQ(records.size(), kJobs);
+  EXPECT_EQ(eng.stats().jobs_completed, kJobs);
+  std::map<std::uint32_t, int> next;
+  std::uint64_t on_control = 0;
+  for (const Record& r : records) {
+    EXPECT_EQ(r.seq, next[r.id]++) << "id " << r.id;
+    if (r.thread == std::this_thread::get_id()) ++on_control;
+  }
+  EXPECT_EQ(eng.stats().inline_executions, on_control);
+  EXPECT_GT(on_control, 0u);       // drain() claimed lanes
+  EXPECT_LT(on_control, kJobs);    // and so did the workers
 }
 
 // ---- Kernel-tier invariance ------------------------------------------------------
