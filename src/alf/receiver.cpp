@@ -507,6 +507,7 @@ buf::BufChain AlfReceiver::build_chain(Reassembly& r) {
   // Complete coverage with disjoint slices: ascending key order IS the
   // ADU's byte order. Moving the slices transfers their references.
   buf::BufChain chain;
+  chain.reserve(r.frags.size());
   for (auto& [off, slice] : r.frags) chain.append(std::move(slice));
   r.frags.clear();
   r.blocks.clear();

@@ -86,6 +86,9 @@ class BufChain {
     size_ = 0;
   }
 
+  /// Makes room for `n` slices, so appending that many allocates once.
+  void reserve(std::size_t n) { segs_.reserve(n); }
+
   /// Appends a slice at the tail. Empty slices are dropped; a slice that
   /// continues the previous one inside the same segment is coalesced so
   /// fragment-sized arrivals don't balloon the iovec.

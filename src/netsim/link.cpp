@@ -1,5 +1,7 @@
 #include "netsim/link.h"
 
+#include <algorithm>
+
 #include "buf/ingress.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -9,8 +11,33 @@ namespace ngp {
 Link::Link(EventLoop& loop, LinkConfig config)
     : loop_(loop), config_(config), rng_(config.seed),
       loss_(std::make_unique<NoLoss>()),
-      frame_sizes_(0.0, static_cast<double>(config.mtu) + 1.0, 16),
-      events_(loop) {}
+      frame_sizes_(0.0, static_cast<double>(config.mtu) + 1.0, 16) {}
+
+Link::~Link() {
+  for (const InFlight& f : in_flight_) {
+    if (f.event != 0) loop_.cancel(f.event);
+  }
+}
+
+std::size_t Link::queued() const {
+  while (tx_count_ > 0 && loop_.passed(tx_ends_[tx_head_])) {
+    tx_head_ = (tx_head_ + 1) & (tx_ends_.size() - 1);
+    --tx_count_;
+  }
+  return tx_count_;
+}
+
+void Link::enqueue(EventLoop::Mark tx_end) {
+  if (tx_count_ == tx_ends_.size()) {
+    std::vector<EventLoop::Mark> grown(std::max<std::size_t>(8, 2 * tx_count_));
+    for (std::size_t i = 0; i < tx_count_; ++i) {
+      grown[i] = tx_ends_[(tx_head_ + i) & (tx_ends_.size() - 1)];
+    }
+    tx_ends_ = std::move(grown);
+    tx_head_ = 0;
+  }
+  tx_ends_[(tx_head_ + tx_count_++) & (tx_ends_.size() - 1)] = tx_end;
+}
 
 bool Link::send(ConstBytes frame) {
   ++stats_.frames_offered;
@@ -19,7 +46,7 @@ bool Link::send(ConstBytes frame) {
     flight_note(obs::FlightStage::kLinkDrop, frame);
     return false;
   }
-  if (queued_ >= config_.queue_limit) {
+  if (queued() >= config_.queue_limit) {
     ++stats_.dropped_queue;
     flight_note(obs::FlightStage::kLinkDrop, frame);
     return false;
@@ -31,7 +58,6 @@ bool Link::send(ConstBytes frame) {
   const SimTime start = std::max(loop_.now(), tx_free_at_);
   const SimDuration tx_time = transmission_time(frame.size(), config_.bandwidth_bps);
   tx_free_at_ = start + tx_time;
-  ++queued_;
 
   // §4's unavoidable cost: an accepted frame is one full pass over its
   // bytes (the copy onto the wire), whatever its later fate.
@@ -50,13 +76,12 @@ bool Link::send(ConstBytes frame) {
   }
 
   // The queue slot frees when serialization completes, regardless of fate.
-  events_.schedule_at(tx_free_at_, [this] {
-    if (queued_ > 0) --queued_;
-  });
+  enqueue(loop_.mark(tx_free_at_));
 
   if (lost) {
     ++stats_.dropped_loss;
     flight_note(obs::FlightStage::kLinkDrop, frame);
+    hold(tx_free_at_, buf::Slice{}, /*lost=*/true);  // on the wire until serialized
     return true;  // accepted; silently lost in flight
   }
 
@@ -76,14 +101,35 @@ bool Link::send(ConstBytes frame) {
   if (dup) {
     buf::Slice second{pool.alloc(frame.size()), 0, frame.size()};
     copy_bytes(second.mutable_bytes().data(), s.bytes().data(), frame.size());
-    events_.schedule_at(dup_arrive, [this, f = std::move(second)]() mutable {
-      deliver(std::move(f));
-    });
+    hold(dup_arrive, std::move(second), /*lost=*/false);
   }
-  events_.schedule_at(arrive, [this, f = std::move(s)]() mutable {
-    deliver(std::move(f));
-  });
+  hold(arrive, std::move(s), /*lost=*/false);
   return true;
+}
+
+void Link::hold(SimTime when, buf::Slice frame, bool lost) {
+  std::uint32_t i = free_;
+  if (i != kNoEntry) {
+    free_ = in_flight_[i].next_free;
+  } else {
+    i = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  }
+  InFlight& f = in_flight_[i];
+  f.frame = std::move(frame);
+  f.lost = lost;
+  f.event = loop_.schedule_at(when, [this, i] { land(i); });
+}
+
+void Link::land(std::uint32_t i) {
+  // Free the entry before delivering: the handler may send on this link.
+  InFlight& f = in_flight_[i];
+  buf::Slice frame = std::move(f.frame);
+  const bool lost = f.lost;
+  f.event = 0;
+  f.next_free = free_;
+  free_ = i;
+  if (!lost) deliver(std::move(frame));
 }
 
 void Link::deliver(buf::Slice frame) {
@@ -122,7 +168,7 @@ void Link::emit_metrics(obs::MetricSink& sink) const {
   sink.counter("duplicated", stats_.duplicated);
   sink.counter("reordered", stats_.reordered);
   sink.counter("bytes_delivered", stats_.bytes_delivered);
-  sink.gauge("queue_depth", static_cast<double>(queued_));
+  sink.gauge("queue_depth", static_cast<double>(queued()));
   sink.histogram("frame_bytes", frame_sizes_);
   obs::emit_cost(sink, "cost", transfer_cost_);
 }

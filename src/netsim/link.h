@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "buf/chain.h"
 #include "netsim/loss_model.h"
@@ -60,9 +61,23 @@ struct LinkStats {
 /// handler after serialization + propagation (+ reorder detour), unless the
 /// loss model or queue drops it. Destroying a link cancels the frames it
 /// still has in flight.
+///
+/// Cost: each delivered copy of a frame (a duplicate is a second copy) is
+/// one loop event, and each lost frame one event at its serialization end,
+/// so `loop.pending()` is non-zero exactly while a frame is on the wire.
+/// A copy waits in the link's in-flight table, and its event captures
+/// only the link and the table entry, so once the table has grown to the
+/// traffic a frame allocates nothing beyond its pool segment. The queue
+/// schedules nothing: its depth is the number of accepted frames whose
+/// serialization end the loop has not yet passed (EventLoop::mark and
+/// passed()). At an instant where a serialization end ties with running
+/// events, that counts the frame as gone only for events scheduled after
+/// the frame was sent, as a queue-slot event scheduled in send() would
+/// have.
 class Link {
  public:
   Link(EventLoop& loop, LinkConfig config);
+  ~Link();
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -110,7 +125,27 @@ class Link {
                   FlightTagFn tag);
 
  private:
+  /// A frame copy in flight, or a lost frame holding its place on the
+  /// wire until its serialization end.
+  struct InFlight {
+    buf::Slice frame;
+    EventId event = 0;  ///< 0 while the entry is free
+    std::uint32_t next_free = 0;
+    bool lost = false;
+  };
+  static constexpr std::uint32_t kNoEntry = 0xFFFF'FFFFu;
+
+  /// Keeps `frame` in the in-flight table until `when`, then land()s it.
+  void hold(SimTime when, buf::Slice frame, bool lost);
+  /// The event of entry `i`: frees the entry and delivers its frame
+  /// unless it was lost.
+  void land(std::uint32_t i);
   void deliver(buf::Slice frame);
+  /// Frames accepted whose serialization end the loop has not passed;
+  /// forgets the ends it has.
+  std::size_t queued() const;
+  /// Counts a frame in the queue until the loop passes `tx_end`.
+  void enqueue(EventLoop::Mark tx_end);
   void flight_note(obs::FlightStage stage, ConstBytes frame);
 
   EventLoop& loop_;
@@ -126,8 +161,13 @@ class Link {
   obs::CostAccount transfer_cost_;
   Histogram frame_sizes_;     ///< accepted-frame sizes (range set by the mtu)
   SimTime tx_free_at_ = 0;    ///< when the serializer becomes idle
-  std::size_t queued_ = 0;    ///< frames waiting in / on the serializer
-  OwnedEvents events_;        ///< queue-slot and delivery events
+  /// Serialization ends of the queued frames, oldest first: a ring whose
+  /// capacity is a power of two.
+  std::vector<EventLoop::Mark> tx_ends_;
+  mutable std::size_t tx_head_ = 0;
+  mutable std::size_t tx_count_ = 0;
+  std::vector<InFlight> in_flight_;  ///< entries reused through a free list
+  std::uint32_t free_ = kNoEntry;
 };
 
 /// A bidirectional channel: two independent links with shared defaults.

@@ -4,17 +4,31 @@
 
 namespace ngp {
 
-EventId EventLoop::schedule_at(SimTime when, std::function<void()> fn) {
+EventId EventLoop::schedule_at(SimTime when, EventFn fn) {
   if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  heap_.push_back(Event{when, next_seq_++, id});
+  std::uint32_t i = free_;
+  if (i != kNoSlot) {
+    free_ = slot(i).next_free;
+  } else {
+    if ((slot_count_ & (kBlockSize - 1)) == 0) {
+      blocks_.push_back(std::make_unique<Slot[]>(kBlockSize));
+    }
+    i = slot_count_++;
+  }
+  Slot& s = slot(i);
+  s.fn = std::move(fn);
+  s.seq = next_seq_++;
+  heap_.push_back(Event{when, s.seq, i});
   std::push_heap(heap_.begin(), heap_.end());
-  callbacks_.emplace(id, std::move(fn));
-  return id;
+  ++live_;
+  return (EventId{s.gen} << 32) | i;
 }
 
 bool EventLoop::cancel(EventId id) {
-  if (callbacks_.erase(id) == 0) return false;
+  if (!pending(id)) return false;
+  const auto i = static_cast<std::uint32_t>(id);
+  retire(slot(i));
+  release(i);
   ++cancelled_count_;
   // Lazy cancellation is fine while dead entries are the minority, but a
   // cancel-heavy workload (re-armed watchdogs, torn-down sessions) would
@@ -23,15 +37,40 @@ bool EventLoop::cancel(EventId id) {
   return true;
 }
 
+void EventLoop::retire(Slot& s) noexcept {
+  s.seq = kNoSeq;
+  if (++s.gen == 0) s.gen = 1;  // ids are never 0
+  --live_;
+}
+
+void EventLoop::release(std::uint32_t i) noexcept {
+  Slot& s = slot(i);
+  s.fn.reset();
+  s.next_free = free_;
+  free_ = i;
+}
+
+void EventLoop::invoke(std::uint32_t i) {
+  // Blocks never move, so the callable runs where it was stored even if it
+  // schedules more events; its slot joins the free list only afterwards.
+  struct Release {
+    EventLoop* loop;
+    std::uint32_t i;
+    ~Release() { loop->release(i); }
+  } release{this, i};
+  Slot& s = slot(i);
+  retire(s);
+  s.fn();
+}
+
 void EventLoop::compact() {
-  std::erase_if(heap_,
-                [this](const Event& e) { return !callbacks_.contains(e.id); });
+  std::erase_if(heap_, [this](const Event& e) { return !live(e); });
   std::make_heap(heap_.begin(), heap_.end());
   cancelled_count_ = 0;
 }
 
 void EventLoop::drop_cancelled_front() {
-  while (!heap_.empty() && !callbacks_.contains(heap_.front().id)) {
+  while (!heap_.empty() && !live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end());
     heap_.pop_back();
     if (cancelled_count_ > 0) --cancelled_count_;
@@ -41,18 +80,16 @@ void EventLoop::drop_cancelled_front() {
 bool EventLoop::step() {
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end());
-    Event ev = heap_.back();
+    const Event ev = heap_.back();
     heap_.pop_back();
-    auto it = callbacks_.find(ev.id);
-    if (it == callbacks_.end()) {
+    if (!live(ev)) {
       // Cancelled: skip.
       if (cancelled_count_ > 0) --cancelled_count_;
       continue;
     }
-    std::function<void()> fn = std::move(it->second);
-    callbacks_.erase(it);
     now_ = ev.when;
-    fn();
+    done_ = Mark{ev.when, ev.seq + 1};
+    invoke(ev.slot);
     return true;
   }
   return false;
@@ -68,7 +105,11 @@ std::size_t EventLoop::run_until(SimTime until) {
     if (heap_.empty() || heap_.front().when > until) break;
     if (step()) ++executed;
   }
-  if (now_ < until) now_ = until;
+  if (now_ <= until) {
+    // Everything placed at or before `until` so far has run.
+    now_ = until;
+    done_ = Mark{until, next_seq_};
+  }
   return executed;
 }
 

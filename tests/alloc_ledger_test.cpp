@@ -7,9 +7,12 @@
 // window below runs on one thread over the deterministic simulator, so
 // its count is exact and pinned at tolerance 0: a change that adds or
 // removes an allocation on the per-ADU path fails here and prints the new
-// figure. The counts are the GNU C++ library's: its std::function keeps a
-// capture of up to 16 trivially copyable bytes inline, and its std::deque
-// allocates 512-byte nodes. Sanitizer builds replace operator new
+// figure. The path windows also count the loop's events, pinned the same
+// way. The simulator allocates nothing per frame: the event loop keeps
+// each callable inline in a reused slot, and a link keeps its frames in a
+// reused in-flight table, so the counts below are the protocol's own. They
+// are the GNU C++ library's: its std::map allocates a node per element and
+// its std::deque 512-byte nodes. Sanitizer builds replace operator new
 // themselves, so the suite is only built without NGP_SANITIZE
 // (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -146,14 +149,30 @@ TEST(AllocLedger, SenderFramingAllocatesNothingPerFragment) {
   }
 }
 
-// ---- Sender -> Link -> receiver, one-fragment ADUs -------------------------------
+// ---- Sender -> Link -> receiver ---------------------------------------------------
 
-constexpr std::size_t kWindow = 32;       // ADUs in flight per step (small_rpc's W)
 constexpr std::size_t kWarmup = 4096;     // ADUs before counting starts
 constexpr std::size_t kMeasured = 4096;   // ADUs counted
 
-/// A sender and a receiver over a gigabit link, 64-byte ADUs (one
-/// fragment), CRC-32, chain delivery, no loss, no feedback timers.
+/// What flows over the path: the ADU size, the ADUs in flight per step,
+/// the checksum, encryption, and whether a 0-worker engine runs the
+/// receiver's jobs (inline, settled at the harvest).
+struct Shape {
+  std::size_t adu_bytes;
+  std::size_t window;
+  ChecksumKind checksum;
+  bool encrypt;
+  bool engine;
+};
+
+/// small_rpc's shape: 64-byte ADUs (one fragment), CRC-32, W = 32.
+constexpr Shape kOneFragment{64, 32, ChecksumKind::kCrc32, false, false};
+/// bulk_xdr's shape: 16 KiB ADUs (12 fragments), ChaCha20 and the Internet
+/// checksum, W = 8, on an engine.
+constexpr Shape kTwelveFragments{16384, 8, ChecksumKind::kInternet, true, true};
+
+/// A sender and a receiver over a gigabit link, chain delivery, no loss,
+/// no feedback timers.
 struct Loop {
   EventLoop loop;
   DuplexChannel channel;
@@ -163,9 +182,11 @@ struct Loop {
   engine::Engine eng;  // 0 workers: jobs run inline, settle at the harvest
   AlfSender sender;
   AlfReceiver receiver;
-  ByteBuffer payload = payload_of(64, 9);
+  Shape shape;
+  ByteBuffer payload;
   std::size_t sent = 0;
   std::size_t delivered = 0;
+  std::uint64_t events = 0;  ///< loop events run
 
   static LinkConfig gigabit() {
     LinkConfig lc;
@@ -174,70 +195,99 @@ struct Loop {
     lc.queue_limit = 1 << 16;
     return lc;
   }
-  static SessionConfig config() {
+  static SessionConfig config(const Shape& shape) {
     SessionConfig scfg;
-    scfg.checksum = ChecksumKind::kCrc32;
+    scfg.checksum = shape.checksum;
+    scfg.encrypt = shape.encrypt;
     scfg.retransmit = RetransmitPolicy::kNone;  // no name book; pinned below
     scfg.progress_interval = 3600 * kSecond;
     scfg.stall_timeout = 0;
     return scfg;
   }
 
-  explicit Loop(bool with_engine)
+  explicit Loop(const Shape& s)
       : channel(loop, gigabit()),
         data(channel.forward),
         feedback_tx(channel.reverse),
         feedback_rx(channel.reverse),
-        sender(loop, data, feedback_rx, config()),
-        receiver(loop, data, feedback_tx, config()) {
-    if (with_engine) receiver.set_engine(&eng, 200 * kMicrosecond);
+        sender(loop, data, feedback_rx, config(s)),
+        receiver(loop, data, feedback_tx, config(s)),
+        shape(s),
+        payload(payload_of(s.adu_bytes, 9)) {
+    if (s.engine) receiver.set_engine(&eng, 200 * kMicrosecond);
     receiver.set_on_adu_chain([this](AduChain&&) { ++delivered; });
   }
 
-  /// Sends `n` ADUs, kWindow at a time, each window run to delivery.
+  /// Sends `n` ADUs, a window at a time, each window run to delivery.
   void run(std::size_t n) {
     for (std::size_t end = sent + n; sent < end;) {
-      for (std::size_t i = 0; i < kWindow; ++i) {
+      for (std::size_t i = 0; i < shape.window; ++i) {
         ASSERT_TRUE(sender.send_adu(generic_name(sent++), payload.span()).ok());
       }
-      while (delivered < sent) loop.run_until(loop.now() + kMillisecond);
+      while (delivered < sent) events += loop.run_until(loop.now() + kMillisecond);
     }
   }
 };
 
-/// Allocations over kMeasured ADUs after kWarmup.
-std::uint64_t steady_state_allocs(bool with_engine) {
-  Loop l(with_engine);
+struct Counts {
+  std::uint64_t allocs;
+  std::uint64_t events;
+};
+
+/// Allocations and loop events over kMeasured ADUs after kWarmup.
+Counts steady_state(const Shape& shape) {
+  Loop l(shape);
   l.run(kWarmup);
   const std::uint64_t before = allocs();
+  const std::uint64_t events_before = l.events;
   l.run(kMeasured);
-  const std::uint64_t n = allocs() - before;
+  const Counts c{allocs() - before, l.events - events_before};
   EXPECT_EQ(l.delivered, kWarmup + kMeasured);
   EXPECT_EQ(l.receiver.stats().adus_chain_delivered, kWarmup + kMeasured);
-  return n;
+  return c;
 }
 
-// Per ADU: the sender's staging copy and store entry; the link's two
-// events (one hash node each) and the delivery callable, which carries a
-// buf::Slice and outgrows std::function's inline buffer; the receiver's
-// book entry, its one-slice reassembly map and the segment vector of the
-// chain it delivers. On top, the sender's fragment deque takes a 512-byte
-// node every 32 fragments.
-constexpr std::uint64_t kAllocsPerAdu = 8;
+// Per one-fragment ADU: the sender's staging copy and store entry; the
+// receiver's book entry, its one-slice reassembly map and the segment
+// array of the chain it delivers. On top, the sender's fragment deque
+// takes a 512-byte node every 32 fragments. The frame's one loop event
+// allocates nothing.
+constexpr std::uint64_t kAllocsPerAdu = 5;
 constexpr std::uint64_t kInlineAllocs = kAllocsPerAdu * kMeasured + kMeasured / 32;
 
 TEST(AllocLedger, OneFragmentAduInline) {
-  const std::uint64_t n = steady_state_allocs(/*with_engine=*/false);
-  EXPECT_EQ(n, kInlineAllocs) << static_cast<double>(n) / kMeasured
-                              << " allocations per ADU";
+  const Counts c = steady_state(kOneFragment);
+  EXPECT_EQ(c.allocs, kInlineAllocs) << static_cast<double>(c.allocs) / kMeasured
+                                     << " allocations per ADU";
+  EXPECT_EQ(c.events, kMeasured) << "one loop event per frame";
 }
 
 TEST(AllocLedger, OneFragmentAduThroughAZeroWorkerEngine) {
-  // The engine adds its harvest timer, one hash node per window, and
-  // nothing per job: its completion vectors keep their capacity.
-  const std::uint64_t n = steady_state_allocs(/*with_engine=*/true);
-  EXPECT_EQ(n, kInlineAllocs + kMeasured / kWindow)
-      << static_cast<double>(n) / kMeasured << " allocations per ADU";
+  // The engine adds its harvest timer, one loop event per window, and no
+  // allocation: the timer sits in a reused slot and the completion
+  // vectors keep their capacity.
+  Shape shape = kOneFragment;
+  shape.engine = true;
+  const Counts c = steady_state(shape);
+  EXPECT_EQ(c.allocs, kInlineAllocs) << static_cast<double>(c.allocs) / kMeasured
+                                     << " allocations per ADU";
+  EXPECT_EQ(c.events, kMeasured + kMeasured / shape.window)
+      << "one loop event per frame plus the harvests";
+}
+
+TEST(AllocLedger, TwelveFragmentEncryptedAdu) {
+  // bulk_xdr's shape. Per ADU: the staging copy, the sender's store entry,
+  // the receiver's book entry, one reassembly-map node per fragment and
+  // the chain's segment array, reserved once for the twelve slices; the
+  // sender's fragment deque takes a 512-byte node every 32 fragments.
+  const Counts c = steady_state(kTwelveFragments);
+  constexpr std::uint64_t kFrames = 12;
+  EXPECT_EQ(c.allocs, (4 + kFrames) * kMeasured + kFrames * kMeasured / 32)
+      << static_cast<double>(c.allocs) / kMeasured << " allocations per ADU";
+  // The harvest timer runs once per two ADUs here: its 200 us delay
+  // against an ADU every 136 us on the gigabit link.
+  EXPECT_EQ(c.events, kFrames * kMeasured + kMeasured / 2)
+      << "one loop event per frame plus the harvests";
 }
 
 // ---- The recompute name book ------------------------------------------------------

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "netsim/byte_stream_link.h"
 #include "netsim/link.h"
 #include "netsim/net_path.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "util/event_loop.h"
 
 namespace ngp {
@@ -91,6 +94,61 @@ TEST(LinkTest, QueueLimitDropsTail) {
   EXPECT_EQ(link.stats().dropped_queue, 6u);
   loop.run();
   EXPECT_EQ(link.stats().frames_delivered, 4u);
+}
+
+TEST(LinkQueue, ASlotFreedAtThisInstantCountsOnlyForEventsScheduledAfterTheFrame) {
+  // queue_limit 1: frame A holds the queue until its serialization ends at
+  // 1 ms. Two events run at that instant, one scheduled before A was sent
+  // and one after, and each offers a frame. The queue slot frees between
+  // them, where a queue-slot event scheduled by send() would have run: the
+  // first offer is dropped, the second accepted.
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 12e6;  // 1500 B -> 1 ms
+  cfg.queue_limit = 1;
+  Link link(loop, cfg);
+  link.set_handler([](ConstBytes) {});
+  const ByteBuffer f = frame_of(1500);
+  std::vector<bool> accepted;
+  loop.schedule_at(kMillisecond, [&] { accepted.push_back(link.send(f.span())); });
+  ASSERT_TRUE(link.send(f.span()));
+  loop.schedule_at(kMillisecond, [&] { accepted.push_back(link.send(f.span())); });
+  loop.run();
+  EXPECT_EQ(accepted, (std::vector<bool>{false, true}));
+  EXPECT_EQ(link.stats().dropped_queue, 1u);
+  EXPECT_EQ(link.stats().frames_delivered, 2u);
+
+  // Outside any event, a run_until() that reached the serialization end
+  // has freed the slot.
+  ASSERT_TRUE(link.send(f.span()));
+  EXPECT_FALSE(link.send(f.span()));
+  loop.run_until(loop.now() + kMillisecond);
+  EXPECT_TRUE(link.send(f.span()));
+}
+
+TEST(LinkQueue, ALostFrameKeepsTheLoopBusyUntilItsSerializationEnds) {
+  // A lost frame leaves one event, at its serialization end, so
+  // loop.pending() stays non-zero while the frame is on the wire. A
+  // telemetry hub re-arms only while other work is pending, so one ticking
+  // every 0.1 ms samples until the 1 ms serialization ends: the baseline
+  // and ten ticks.
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 12e6;  // 1500 B -> 1 ms
+  Link link(loop, cfg);
+  link.set_loss_rate(1.0);
+  obs::MetricsRegistry reg;
+  obs::TelemetryHub hub(&loop, reg, {.interval = 100 * kMicrosecond});
+  const ByteBuffer f = frame_of(1500);
+  ASSERT_TRUE(link.send(f.span()));
+  EXPECT_EQ(loop.pending(), 1u);
+  hub.start();
+  loop.run_until(kMillisecond - 1);
+  EXPECT_EQ(loop.pending(), 2u);  // the lost frame and the hub's tick
+  loop.run();
+  EXPECT_EQ(loop.now(), kMillisecond);
+  EXPECT_EQ(link.stats().dropped_loss, 1u);
+  EXPECT_EQ(hub.stats().samples_taken, 11u);
 }
 
 TEST(LinkTest, BernoulliLossRateObserved) {
@@ -281,9 +339,9 @@ TEST(LossModels, GilbertElliottIsBursty) {
 // ---- Teardown with frames in flight ----------------------------------------
 
 TEST(LinkTeardown, DestroyedWithFramesInFlightCancelsTheirEvents) {
-  // Each accepted frame leaves a queue-slot event and a delivery event (a
-  // duplicate, a second delivery) that close over the link. Destroying the
-  // link cancels them, so running the loop on never touches freed memory.
+  // Each accepted copy of a frame (here every frame is duplicated) leaves a
+  // delivery event that closes over the link. Destroying the link cancels
+  // them, so running the loop on never touches freed memory.
   EventLoop loop;
   int delivered = 0;
   {
@@ -293,7 +351,7 @@ TEST(LinkTeardown, DestroyedWithFramesInFlightCancelsTheirEvents) {
     link->set_handler([&](ConstBytes) { ++delivered; });
     const ByteBuffer frame(200);
     for (int i = 0; i < 4; ++i) ASSERT_TRUE(link->send(frame.span()));
-    EXPECT_EQ(loop.pending(), 12u);
+    EXPECT_EQ(loop.pending(), 8u);
   }
   EXPECT_EQ(loop.pending(), 0u);
   loop.run();

@@ -1,6 +1,12 @@
 // Tests for src/util: buffers, wire codecs, Result, RNG, stats, event loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <unordered_map>
+#include <vector>
+
 #include "util/bytes.h"
 #include "util/event_loop.h"
 #include "util/result.h"
@@ -484,6 +490,281 @@ TEST(EventLoop, StepExecutesExactlyOne) {
   EXPECT_TRUE(loop.step());
   EXPECT_FALSE(loop.step());
   EXPECT_EQ(count, 2);
+}
+
+TEST(EventLoop, IdsAreNeverZeroAndStayStaleAfterSlotReuse) {
+  EventLoop loop;
+  const EventId first = loop.schedule_at(10, [] {});
+  EXPECT_NE(first, 0u);
+  EXPECT_TRUE(loop.cancel(first));
+  // The next event reuses the freed slot under a new generation.
+  const EventId second = loop.schedule_at(10, [] {});
+  EXPECT_NE(second, 0u);
+  EXPECT_NE(second, first);
+  EXPECT_FALSE(loop.pending(first));
+  EXPECT_FALSE(loop.cancel(first));
+  EXPECT_TRUE(loop.pending(second));
+  EXPECT_FALSE(loop.pending(0));
+  EXPECT_FALSE(loop.cancel(0));
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_FALSE(loop.pending(second));
+  EXPECT_FALSE(loop.cancel(second));
+}
+
+TEST(EventLoop, LargeCapturesRunAndAreFreed) {
+  // A capture beyond EventFn's inline buffer goes to the heap; it runs,
+  // and is destroyed whether it ran, was cancelled or was still pending
+  // when the loop died (ASan reports a leak otherwise).
+  std::array<std::uint64_t, 8> big{};
+  big[7] = 42;
+  std::uint64_t seen = 0;
+  {
+    EventLoop loop;
+    loop.schedule_at(1, [&seen, big] { seen = big[7]; });
+    const EventId doomed = loop.schedule_at(2, [big] { (void)big; });
+    loop.schedule_at(3, [big, v = std::vector<int>(100)] { (void)big; });
+    EXPECT_TRUE(loop.cancel(doomed));
+    EXPECT_EQ(loop.run_until(1), 1u);
+  }
+  EXPECT_EQ(seen, 42u);
+}
+
+TEST(EventLoop, MarksPassInRunOrder) {
+  // A mark takes the place an event scheduled at that moment would take:
+  // an event at the same instant scheduled before it runs first, one
+  // scheduled after it runs later.
+  EventLoop loop;
+  std::vector<bool> seen;
+  EventLoop::Mark m{};
+  loop.schedule_at(10, [&] { seen.push_back(loop.passed(m)); });
+  m = loop.mark(10);
+  loop.schedule_at(10, [&] { seen.push_back(loop.passed(m)); });
+  EXPECT_FALSE(loop.passed(m));
+  EXPECT_TRUE(loop.step());
+  EXPECT_FALSE(loop.passed(m));  // between steps, still before the mark
+  EXPECT_TRUE(loop.step());
+  EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+  // A finished run_until passes every mark placed at or before its end;
+  // one placed afterwards at the same instant waits for the next run.
+  const EventLoop::Mark later = loop.mark(20);
+  loop.run_until(20);
+  EXPECT_TRUE(loop.passed(later));
+  const EventLoop::Mark now = loop.mark(20);
+  EXPECT_FALSE(loop.passed(now));
+  loop.run_until(20);
+  EXPECT_TRUE(loop.passed(now));
+}
+
+// ---- EventLoop against the loop it replaced --------------------------------------
+
+/// The event loop as it was before the slot array: a heap of (when, seq,
+/// id) over an id-keyed callback map, cancelled entries skipped when
+/// popped or compacted away. Kept as the reference the slot array must
+/// match call for call.
+class ReferenceLoop {
+ public:
+  SimTime now() const noexcept { return now_; }
+
+  EventId schedule_at(SimTime when, std::function<void()> fn) {
+    if (when < now_) when = now_;
+    const EventId id = next_id_++;
+    heap_.push_back(Event{when, next_seq_++, id});
+    std::push_heap(heap_.begin(), heap_.end());
+    callbacks_.emplace(id, std::move(fn));
+    return id;
+  }
+  bool cancel(EventId id) {
+    if (callbacks_.erase(id) == 0) return false;
+    ++cancelled_count_;
+    if (cancelled_count_ > heap_.size() / 2) compact();
+    return true;
+  }
+  std::size_t run_until(SimTime until) {
+    std::size_t executed = 0;
+    for (;;) {
+      drop_cancelled_front();
+      if (heap_.empty() || heap_.front().when > until) break;
+      if (step()) ++executed;
+    }
+    if (now_ < until) now_ = until;
+    return executed;
+  }
+  std::size_t run() {
+    std::size_t executed = 0;
+    while (step()) ++executed;
+    return executed;
+  }
+  bool step() {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end());
+      Event ev = heap_.back();
+      heap_.pop_back();
+      auto it = callbacks_.find(ev.id);
+      if (it == callbacks_.end()) {
+        if (cancelled_count_ > 0) --cancelled_count_;
+        continue;
+      }
+      std::function<void()> fn = std::move(it->second);
+      callbacks_.erase(it);
+      now_ = ev.when;
+      fn();
+      return true;
+    }
+    return false;
+  }
+  std::size_t pending() const noexcept { return callbacks_.size(); }
+  bool pending(EventId id) const { return callbacks_.contains(id); }
+
+ private:
+  struct Event {
+    SimTime when;
+    std::uint64_t seq;
+    EventId id;
+    bool operator<(const Event& other) const noexcept {
+      if (when != other.when) return when > other.when;
+      return seq > other.seq;
+    }
+  };
+  void compact() {
+    std::erase_if(heap_,
+                  [this](const Event& e) { return !callbacks_.contains(e.id); });
+    std::make_heap(heap_.begin(), heap_.end());
+    cancelled_count_ = 0;
+  }
+  void drop_cancelled_front() {
+    while (!heap_.empty() && !callbacks_.contains(heap_.front().id)) {
+      std::pop_heap(heap_.begin(), heap_.end());
+      heap_.pop_back();
+      if (cancelled_count_ > 0) --cancelled_count_;
+    }
+  }
+
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  EventId next_id_ = 1;
+  std::vector<Event> heap_;
+  std::unordered_map<EventId, std::function<void()>> callbacks_;
+  std::size_t cancelled_count_ = 0;
+};
+
+/// Drives one loop through a seeded sequence of schedules (many at equal
+/// or past times, some from inside callbacks), cancels (of live, run,
+/// cancelled and never-issued ids, including ids whose slot a later event
+/// took), steps and runs, and logs every value the loop returns. Ids are
+/// loop-specific, so events are named by the order they were scheduled in;
+/// a never-issued id is 0 or `never_issued(n)`.
+template <typename Loop>
+class LoopScript {
+ public:
+  LoopScript(std::uint64_t seed, EventId (*never_issued)(std::uint64_t))
+      : rng_(seed), never_issued_(never_issued) {}
+
+  std::vector<std::int64_t> drive(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t kind = rng_.uniform(100);
+      if (kind < 35) {
+        schedule(rng_);
+      } else if (kind < 55) {
+        cancel(rng_);
+      } else if (kind < 65) {
+        query(rng_);
+      } else if (kind < 85) {
+        log(loop_.step() ? 1 : 0);
+      } else if (kind < 98) {
+        const auto ahead = static_cast<SimDuration>(rng_.uniform(24)) - 4;
+        log(static_cast<std::int64_t>(loop_.run_until(loop_.now() + ahead)));
+      } else {
+        log(static_cast<std::int64_t>(loop_.run()));
+      }
+      log(loop_.now());
+      log(static_cast<std::int64_t>(loop_.pending()));
+    }
+    log(static_cast<std::int64_t>(loop_.run()));
+    log(loop_.now());
+    return std::move(log_);
+  }
+
+ private:
+  void log(std::int64_t v) { log_.push_back(v); }
+
+  /// Times cluster on a few instants around now, some in the past.
+  void schedule(Rng& rng) {
+    const auto k = static_cast<std::uint64_t>(ids_.size());
+    const SimTime when = loop_.now() + static_cast<SimDuration>(rng.uniform(12)) - 3;
+    EventId id = 0;
+    if (k % 5 == 4) {
+      // A capture beyond the inline buffer.
+      std::array<std::uint64_t, 4> pad{k, k, k, k};
+      id = loop_.schedule_at(when, [this, k, pad] { fire(k + pad[3] - pad[0]); });
+    } else {
+      id = loop_.schedule_at(when, [this, k] { fire(k); });
+    }
+    ids_.push_back(id);
+    log(static_cast<std::int64_t>(k));
+  }
+
+  void cancel(Rng& rng) {
+    const std::uint64_t pick = rng.uniform(10);
+    EventId id = 0;
+    if (pick == 0 || ids_.empty()) {
+      id = rng.uniform(2) == 0 ? 0 : never_issued_(rng.next());
+    } else {
+      id = ids_[rng.uniform(ids_.size())];
+    }
+    log(loop_.cancel(id) ? 1 : 0);
+  }
+
+  void query(Rng& rng) {
+    const EventId id =
+        ids_.empty() ? never_issued_(rng.next()) : ids_[rng.uniform(ids_.size())];
+    log(loop_.pending(id) ? 1 : 0);
+    log(static_cast<std::int64_t>(loop_.pending()));
+  }
+
+  /// Event `k` runs: it logs its name and the time, then does what a
+  /// generator seeded by its name says: schedule, cancel or query.
+  void fire(std::uint64_t k) {
+    log(-1 - static_cast<std::int64_t>(k));
+    log(loop_.now());
+    Rng rng(k * 0x9E3779B97F4A7C15ull + 1);
+    for (std::uint64_t n = rng.uniform(4); n > 0; --n) {
+      const std::uint64_t kind = rng.uniform(3);
+      if (kind == 0 && ids_.size() < 4000) {
+        schedule(rng);
+      } else if (kind == 1) {
+        cancel(rng);
+      } else {
+        query(rng);
+      }
+    }
+  }
+
+  Loop loop_;
+  Rng rng_;
+  EventId (*never_issued_)(std::uint64_t);
+  std::vector<EventId> ids_;  ///< by schedule order
+  std::vector<std::int64_t> log_;
+};
+
+TEST(EventLoopDifferential, MatchesTheHeapAndMapLoopCallForCall) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    // The reference issues ids 1, 2, 3, ...; the slot array never issues
+    // generation 0.
+    const auto ref = LoopScript<ReferenceLoop>(seed, [](std::uint64_t r) {
+                       return EventId{1} << 40 | (r & 0xFFFF'FFFFu);
+                     }).drive(3000);
+    const auto slots = LoopScript<EventLoop>(seed, [](std::uint64_t r) {
+                         return r & 0xFFFF'FFFFu;
+                       }).drive(3000);
+    const auto diff =
+        std::mismatch(ref.begin(), ref.end(), slots.begin(), slots.end());
+    ASSERT_TRUE(diff.first == ref.end() && diff.second == slots.end())
+        << "first difference at log entry " << (diff.first - ref.begin())
+        << " of " << ref.size() << " and " << slots.size() << ": reference "
+        << (diff.first != ref.end() ? *diff.first : 0) << ", slot array "
+        << (diff.second != slots.end() ? *diff.second : 0);
+  }
 }
 
 }  // namespace
