@@ -3,33 +3,28 @@
 //
 // The paper's ALF thesis makes this table cheap by construction: every
 // frame names its session, so demux to per-flow state is a hash lookup,
-// not a parse. The shape follows NPF's connection database and FlexTOE's
-// per-flow parallelism: flows hash onto independent shards (per-shard
-// mutex, open-addressed buckets), each shard keeps its own LRU order for
-// idle GC, and admission control bounds what a connect storm can commit
-// the host to — a global session cap plus per-shard high-water shedding
-// that reuses the priority-hook idea from the overload work (PR 6).
+// not a parse. The shape follows NPF's connection database: flows hash
+// onto independent shards (open-addressed buckets), each shard keeps its
+// own LRU order for idle GC, and admission control bounds what a connect
+// storm can commit the host to — a global session cap plus per-shard
+// high-water shedding ranked by the priority hook of the overload shedding
+// (DESIGN.md §10.3). Shards bound the work one shed scan or one rehash
+// touches.
 //
-// Threading: every shard is independently locked, so dispatch from many
-// threads proceeds in parallel across shards and serializes per shard —
-// which also means one flow's frames are processed in order without any
-// extra machinery. Within the deterministic single-threaded sim the locks
-// are uncontended and cost one uncontended CAS each.
+// Threading: none. The table belongs to the control thread, like the
+// EventLoop its sessions schedule on.
 //
-// Re-entrancy: eviction callbacks and Session destructors never run under
-// a shard mutex — removals are parked and settled after the lock drops.
-// Code already running under a shard lock (Session::on_frame, the
-// with_session functor, a SessionFactory) may re-enter the table for that
-// same shard; the table detects the held lock and runs the nested call
-// directly, so a session erasing itself from its own completion callback
-// is a supported, deadlock-free pattern.
+// Re-entrancy: a callback the table runs (Session::on_frame, a
+// SessionFactory, on_evict) may call back into it. Eviction callbacks and
+// Session destructors never run while a shard is being walked: removals
+// are parked on the shard and settled when its outermost call returns, so
+// a session erasing itself from its own completion callback is a
+// supported pattern.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,14 +60,11 @@ struct FlowId {
 class Session {
  public:
   virtual ~Session() = default;
-  /// One raw frame off the wire, untrusted. Called with the owning shard's
-  /// lock held. Re-entering the table for the SAME shard from here —
-  /// erasing this or a sibling flow, inserting, routing — is safe: the
-  /// table detects the held lock and runs the operation immediately,
-  /// deferring any session destruction until the lock is released.
-  /// Operations on OTHER shards take that shard's lock normally (always
-  /// fine single-threaded; multi-threaded dispatch must not erase across
-  /// shards from callbacks, or it risks lock-order inversion).
+  /// One raw frame off the wire, untrusted. May re-enter the table —
+  /// erase this or any other flow, insert, route. A removal from this
+  /// frame's shard takes effect at once, but the session is destroyed
+  /// only when the route() that called this returns; a removal from
+  /// another shard destroys its session before erase() returns.
   virtual void on_frame(ConstBytes frame) = 0;
 };
 
@@ -93,9 +85,8 @@ enum class EvictReason : std::uint8_t {
 };
 
 struct SessionTableConfig {
-  /// Shard count, rounded up to a power of two. Sized for the worst
-  /// expected writer parallelism, not the session count — occupancy per
-  /// shard is what the buckets absorb.
+  /// Shard count, rounded up to a power of two. Bounds the share of the
+  /// table one high-water shed scan or one bucket rehash touches.
   std::size_t shards = 64;
   /// Global admission cap: inserts beyond this are rejected (the caller
   /// drops the frame; the flow retries into a later, emptier table). 0 =
@@ -145,17 +136,10 @@ class SessionTable {
   Result<Session*> insert(const FlowId& flow, SessionPtr session, SimTime now,
                           bool pinned = false);
 
-  /// Looks the flow up and, under the owning shard's lock, runs `fn` on
-  /// its session; touches the LRU clock. False = not resident. This is
-  /// the dispatch primitive: per-flow serialization comes from the shard
-  /// lock. `fn` may re-enter the table (see Session::on_frame for the
-  /// same-shard guarantee and the cross-shard caveat).
-  bool with_session(const FlowId& flow, SimTime now,
-                    const std::function<void(Session&)>& fn);
-
-  /// Dispatch-or-create in one locked step: routes `frame` to the flow's
-  /// session, creating it via `factory` on a miss (create-on-first-frame,
-  /// admission control applied). Outcome tells the caller what happened.
+  /// The dispatch call: routes `frame` to the flow's session and touches
+  /// its LRU clock, creating the session via `factory` on a miss
+  /// (create-on-first-frame, admission control applied). Outcome tells
+  /// the caller what happened.
   enum class RouteOutcome : std::uint8_t {
     kRouted = 0,    ///< existing session consumed the frame
     kCreated = 1,   ///< factory built a session; it consumed the frame
@@ -176,7 +160,7 @@ class SessionTable {
   /// number evicted. No-op when idle_timeout == 0.
   std::size_t sweep_idle(SimTime now);
 
-  std::size_t size() const noexcept;
+  std::size_t size() const noexcept { return size_; }
   std::size_t shard_count() const noexcept { return shards_.size(); }
   /// Per-shard occupancy (test hook for distribution uniformity).
   std::vector<std::size_t> shard_sizes() const;
@@ -185,9 +169,10 @@ class SessionTable {
   void set_priority(SessionPriorityFn fn) { priority_ = std::move(fn); }
   /// Observes every idle/shed eviction, after removal from the table but
   /// before the session is destroyed (the flight hook and the facade's
-  /// bookkeeping hang off this). Runs with the shard lock RELEASED — the
-  /// entry is already unlinked, so the callback may freely re-enter the
-  /// table (erase a related flow, insert a replacement, read stats).
+  /// bookkeeping hang off this). Runs once the shard's outermost call has
+  /// returned — the entry is already unlinked, so the callback may freely
+  /// re-enter the table (erase a related flow, insert a replacement, read
+  /// stats).
   void set_on_evict(
       std::function<void(const FlowId&, Session&, EvictReason)> fn) {
     on_evict_ = std::move(fn);
@@ -221,71 +206,55 @@ class SessionTable {
     std::size_t occupancy_peak = 0;
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<Entry*> slots;  ///< open-addressed, linear probe; null = free
-    std::size_t count = 0;
-    Entry* lru_head = nullptr;  ///< most recently active
-    Entry* lru_tail = nullptr;  ///< least recently active
-    ShardCounters c;
-  };
-
   /// An entry removed from the table whose on_evict_ callback and
-  /// destruction are deferred until the owning shard's lock is released
-  /// (so neither user callbacks nor Session destructors ever run under a
-  /// shard mutex).
+  /// destruction wait until its shard's outermost call returns.
   struct PendingEvict {
     Entry* entry = nullptr;
     EvictReason reason = EvictReason::kIdle;
     bool notify = false;  ///< evictions fire on_evict_; erase() does not
   };
 
-  /// Which (table, shard) the current thread holds locked, and where its
-  /// deferred teardown work accumulates. This is what makes same-shard
-  /// re-entry from callbacks safe: a nested call sees its shard already
-  /// held and runs lock-free against it, parking removals in the outer
-  /// scope's graveyard.
-  struct ReentryCtx {
-    const SessionTable* table = nullptr;
-    const Shard* shard = nullptr;
-    std::vector<PendingEvict>* graveyard = nullptr;
+  struct Shard {
+    std::vector<Entry*> slots;  ///< open-addressed, linear probe; null = free
+    std::size_t count = 0;
+    Entry* lru_head = nullptr;  ///< most recently active
+    Entry* lru_tail = nullptr;  ///< least recently active
+    ShardCounters c;
+    /// Calls on this shard now on the stack: a callback that re-enters the
+    /// table nests one call inside another.
+    std::size_t depth = 0;
+    std::vector<PendingEvict> graveyard;  ///< removals awaiting depth 0
   };
+
+  /// Marks one call on a shard; leaving the outermost one settles the
+  /// shard's graveyard.
   class ShardScope;
-  static thread_local ReentryCtx tls_ctx_;
+  /// Runs the parked on_evict_ callbacks and destroys the parked entries.
+  void settle(Shard& s);
 
-  bool held_by_this_thread(const Shard& s) const noexcept {
-    return tls_ctx_.table == this && tls_ctx_.shard == &s;
+  Shard& shard_for(std::uint64_t hash) noexcept {
+    return shards_[hash & shard_mask_];
   }
-  /// Locks s.mu unless this thread already holds it (re-entrant read path).
-  std::unique_lock<std::mutex> maybe_lock(const Shard& s) const;
-  /// Runs deferred callbacks and destroys parked entries. Caller must NOT
-  /// hold any shard lock.
-  void flush(std::vector<PendingEvict>& graveyard);
-
-  Shard& shard_for(std::uint64_t hash) const noexcept;
-  // All helpers below run with the shard's lock held.
-  Entry* find_locked(Shard& s, std::uint64_t hash, const FlowId& flow) const;
-  void insert_slot_locked(Shard& s, Entry* e);
-  void remove_slot_locked(Shard& s, const Entry* e);
-  void grow_locked(Shard& s);
-  void lru_touch_locked(Shard& s, Entry* e);
-  void lru_unlink_locked(Shard& s, Entry* e);
-  void evict_locked(Shard& s, Entry* e, EvictReason reason,
-                    std::vector<PendingEvict>& graveyard);
+  static Entry* find(const Shard& s, std::uint64_t hash, const FlowId& flow);
+  static void insert_slot(Shard& s, Entry* e);
+  static void remove_slot(Shard& s, const Entry* e);
+  static void grow(Shard& s);
+  static void lru_touch(Shard& s, Entry* e);
+  static void lru_unlink(Shard& s, Entry* e);
+  /// Takes `e` out of the table and parks it in the shard's graveyard.
+  void unlink(Shard& s, Entry* e, EvictReason reason, bool notify);
   /// Lowest-priority, least-recently-active unpinned entry; null if all
   /// pinned.
-  Entry* pick_shed_victim_locked(Shard& s);
-  Result<Session*> insert_locked(Shard& s, const FlowId& flow,
-                                 std::uint64_t hash, SessionPtr session,
-                                 SimTime now, bool pinned,
-                                 std::vector<PendingEvict>& graveyard);
+  Entry* pick_shed_victim(const Shard& s) const;
+  Result<Session*> admit(Shard& s, const FlowId& flow, std::uint64_t hash,
+                         SessionPtr session, SimTime now, bool pinned);
 
   SessionTableConfig cfg_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   std::size_t shard_mask_ = 0;
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::size_t> size_peak_{0};
-  std::atomic<std::uint64_t> admission_rejects_{0};
+  std::size_t size_ = 0;
+  std::size_t size_peak_ = 0;
+  std::uint64_t admission_rejects_ = 0;
   SessionPriorityFn priority_;
   std::function<void(const FlowId&, Session&, EvictReason)> on_evict_;
 };

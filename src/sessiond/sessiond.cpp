@@ -10,8 +10,7 @@ namespace ngp::sessiond {
 // ---- Dispatcher ------------------------------------------------------------
 
 std::uint32_t Dispatcher::bind(NetPath& ingress) {
-  const std::uint32_t peer =
-      next_peer_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint32_t peer = next_peer_++;
   bind(ingress, peer);
   return peer;
 }
@@ -29,50 +28,39 @@ void Dispatcher::bind(NetPath& ingress, std::uint32_t peer) {
 }
 
 void Dispatcher::dispatch(std::uint32_t peer, ConstBytes frame) {
-  frames_dispatched_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.frames_dispatched;
   const auto sid = alf::peek_flow_id(frame);
   if (!sid) {
-    frames_unroutable_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.frames_unroutable;
     return;
   }
   const FlowId flow{peer, *sid};
   switch (table_.route(flow, loop_.now(), frame, &factory_)) {
     case SessionTable::RouteOutcome::kRouted:
-      frames_routed_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.frames_routed;
       break;
     case SessionTable::RouteOutcome::kCreated:
-      sessions_created_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.sessions_created;
       obs::flight_record(flight_, flight_track_,
                          obs::FlightStage::kSessionCreate,
                          obs::flight_trace_id(flow.session_id, 0),
                          table_.size());
       break;
     case SessionTable::RouteOutcome::kNoSession:
-      frames_unroutable_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.frames_unroutable;
       break;
     case SessionTable::RouteOutcome::kRejected:
-      creates_rejected_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.creates_rejected;
       break;
   }
 }
 
-Dispatcher::Stats Dispatcher::stats() const {
-  Stats s;
-  s.frames_dispatched = frames_dispatched_.load(std::memory_order_relaxed);
-  s.frames_routed = frames_routed_.load(std::memory_order_relaxed);
-  s.sessions_created = sessions_created_.load(std::memory_order_relaxed);
-  s.frames_unroutable = frames_unroutable_.load(std::memory_order_relaxed);
-  s.creates_rejected = creates_rejected_.load(std::memory_order_relaxed);
-  return s;
-}
-
 void Dispatcher::emit_metrics(obs::MetricSink& sink) const {
-  const Stats s = stats();
-  sink.counter("frames_dispatched", s.frames_dispatched);
-  sink.counter("frames_routed", s.frames_routed);
-  sink.counter("sessions_created", s.sessions_created);
-  sink.counter("frames_unroutable", s.frames_unroutable);
-  sink.counter("creates_rejected", s.creates_rejected);
+  sink.counter("frames_dispatched", stats_.frames_dispatched);
+  sink.counter("frames_routed", stats_.frames_routed);
+  sink.counter("sessions_created", stats_.sessions_created);
+  sink.counter("frames_unroutable", stats_.frames_unroutable);
+  sink.counter("creates_rejected", stats_.creates_rejected);
 }
 
 // ---- AlfSession ------------------------------------------------------------
@@ -232,8 +220,7 @@ Result<SessionHandle> Sessiond::open(const alf::SessionConfig& session,
   // straight back down, leaving the paths' handlers dangling and the
   // already-resident session on those paths deaf. The placeholder
   // AlfSession is inert (no endpoints: on_frame drops), so reserving the
-  // entry before the endpoints exist is safe even against concurrent
-  // dispatch to this flow.
+  // entry before the endpoints exist is safe.
   auto sess = std::unique_ptr<AlfSession>(new AlfSession());
   AlfSession* raw = sess.get();
   auto admitted = table_.insert(flow, std::move(sess), loop_.now(),

@@ -27,7 +27,6 @@
 // event sequence byte for byte.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -50,10 +49,9 @@ namespace ngp::sessiond {
 
 class Sessiond;
 
-/// Routes raw ingress frames to table-resident sessions. dispatch() may
-/// run from many threads: distinct shards proceed in parallel, one flow's
-/// frames serialize behind its shard lock. Setup calls (bind, set_factory,
-/// set_flight) belong to the control thread, before traffic.
+/// Routes raw ingress frames to table-resident sessions, on the control
+/// thread like the table itself. Setup calls (bind, set_factory,
+/// set_flight) come before traffic.
 class Dispatcher {
  public:
   Dispatcher(EventLoop& loop, SessionTable& table)
@@ -88,11 +86,10 @@ class Dispatcher {
     std::uint64_t frames_unroutable = 0; ///< unpeekable / no factory
     std::uint64_t creates_rejected = 0;  ///< admission control said no
   };
-  Stats stats() const;
+  Stats stats() const noexcept { return stats_; }
 
   void emit_metrics(obs::MetricSink& sink) const;
-  /// kSessionCreate events on an existing flight track (single-threaded
-  /// dispatch only — flight tracks are single-writer).
+  /// kSessionCreate events on an existing flight track.
   void set_flight(obs::FlightRecorder* flight, std::uint16_t track) noexcept {
     flight_ = flight;
     flight_track_ = track;
@@ -103,12 +100,8 @@ class Dispatcher {
   SessionTable& table_;
   SessionFactory factory_;
   std::vector<NetPath*> bound_;  ///< every path bind() set a handler on
-  std::atomic<std::uint32_t> next_peer_{1};
-  std::atomic<std::uint64_t> frames_dispatched_{0};
-  std::atomic<std::uint64_t> frames_routed_{0};
-  std::atomic<std::uint64_t> sessions_created_{0};
-  std::atomic<std::uint64_t> frames_unroutable_{0};
-  std::atomic<std::uint64_t> creates_rejected_{0};
+  std::uint32_t next_peer_ = 1;
+  Stats stats_;
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_track_ = 0;
 };
@@ -281,7 +274,7 @@ class Sessiond {
   }
 
   /// One "sessiond" flight track: kSessionCreate on dispatcher creates,
-  /// kSessionEvict on idle/shed evictions (single-threaded sim only).
+  /// kSessionEvict on idle/shed evictions.
   /// Idempotent per recorder (repeat calls reuse the cached track); null
   /// disables recording and a later re-enable picks the track back up.
   void set_flight(obs::FlightRecorder* flight);

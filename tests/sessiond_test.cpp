@@ -5,14 +5,14 @@
 // frame, unroutable accounting), the redesigned facade (open/close RAII,
 // validation, byte-identical equivalence with the hand-wired idiom, the
 // attach set surviving supervised restarts), teardown of a dispatcher
-// with frames still arriving, and TSan-visible concurrent dispatch.
+// with frames still arriving, and the order in which re-entrant removals
+// settle.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "alf/receiver.h"
@@ -36,30 +36,22 @@ namespace {
 
 // ---- helpers ---------------------------------------------------------------
 
-/// Counts frames; optionally records payload sizes. The table calls
-/// on_frame with the shard lock held, so the counter is atomic to make the
-/// concurrent-dispatch test TSan-meaningful.
+/// Counts frames and their bytes.
 class ToySession final : public Session {
  public:
-  explicit ToySession(std::atomic<std::uint64_t>* global = nullptr)
-      : global_(global) {}
   void on_frame(ConstBytes frame) override {
     frames += 1;
     bytes += frame.size();
-    if (global_ != nullptr) global_->fetch_add(1, std::memory_order_relaxed);
   }
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;
-
- private:
-  std::atomic<std::uint64_t>* global_;
 };
 
 /// A complete single-fragment DATA frame for `session`, deliverable as one
 /// ADU (frag spans the whole ADU, checksum computed over the payload).
 ByteBuffer make_data_frame(std::uint16_t session, std::uint32_t adu_id,
                            std::size_t payload_len = 32) {
-  static thread_local std::vector<std::uint8_t> payload;
+  static std::vector<std::uint8_t> payload;
   payload.assign(payload_len, static_cast<std::uint8_t>(adu_id));
   alf::DataFragment f;
   f.session = session;
@@ -73,9 +65,9 @@ ByteBuffer make_data_frame(std::uint16_t session, std::uint32_t adu_id,
   return alf::encode_fragment(f);
 }
 
-SessionFactory toy_factory(std::atomic<std::uint64_t>* global = nullptr) {
-  return [global](const FlowId&, ConstBytes) -> SessionPtr {
-    return std::make_unique<ToySession>(global);
+SessionFactory toy_factory() {
+  return [](const FlowId&, ConstBytes) -> SessionPtr {
+    return std::make_unique<ToySession>();
   };
 }
 
@@ -176,11 +168,11 @@ TEST(SessionTable, SessionPointersSurviveGrowth) {
   }
   // Growth rehashes bucket pointers, not entries: the session a flow maps
   // to must be the one insert() returned.
+  const ByteBuffer frame = make_data_frame(1, 1);
   for (std::uint16_t i = 0; i < 200; ++i) {
-    bool found = table.with_session({1, i}, 0, [&](Session& s) {
-      EXPECT_EQ(&s, ptrs[i]);
-    });
-    EXPECT_TRUE(found);
+    EXPECT_EQ(table.route({1, i}, 0, frame.span(), nullptr),
+              SessionTable::RouteOutcome::kRouted);
+    EXPECT_EQ(static_cast<ToySession*>(ptrs[i])->frames, 1u);
   }
 }
 
@@ -221,7 +213,9 @@ TEST(SessionTable, HighwaterShedsLowestPriorityLeastRecent) {
   ASSERT_TRUE(table.insert({1, 12}, std::make_unique<ToySession>(), 2).ok());
   // Keep the low-priority flow the MOST recently active: priority must
   // outrank recency when picking the victim.
-  EXPECT_TRUE(table.with_session({1, 10}, 3, [](Session&) {}));
+  const ByteBuffer frame = make_data_frame(10, 1);
+  EXPECT_EQ(table.route({1, 10}, 3, frame.span(), nullptr),
+            SessionTable::RouteOutcome::kRouted);
 
   ASSERT_TRUE(table.insert({1, 13}, std::make_unique<ToySession>(), 4).ok());
   ASSERT_EQ(evicted.size(), 1u);
@@ -269,7 +263,9 @@ TEST(SessionTable, IdleSweepEvictsStaleKeepsActiveAndPinned) {
   });
 
   // Flow 2 stays live via dispatch; flows 1 (unpinned) and 3 (pinned) idle.
-  EXPECT_TRUE(table.with_session({1, 2}, 90, [](Session&) {}));
+  const ByteBuffer frame = make_data_frame(2, 1);
+  EXPECT_EQ(table.route({1, 2}, 90, frame.span(), nullptr),
+            SessionTable::RouteOutcome::kRouted);
   EXPECT_EQ(table.sweep_idle(150), 1u);  // only the stale unpinned flow
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], (FlowId{1, 1}));
@@ -285,9 +281,15 @@ TEST(SessionTable, IdleSweepEvictsStaleKeepsActiveAndPinned) {
 
 TEST(SessionTable, RouteCreatesOnFirstFrameThenRoutes) {
   SessionTable table;
-  const SessionFactory factory = toy_factory();
   const ByteBuffer frame = make_data_frame(5, 1);
 
+  // The factory hands out the session it built, so the test can read it.
+  ToySession* created = nullptr;
+  const SessionFactory factory = [&](const FlowId&, ConstBytes) -> SessionPtr {
+    auto s = std::make_unique<ToySession>();
+    created = s.get();
+    return s;
+  };
   EXPECT_EQ(table.route({1, 5}, 0, frame.span(), &factory),
             SessionTable::RouteOutcome::kCreated);
   EXPECT_EQ(table.route({1, 5}, 1, frame.span(), &factory),
@@ -295,11 +297,8 @@ TEST(SessionTable, RouteCreatesOnFirstFrameThenRoutes) {
   EXPECT_EQ(table.size(), 1u);
 
   // Both the creating frame and the routed frame reached the session.
-  std::uint64_t frames = 0;
-  table.with_session({1, 5}, 2, [&](Session& s) {
-    frames = static_cast<ToySession&>(s).frames;
-  });
-  EXPECT_EQ(frames, 2u);
+  ASSERT_NE(created, nullptr);
+  EXPECT_EQ(created->frames, 2u);
 
   // No factory (or a refusing one) -> miss, frame dropped.
   EXPECT_EQ(table.route({1, 6}, 3, frame.span(), nullptr),
@@ -741,10 +740,10 @@ TEST(Sessiond, EvictHookAndMetricsSnapshotsAreByteIdentical) {
             std::string::npos);
 }
 
-// ---- locking & admission regressions ---------------------------------------
+// ---- re-entry & admission regressions --------------------------------------
 
 /// Erases its own flow the moment a frame arrives — the table must accept
-/// same-shard re-entry from under its own dispatch lock.
+/// re-entry from inside its own dispatch.
 class SelfErasingSession final : public Session {
  public:
   SelfErasingSession(SessionTable& table, FlowId flow, int* frames)
@@ -769,18 +768,12 @@ TEST(SessionTable, SessionMayEraseItselfFromItsOwnDispatch) {
       table.insert(flow, std::make_unique<SelfErasingSession>(table, flow, &frames), 0)
           .ok());
 
-  // route() holds the shard lock across on_frame; the erase inside used to
-  // deadlock on the non-recursive shard mutex.
+  // The erase runs while route() is still delivering to this session, so
+  // the session must outlive its own on_frame.
   const ByteBuffer f = make_data_frame(7, 1);
   EXPECT_EQ(table.route(flow, 0, f.span(), nullptr),
             SessionTable::RouteOutcome::kRouted);
   EXPECT_EQ(frames, 1);
-  EXPECT_EQ(table.size(), 0u);
-
-  // Same guarantee through the with_session functor.
-  ASSERT_TRUE(table.insert(flow, std::make_unique<ToySession>(), 0).ok());
-  EXPECT_TRUE(table.with_session(
-      flow, 0, [&](Session&) { EXPECT_TRUE(table.erase(flow)); }));
   EXPECT_EQ(table.size(), 0u);
 }
 
@@ -797,9 +790,9 @@ TEST(SessionTable, EvictionCallbacksRunOutsideTheShardLock) {
   table.set_on_evict([&](const FlowId& flow, Session&, EvictReason why) {
     EXPECT_EQ(why, EvictReason::kIdle);
     ++evictions;
-    // The hook fires after the shard unlocks: re-entering the table —
+    // The hook fires after the shard's walk: re-entering the table —
     // lookups, stats, even inserting a replacement into the same shard —
-    // must not deadlock.
+    // is allowed.
     EXPECT_FALSE(table.contains(flow));
     (void)table.stats();
     if (flow.session_id == 1) {
@@ -810,6 +803,97 @@ TEST(SessionTable, EvictionCallbacksRunOutsideTheShardLock) {
   EXPECT_EQ(evictions, 2u);
   EXPECT_TRUE(table.contains({2, 1}));
   EXPECT_EQ(table.size(), 2u);
+}
+
+/// Logs "~<name>" when destroyed and runs `on_frame_fn` on every frame.
+class LoggedSession final : public Session {
+ public:
+  LoggedSession(std::string name, std::vector<std::string>& log,
+                std::function<void()> on_frame_fn = {})
+      : name_(std::move(name)), log_(log), fn_(std::move(on_frame_fn)) {}
+  ~LoggedSession() override { log_.push_back("~" + name_); }
+  void on_frame(ConstBytes) override {
+    if (fn_) fn_();
+  }
+
+ private:
+  std::string name_;
+  std::vector<std::string>& log_;
+  std::function<void()> fn_;
+};
+
+TEST(SessionTable, ReentrantRemovalsSettleInShardOrder) {
+  std::vector<std::string> log;  // outlives the table's sessions
+  SessionTableConfig cfg;
+  cfg.shards = 4;
+  cfg.idle_timeout = 10;
+  SessionTable table(cfg);
+
+  // The next flow after `after` that hashes onto `shard` (of 4).
+  const auto on_shard = [](std::uint64_t shard, std::uint16_t after) {
+    for (std::uint16_t sid = after + 1;; ++sid) {
+      if ((flow_hash({1, sid}) & 3) == shard) return FlowId{1, sid};
+    }
+  };
+  const FlowId stale = on_shard(0, 0);
+  const FlowId actor = on_shard(1, 0);
+  const FlowId sibling = on_shard(1, actor.session_id);
+  const FlowId remote = on_shard(2, 0);
+  const FlowId late = on_shard(3, 0);
+
+  // The actor's frame erases a flow on another shard, then one on its own.
+  const auto actor_frame = [&] {
+    log.push_back("frame");
+    EXPECT_TRUE(table.erase(remote));
+    log.push_back("erased remote");
+    EXPECT_TRUE(table.erase(sibling));
+    EXPECT_FALSE(table.contains(sibling));  // gone from the table at once
+    EXPECT_EQ(table.size(), 2u);
+    log.push_back("erased sibling");
+  };
+  const auto logged = [&](const char* name, std::function<void()> fn = {}) {
+    return std::make_unique<LoggedSession>(name, log, std::move(fn));
+  };
+  ASSERT_TRUE(table.insert(stale, logged("stale"), 0).ok());
+  ASSERT_TRUE(table.insert(actor, logged("actor", actor_frame), 0).ok());
+  ASSERT_TRUE(table.insert(sibling, logged("sibling"), 0).ok());
+  ASSERT_TRUE(table.insert(remote, logged("remote"), 0).ok());
+
+  const ByteBuffer frame = make_data_frame(actor.session_id, 1);
+  EXPECT_EQ(table.route(actor, 5, frame.span(), nullptr),
+            SessionTable::RouteOutcome::kRouted);
+  log.push_back("routed");
+  // The other shard's session dies inside its erase(); the actor's own
+  // shard holds its removal until route() returns.
+  EXPECT_EQ(log, (std::vector<std::string>{"frame", "~remote", "erased remote",
+                                           "erased sibling", "~sibling",
+                                           "routed"}));
+  EXPECT_EQ(table.size(), 2u);
+
+  // The sweep walks shards in order: a flow the stale flow's on_evict
+  // inserts into shard 3, not yet walked, is judged by its own (fresh)
+  // activity and survives.
+  log.clear();
+  table.set_on_evict([&](const FlowId& flow, Session&, EvictReason why) {
+    EXPECT_EQ(why, EvictReason::kIdle);
+    EXPECT_EQ(flow, stale);
+    log.push_back("evict stale");
+    ASSERT_TRUE(table.insert(late, logged("late"), 12).ok());
+  });
+  EXPECT_EQ(table.sweep_idle(12), 1u);  // the actor (t=5) is not idle yet
+  EXPECT_EQ(log, (std::vector<std::string>{"evict stale", "~stale"}));
+  EXPECT_TRUE(table.contains(late));
+  EXPECT_TRUE(table.contains(actor));
+  EXPECT_EQ(table.size(), 2u);
+
+  const SessionTableStats st = table.stats();
+  EXPECT_EQ(st.inserts, 5u);
+  EXPECT_EQ(st.erases, 2u);
+  EXPECT_EQ(st.evictions_idle, 1u);
+  EXPECT_EQ(st.lookups, 1u);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.occupancy, 2u);
+  EXPECT_EQ(st.occupancy_peak, 4u);
 }
 
 TEST(SessionTable, RejectedInsertNeverCostsAResidentSession) {
@@ -891,9 +975,8 @@ TEST(Sessiond, CloseWithFramesInFlightIsSafe) {
 
 TEST(Sessiond, FactorySessionMayEraseItselfOnComplete) {
   // The natural server cleanup: a demuxed flow removes itself the moment
-  // its transfer completes. on_complete fires inside route() — under the
-  // owning shard's lock — so this deadlocked before same-shard re-entry
-  // was supported.
+  // its transfer completes. on_complete fires inside route(), so the erase
+  // re-enters the shard route() is delivering on.
   EventLoop loop;
   LinkConfig lc;
   lc.seed = 9;
@@ -925,6 +1008,43 @@ TEST(Sessiond, FactorySessionMayEraseItselfOnComplete) {
   EXPECT_EQ(daemon.dispatcher().stats().sessions_created, 1u);
 }
 
+TEST(Sessiond, TeardownSettlesAReceiverThatErasesItself) {
+  // ~AlfReceiver settles its outstanding engine jobs through wait_all().
+  // Here that harvest delivers the flow's last ADU, so on_complete runs
+  // the server cleanup above from inside the table's destructor: its
+  // erase() must find nothing, not the entry being destroyed.
+  EventLoop loop;
+  DuplexChannel ch(loop, LinkConfig{});
+  LinkPath feedback(ch.reverse);
+  engine::Engine eng;  // workers = 0: the job runs at submit, its
+                       // completion waits for the pump's harvest
+  std::uint64_t completions = 0;
+  bool erased = true;
+  {
+    Sessiond daemon(loop);
+    alf::SessionConfig base;
+    ReceiverFactoryOptions fopts;
+    fopts.engine = &eng;
+    fopts.engine_harvest_delay = 200 * kMicrosecond;
+    fopts.configure = [&](const FlowId& flow, alf::AlfReceiver& rx) {
+      rx.set_on_complete([&completions, &erased, &daemon, flow] {
+        ++completions;
+        erased = daemon.table().erase(flow);
+      });
+    };
+    daemon.set_factory(alf_receiver_factory(loop, feedback, base, fopts));
+
+    const ByteBuffer data = make_data_frame(5, 1);
+    daemon.dispatcher().dispatch(1, data.span());
+    const ByteBuffer done = alf::encode_done({5, 1});
+    daemon.dispatcher().dispatch(1, done.span());
+    EXPECT_EQ(completions, 0u);  // the ADU still awaits its harvest
+    EXPECT_EQ(daemon.table().size(), 1u);
+  }  // destroyed before the pump fires
+  EXPECT_EQ(completions, 1u);
+  EXPECT_FALSE(erased);  // the table had already let go of the flow
+}
+
 TEST(Sessiond, SetFlightIsIdempotentPerRecorder) {
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "NGP_OBS=OFF build";
   EventLoop loop;
@@ -938,51 +1058,6 @@ TEST(Sessiond, SetFlightIsIdempotentPerRecorder) {
   daemon.set_flight(nullptr);  // disable...
   daemon.set_flight(&flight);  // ...and re-enable: cached track reused
   EXPECT_EQ(flight.track_count(), before + 1);
-}
-
-// ---- concurrency (TSan lane) -----------------------------------------------
-
-TEST(SessionTableThreads, ConcurrentDispatchAcrossShards) {
-  // Many writer threads, one table: create-on-first-frame races on every
-  // shard, then sustained routing. TSan must see clean per-shard locking;
-  // the counts prove no frame was lost or double-applied.
-  SessionTableConfig cfg;
-  cfg.shards = 8;
-  SessionTable table(cfg);
-  std::atomic<std::uint64_t> total_frames{0};
-  const SessionFactory factory = toy_factory(&total_frames);
-
-  constexpr int kThreads = 4;
-  constexpr int kFlowsPerThread = 64;
-  constexpr int kFramesPerFlow = 25;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kFramesPerFlow; ++i) {
-        for (int f = 0; f < kFlowsPerThread; ++f) {
-          const FlowId flow{static_cast<std::uint32_t>(t + 1),
-                            static_cast<std::uint16_t>(f)};
-          const ByteBuffer frame =
-              make_data_frame(flow.session_id, static_cast<std::uint32_t>(i));
-          const auto outcome = table.route(flow, i, frame.span(), &factory);
-          ASSERT_TRUE(outcome == SessionTable::RouteOutcome::kRouted ||
-                      outcome == SessionTable::RouteOutcome::kCreated);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(table.size(),
-            static_cast<std::size_t>(kThreads * kFlowsPerThread));
-  EXPECT_EQ(total_frames.load(),
-            static_cast<std::uint64_t>(kThreads * kFlowsPerThread *
-                                       kFramesPerFlow));
-  const SessionTableStats stats = table.stats();
-  EXPECT_EQ(stats.inserts,
-            static_cast<std::uint64_t>(kThreads * kFlowsPerThread));
-  EXPECT_EQ(stats.occupancy, table.size());
 }
 
 }  // namespace
